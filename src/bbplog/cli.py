@@ -5,7 +5,8 @@ Exit codes are part of the interface:
     0   success (for verify: every requested check passed)
     1   a verification check failed
     2   domain or unsupported-formula error
-    64  usage error (bad flags or flag values)
+    64  usage error (bad flags or flag values, including a family -o
+        path that cannot be written)
     65  malformed or invalid input file
 
 stdout carries machine-parseable results; stderr carries diagnostics.
@@ -155,8 +156,16 @@ def _cmd_family(args: argparse.Namespace, parser: _Parser) -> int:
     formula = golden_formula() if args.corollary else family_coeffs(args.t).formula
     text = emit_formula(formula)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            reason = exc.strerror or exc
+            print(
+                f"bbplog: error: cannot write {args.output}: {reason}",
+                file=sys.stderr,
+            )
+            return EX_USAGE
     else:
         sys.stdout.write(text)
     return EX_OK

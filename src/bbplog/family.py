@@ -14,9 +14,9 @@ identity 4*sin(r*pi/5)*sin(2r*pi/5) = 2*(cos(r*pi/5) - cos(3r*pi/5)) and
 cos(pi/5) = (sqrt(5)+1)/4, cos(2*pi/5) = (sqrt(5)-1)/4, the sine product
 is sqrt(5) times a period-10 sign, and cos(r*pi/4) contributes the
 period-8 factor in {0, +-1, +-1/sqrt(2)}.  Both tables are frozen below;
-no trigonometry runs in the coefficient path.  The only trig in this
-module is the certified Taylor cosine used by the numerical check of the
-four-term polylogarithm decomposition.
+no trigonometry runs in the coefficient path.  The numerical check of
+the four-term polylogarithm decomposition needs four cosines of
+multiples of pi/20; it builds them from nested square roots of 5.
 """
 
 from __future__ import annotations
@@ -200,89 +200,30 @@ def golden_constant(frac_bits: int) -> FixedReal:
     return (s5 * fx_log(phi)).rescale(frac_bits)
 
 
-# -- certified cosine, used only by the decomposition check ---------------
-
-
-def _arctan_inv(n: int, frac_bits: int) -> FixedReal:
-    """arctan(1/n) for integer n >= 2, one exact division per term.
-
-    Alternating series with decreasing terms: the tail after stopping is
-    at most the first omitted term, which is below one ulp by the stop
-    rule.
-    """
-    one = 1 << frac_bits
-    acc = 0
-    err = 0
-    npow = n
-    nsq = n * n
-    k = 0
-    while True:
-        den = npow * (2 * k + 1)
-        if den >= 2 * one:
-            break
-        q, rem = divmod(one, den)
-        acc += -q if k & 1 else q
-        if rem:
-            err += 1
-        npow *= nsq
-        k += 1
-    return FixedReal(acc, frac_bits, err + 1)
-
-
-_PI_CACHE: dict[int, FixedReal] = {}
-
-
-def _pi_const(frac_bits: int) -> FixedReal:
-    """pi = 16*arctan(1/5) - 4*arctan(1/239), certified (cached)."""
-    cached = _PI_CACHE.get(frac_bits)
-    if cached is None:
-        work = frac_bits + 32
-        val = _arctan_inv(5, work).mul_int(16) - _arctan_inv(239, work).mul_int(4)
-        cached = val.rescale(frac_bits)
-        _PI_CACHE[frac_bits] = cached
-    return cached
-
-
-def _cos_pi_multiple(num: int, den: int, frac_bits: int) -> FixedReal:
-    """cos(num*pi/den) by certified Taylor series after range reduction.
-
-    Reduces the angle into [0, pi] by periodicity and the mirror
-    cos(2*pi - x) = cos(x); for x <= pi the Taylor terms decrease from
-    the second one on, so the alternating tail is bounded by the next
-    term.
-    """
-    if den <= 0:
-        raise DomainError("denominator must be positive")
-    m = num % (2 * den)
-    if m > den:
-        m = 2 * den - m
-    work = frac_bits + 32
-    x = _pi_const(work).mul_fraction(Fraction(m, den))
-    neg_x2 = -(x * x)
-    x2_bits = (abs(neg_x2.mantissa) + neg_x2.err_ulp).bit_length()
-    term = FixedReal.from_int(1, work)
-    acc = term
-    i = 1
-    while True:
-        term = (term * neg_x2).div_int((2 * i - 1) * (2 * i))
-        acc = acc + term
-        if i >= 2:
-            # next term <= pb * x2b / (2**work * (2i+1)(2i+2)); the bit
-            # length comparison proves it below one ulp
-            pb_bits = (abs(term.mantissa) + term.err_ulp).bit_length()
-            d_bits = ((2 * i + 1) * (2 * i + 2)).bit_length()
-            if pb_bits + x2_bits <= work + d_bits - 1:
-                acc = FixedReal(acc.mantissa, work, acc.err_ulp + 1)
-                break
-        i += 1
-    return acc.rescale(frac_bits)
-
-
 # -- the four-term polylogarithm decomposition check ----------------------
 
 # Re Li_1[q e^{ix}] = -log(1 - 2q cos x + q^2)/2 at the four angles
-# k*pi/20, with alternating signs.
-_DECOMPOSITION_ANGLES = ((1, 1), (7, -1), (9, 1), (17, -1))
+# k*pi/20, k = 1, 7, 9, 17, with alternating signs.
+_DECOMPOSITION_SIGNS = (1, -1, 1, -1)
+
+
+def _decomposition_cosines(s5: FixedReal) -> tuple[FixedReal, ...]:
+    """cos(k*pi/20) for k = 1, 7, 9, 17 from a certified sqrt(5).
+
+    cos(pi/10) = sqrt((5+sqrt5)/8) and cos(3pi/10) = sqrt((5-sqrt5)/8);
+    the half-angle steps cos(x/2) = sqrt((1+cos x)/2) and
+    cos(pi/2 - x/2) = sqrt((1-cos x)/2) reach the four angles.
+    """
+    one = FixedReal.from_int(1, s5.frac_bits)
+    five = FixedReal.from_int(5, s5.frac_bits)
+    c1 = fx_sqrt((five + s5).div_int(8))  # cos(pi/10)
+    c3 = fx_sqrt((five - s5).div_int(8))  # cos(3pi/10)
+    return (
+        fx_sqrt((one + c1).div_int(2)),
+        fx_sqrt((one - c3).div_int(2)),
+        fx_sqrt((one - c1).div_int(2)),
+        -fx_sqrt((one + c3).div_int(2)),
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -309,7 +250,7 @@ def verify_li1_decomposition(t: int, frac_bits: int) -> DecompositionCheck:
 
     Left side: atanh(u(t)*sqrt(5)).  Right side: the alternating sum of
     Re Li_1[(1/(t*sqrt(2))) e^{i k pi/20}] for k in {1, 7, 9, 17}, each
-    evaluated through its closed log form with certified cosines.
+    evaluated through its closed log form with closed-form cosines.
     Passes when the two sides agree to at least ``frac_bits`` bits.
     """
     if t == 0:
@@ -323,8 +264,7 @@ def verify_li1_decomposition(t: int, frac_bits: int) -> DecompositionCheck:
     q2 = q * q
     one = FixedReal.from_int(1, work)
     total = None
-    for k, sgn in _DECOMPOSITION_ANGLES:
-        c = _cos_pi_multiple(k, 20, work)
+    for c, sgn in zip(_decomposition_cosines(s5), _DECOMPOSITION_SIGNS):
         radicand = one - (q * c).mul_int(2) + q2
         log_term = fx_log(radicand).mul_int(sgn)
         total = log_term if total is None else total + log_term

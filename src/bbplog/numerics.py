@@ -1,4 +1,5 @@
-"""Fixed-point real arithmetic with certified error bounds, plus modpow.
+"""Fixed-point real arithmetic with certified error bounds, plus a
+domain-checked modular power.
 
 All real-valued computation in this package runs on :class:`FixedReal`:
 a signed mantissa scaled by 2**-frac_bits together with an integer
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import DomainError, PrecisionError
@@ -239,7 +241,8 @@ class FixedReal:
         scale = 10**digits
         lo10 = (lo * scale) >> F
         hi10 = (hi * scale) >> F
-        s_lo, s_hi = str(lo10), str(hi10)
+        # Decimal converts ints of any size; str(int) stops at 4300 digits
+        s_lo, s_hi = str(Decimal(lo10)), str(Decimal(hi10))
         width = max(len(s_lo), len(s_hi), digits + 1)
         s_lo = s_lo.zfill(width)
         s_hi = s_hi.zfill(width)
@@ -415,24 +418,10 @@ def fx_atanh(x: FixedReal) -> FixedReal:
 
 
 def modpow(base: int, exp: int, m: int) -> int:
-    """base**exp mod m by square-and-multiply, result in [0, m).
-
-    The loop runs exactly bitlen(exp) iterations with one squaring and at
-    most one multiplication each, so the allocation profile depends only
-    on the operand bit lengths (performance contract for the digit
-    extraction kernel, not a timing-security property).
-    """
+    """base**exp mod m in [0, m): the builtin three-argument pow with its
+    domain checked."""
     if m < 1:
         raise DomainError("modulus must be >= 1")
     if exp < 0:
         raise DomainError("exponent must be nonnegative")
-    if m == 1:
-        return 0
-    result = 1
-    b = base % m
-    while exp:
-        if exp & 1:
-            result = result * b % m
-        b = b * b % m
-        exp >>= 1
-    return result
+    return pow(base, exp, m)

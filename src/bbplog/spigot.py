@@ -7,30 +7,28 @@ b = 2**beta, the bits after position n are the fractional part of
     2**n * C = sum_{k,j} p*a_j * 2**(n - beta*k) / (q*(k*l + j)).
 
 Head terms (nonnegative exponent) reduce to an exact rational with
-denominator q*(k*l + j) via modular exponentiation -- the prefactor
-denominator q is folded into every modulus because frac(x/q) is not a
-function of frac(x), so dividing at the end would be wrong.  Tail terms
-are summed directly in fixed point.  Every contribution enters a W-bit
-accumulator mod 1 through a floor division, so the true value exceeds
-the accumulated one by at most one ulp per term; that one-sided budget
-is what certifies the returned digits.
+denominator q*(k*l + j) via the builtin three-argument ``pow`` -- the
+prefactor denominator q is folded into every modulus because frac(x/q)
+is not a function of frac(x), so dividing at the end would be wrong.
+Tail terms are summed directly in fixed point.  Every contribution
+enters a W-bit accumulator mod 1 through a floor division, so the true
+value exceeds the accumulated one by at most one ulp per term; the
+discarded tail beyond the last summed term has mixed signs and lies in
+(-1, 1) ulp.  The true accumulator is therefore in (acc - 1, acc +
+budget], and both ends of that interval certify the returned digits.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import gcd
 
 from .errors import UnsupportedFormulaError, ValidationError
 from .formula import BbpFormula
-from .numerics import modpow
 
 __all__ = ["SpigotPlan", "DigitWindow", "build_plan", "extract_bits", "extract_hex"]
 
 MAX_WINDOW_BITS = 64
-_HEAD_CHUNK = 2048  # k-values per work unit; any partition gives identical bits
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,40 +82,14 @@ def build_plan(f: BbpFormula) -> SpigotPlan:
     )
 
 
-def _head_chunk(
-    plan: SpigotPlan, n: int, width: int, k_lo: int, k_hi: int
-) -> tuple[int, int]:
-    """Accumulate head terms for k in [k_lo, k_hi); returns (sum, rounded)."""
-    length = plan.formula.length
-    q = plan.denominator_scale
-    p = plan.numerator_scale
-    beta = plan.beta
-    acc = 0
-    rounded = 0
-    for k in range(k_lo, k_hi):
-        e = n - beta * k
-        base_index = k * length
-        for j, a in plan.nonzero:
-            m = q * (base_index + j)
-            r = p * a * modpow(2, e, m) % m
-            contrib, rem = divmod(r << width, m)
-            acc += contrib
-            if rem:
-                rounded += 1
-    return acc, rounded
-
-
-def _threads_from_env() -> int:
-    raw = os.environ.get("BBP_THREADS", "0")
-    try:
-        t = int(raw)
-    except ValueError:
-        raise ValidationError(f"BBP_THREADS: not an integer: {raw!r}") from None
-    if t < 0:
-        raise ValidationError("BBP_THREADS: must be >= 0")
-    if t == 0:
-        return min(4, os.cpu_count() or 1)
-    return t
+def _certified_prefix(acc: int, width: int, count: int, budget: int) -> int:
+    """Leading bits of the width-bit fraction acc that no true value in
+    (acc - 1, acc + budget] can change: no borrow below, no carry above."""
+    for c in range(count, 0, -1):
+        low = acc & ((1 << (width - c)) - 1)
+        if low >= 1 and low + budget < 1 << (width - c):
+            return c
+    return 0
 
 
 def extract_bits(plan: SpigotPlan, n: int, count: int) -> DigitWindow:
@@ -127,7 +99,7 @@ def extract_bits(plan: SpigotPlan, n: int, count: int) -> DigitWindow:
     length of the expected term count when n is large, so the one-ulp-
     per-term budget always fits.  ``certified`` is the longest prefix
     whose bits cannot change when the true accumulated error (anywhere
-    in [0, budget]) is added; it is computed, never assumed.
+    in (-1, budget] ulp) is added; it is computed, never assumed.
     """
     if count < 1 or count > MAX_WINDOW_BITS:
         raise ValidationError(f"count: must be in 1..{MAX_WINDOW_BITS}")
@@ -145,22 +117,18 @@ def extract_bits(plan: SpigotPlan, n: int, count: int) -> DigitWindow:
     mask = (1 << width) - 1
 
     # head: exact fractional parts via modular exponentiation
-    chunks = [
-        (k0, min(k0 + _HEAD_CHUNK, head_k)) for k0 in range(0, head_k, _HEAD_CHUNK)
-    ]
-    threads = _threads_from_env()
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(
-                pool.map(lambda c: _head_chunk(plan, n, width, *c), chunks)
-            )
-    else:
-        parts = [_head_chunk(plan, n, width, *c) for c in chunks]
     acc = 0
     budget = 0
-    for part_acc, part_rounded in parts:
-        acc = (acc + part_acc) & mask
-        budget += part_rounded
+    for k in range(head_k):
+        e = n - beta * k
+        base_index = k * length
+        for j, a in plan.nonzero:
+            m = q * (base_index + j)
+            contrib, rem = divmod((p * a * pow(2, e, m) % m) << width, m)
+            acc += contrib
+            if rem:
+                budget += 1
+    acc &= mask
 
     # tail: directly summed fixed-point contributions below 2**(W-shift)
     max_pa = max(abs(p * a) for _, a in plan.nonzero)
@@ -178,14 +146,9 @@ def extract_bits(plan: SpigotPlan, n: int, count: int) -> DigitWindow:
             acc = (acc + contrib) & mask
             budget += 1
         k += 1
-    budget += 1  # geometric remainder of the discarded tail, below one ulp
+    budget += 1  # discarded tail: a mixed-sign remainder in (-1, 1) ulp
 
-    certified = 0
-    for c in range(count, -1, -1):
-        low = acc & ((1 << (width - c)) - 1)
-        if low + budget < 1 << (width - c):
-            certified = c
-            break
+    certified = _certified_prefix(acc, width, count, budget)
     bits = format(acc >> (width - count), f"0{count}b")
     return DigitWindow(position=n, radix=2, bits=bits, certified=certified)
 

@@ -97,7 +97,8 @@ def verify_corollary(target_bits: int) -> VerificationReport:
     """sqrt(5)*log(phi) from sqrt/log vs the evaluated golden formula.
 
     Also cross-checks the first spigot window at position 0 against the
-    oracle's leading fraction bits; a mismatch fails the report outright.
+    leading fraction bits of both ends of the oracle interval; a mismatch,
+    or ends that disagree, fails the report outright.
     """
     started = time.perf_counter()
     work = target_bits + GUARD_BITS
@@ -106,8 +107,11 @@ def verify_corollary(target_bits: int) -> VerificationReport:
 
     window = extract_bits(build_plan(golden_formula()), 0, 32)
     mask = (1 << work) - 1
-    oracle_frac_bits = format((oracle.mantissa & mask) >> (work - 32), "032b")
-    spigot_ok = window.certified >= 32 and window.bits == oracle_frac_bits
+    lo_bits, hi_bits = (
+        format(((oracle.mantissa + d) & mask) >> (work - 32), "032b")
+        for d in (-oracle.err_ulp, oracle.err_ulp)
+    )
+    spigot_ok = window.certified >= 32 and lo_bits == hi_bits == window.bits
 
     return _report(
         "corollary", oracle, evaluated, target_bits, started, extra_ok=spigot_ok

@@ -103,6 +103,15 @@ def test_family_writes_output_file(capsys, tmp_path):
     assert text.startswith("bbp 1\ns 1\n")
 
 
+def test_family_unwritable_output_exits_64(capsys, tmp_path):
+    path = tmp_path / "no-such-dir" / "f.bbp"
+    code, out, err = run(capsys, "family", "--t", "2", "-o", str(path))
+    assert code == 64
+    assert out == ""
+    assert err.startswith(f"bbplog: error: cannot write {path}: ")
+    assert "Traceback" not in err
+
+
 def test_family_corollary_requires_t1(capsys):
     code, _ = run_usage_error(capsys, "family", "--t", "2", "--corollary")
     assert code == 64

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -332,6 +333,13 @@ def test_decimal_interval_straddling_boundary_prints_nothing_false():
     # the interval [0.4999.., 0.5000..] shares no decimal digit
     x = FixedReal((1 << 63) + 12345, 64, 1 << 32)
     assert x.decimal(18) == "0~"
+
+
+def test_decimal_full_capacity_beyond_int_str_limit():
+    # 6020 digits, past the 4300 that str(int) allows by default; the last
+    # one is not defended by the 1-ulp bound and is marked, not printed
+    s = FixedReal.from_fraction(Fraction(1, 3), 20000).decimal()
+    assert re.fullmatch(r"0\.3{6000,}~?", s)
 
 
 def test_agreement_bits_caps_at_precision():

@@ -94,24 +94,19 @@ def test_overlap_coherence(golden_plan):
         assert w1.bits[20:] == w2.bits[:28]
 
 
-def test_determinism_and_partition_independence(golden_plan, monkeypatch):
+def test_determinism_and_partition_independence(golden_plan):
     baseline = extract_bits(golden_plan, 5000, 40)
     assert baseline == extract_bits(golden_plan, 5000, 40)
-    monkeypatch.setattr(spigot_mod, "_HEAD_CHUNK", 17)
-    chunked = extract_bits(golden_plan, 5000, 40)
-    monkeypatch.setenv("BBP_THREADS", "3")
-    threaded = extract_bits(golden_plan, 5000, 40)
-    assert chunked == baseline
-    assert threaded == baseline
 
 
-def test_env_thread_cap_validation(golden_plan, monkeypatch):
-    monkeypatch.setenv("BBP_THREADS", "zebra")
-    with pytest.raises(ValidationError, match="BBP_THREADS"):
-        extract_bits(golden_plan, 0, 8)
-    monkeypatch.setenv("BBP_THREADS", "-1")
-    with pytest.raises(ValidationError, match="BBP_THREADS"):
-        extract_bits(golden_plan, 0, 8)
+def test_certified_prefix_checks_borrow_and_carry():
+    # width 64, 8 requested bits: the low 56 bits decide both sides
+    top = 0b10110011 << 56
+    assert spigot_mod._certified_prefix(top | 1 << 40, 64, 8, 5) == 8
+    # all-zero low word: a true value just below acc borrows from bit 8
+    assert spigot_mod._certified_prefix(top, 64, 8, 5) < 8
+    # low word within the budget of overflowing: the carry reaches bit 8
+    assert spigot_mod._certified_prefix(top | (1 << 56) - 3, 64, 8, 5) < 8
 
 
 # -- hex windows --------------------------------------------------------------

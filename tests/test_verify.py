@@ -6,7 +6,9 @@ import re
 
 import pytest
 
+import bbplog.verify as verify_mod
 from bbplog.errors import DomainError
+from bbplog.numerics import FixedReal
 from bbplog.verify import verify_corollary, verify_decomposition, verify_theorem
 
 REPORT_RE = re.compile(r"^REPORT \S+ passed=(true|false) bits=-?\d+ ms=\d+$")
@@ -34,6 +36,22 @@ def test_corollary_small():
     assert report.passed
     assert report.agreement_bits >= 64
     assert report.lhs_bits.startswith("1.07")
+
+
+def test_corollary_fails_when_oracle_interval_straddles_window_edge(monkeypatch):
+    # a 2**-31 wide oracle interval still agrees with the series to ~31
+    # bits, but its ends disagree on the 32 fraction bits the spigot is
+    # checked against
+    exact = verify_mod.golden_constant
+
+    def wide(frac_bits):
+        x = exact(frac_bits)
+        return FixedReal(x.mantissa, frac_bits, 1 << (frac_bits - 32))
+
+    monkeypatch.setattr(verify_mod, "golden_constant", wide)
+    report = verify_corollary(16)
+    assert report.agreement_bits >= 16
+    assert not report.passed
 
 
 def test_decomposition_report():
