@@ -3,8 +3,9 @@
 Exit codes are part of the interface:
 
     0   success (for verify: every requested check passed)
-    1   a verification check failed
-    2   domain or unsupported-formula error
+    1   a verification check failed, or stdout closed early (say `| head`)
+    2   domain or unsupported-formula error (including a family
+        formula with an integer too long for the file format)
     64  usage error (bad flags or flag values, including a family -o
         path that cannot be written)
     65  malformed or invalid input file
@@ -12,12 +13,20 @@ Exit codes are part of the interface:
 stdout carries machine-parseable results; stderr carries diagnostics.
 Identical flags produce byte-identical stdout for digits, family, and
 eval; verify lines include wall-clock milliseconds by design.
+
+verify prints each REPORT line as soon as its check finishes: first every
+theorem check, then the corollary, then every decomposition check.  The
+--t list is checked for syntax before any check runs, but t = 0 is
+rejected only when its check is reached, so verify exits 2 after the
+lines of the checks before it.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from itertools import chain
 
 from .errors import DomainError, ParseError, UnsupportedFormulaError, ValidationError
 from .family import family_coeffs, golden_formula
@@ -101,7 +110,7 @@ def _load_formula(args: argparse.Namespace) -> BbpFormula:
         try:
             with open(args.formula, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise _DataError(f"cannot read {args.formula}: {exc}") from exc
         try:
             return parse_formula(text)
@@ -114,21 +123,17 @@ class _DataError(Exception):
     pass
 
 
-def _parse_t_list(text: str) -> list[int]:
-    values: list[int] = []
+def _parse_t_list(text: str) -> list[range]:
+    """Parse '2', '1..3' or '1,2,-2' into lazy ranges, checking every token."""
+    ranges: list[range] = []
     for token in text.split(","):
-        token = token.strip()
-        if ".." in token:
-            lo_text, hi_text = token.split("..", 1)
-            lo, hi = int(lo_text), int(hi_text)
-            if hi < lo:
-                raise ValueError(f"empty range {token!r}")
-            values.extend(range(lo, hi + 1))
-        else:
-            values.append(int(token))
-    if not values:
-        raise ValueError("no parameters given")
-    return values
+        lo_text, dots, hi_text = token.strip().partition("..")
+        lo = int(lo_text)
+        hi = int(hi_text) if dots else lo
+        if hi < lo:
+            raise ValueError(f"empty range {token.strip()!r}")
+        ranges.append(range(lo, hi + 1))
+    return ranges
 
 
 def _cmd_digits(args: argparse.Namespace, parser: _Parser) -> int:
@@ -177,19 +182,25 @@ def _cmd_verify(args: argparse.Namespace, parser: _Parser) -> int:
     if args.bits < 1:
         parser.error("--bits must be positive")
     try:
-        t_values = _parse_t_list(args.t)
+        t_ranges = _parse_t_list(args.t)
     except ValueError as exc:
         parser.error(f"bad --t: {exc}")
-    reports = []
-    if args.theorem:
-        reports.extend(verify_theorem(t, args.bits) for t in t_values)
-    if args.corollary:
-        reports.append(verify_corollary(args.bits))
-    if args.decomposition:
-        reports.extend(verify_decomposition(t, args.bits) for t in t_values)
-    for report in reports:
-        print(report.line())
-    return EX_OK if all(r.passed for r in reports) else EX_CHECK_FAILED
+
+    def reports():
+        if args.theorem:
+            for t in chain.from_iterable(t_ranges):
+                yield verify_theorem(t, args.bits)
+        if args.corollary:
+            yield verify_corollary(args.bits)
+        if args.decomposition:
+            for t in chain.from_iterable(t_ranges):
+                yield verify_decomposition(t, args.bits)
+
+    all_passed = True
+    for report in reports():
+        print(report.line(), flush=True)
+        all_passed = all_passed and report.passed
+    return EX_OK if all_passed else EX_CHECK_FAILED
 
 
 def _cmd_eval(args: argparse.Namespace, parser: _Parser) -> int:
@@ -218,15 +229,17 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args, parser)
-    except _DataError as exc:
+    except (_DataError, ValidationError) as exc:
         print(f"bbplog: error: {exc}", file=sys.stderr)
         return EX_DATA
     except (DomainError, UnsupportedFormulaError) as exc:
         print(f"bbplog: error: {exc}", file=sys.stderr)
         return EX_DOMAIN
-    except ValidationError as exc:
-        print(f"bbplog: error: {exc}", file=sys.stderr)
-        return EX_DATA
+    except BrokenPipeError:
+        # stdout's reader left early (say `| head`); point stdout at
+        # devnull so the exit-time flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EX_CHECK_FAILED
 
 
 if __name__ == "__main__":

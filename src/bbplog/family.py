@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import DomainError
@@ -156,13 +157,15 @@ def family_coeffs(t: int) -> FamilyInstance:
         raise DomainError("family parameter t must be a nonzero integer")
     coeffs = tuple(_coefficient(j, t) for j in range(1, FAMILY_LENGTH + 1))
     arg = _lhs_argument(t)
+    # Decimal prints an int of any length; str() stops at a digit limit
+    num, den = str(Decimal(arg.numerator)), str(Decimal(arg.denominator))
     formula = BbpFormula(
         degree=1,
         base=(1 << 20) * t**FAMILY_LENGTH,
         length=FAMILY_LENGTH,
         coeffs=coeffs,
         prefactor=Fraction(5, (1 << 20) * t ** (FAMILY_LENGTH - 1)),
-        label=f"sqrt(5)*atanh({arg.numerator}/{arg.denominator}*sqrt(5))",
+        label=f"sqrt(5)*atanh({num}/{den}*sqrt(5))",
     )
     return FamilyInstance(t=t, formula=formula, lhs_arg=arg)
 

@@ -5,7 +5,8 @@ A formula stands for the constant
     prefactor * sum_{k>=0} b**-k * sum_{j=1..l} a_j / (k*l + j)**s
 
 and the evaluator returns it as a :class:`FixedReal` whose error bound
-covers both the per-term truncations and the discarded geometric tail.
+covers both the roundings of its Horner steps and the discarded
+geometric tail.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ParseError, ValidationError
-from .numerics import FixedReal, _ceil_div, _tdiv
+from .errors import ParseError, UnsupportedFormulaError, ValidationError
+from .numerics import FixedReal
 
 __all__ = ["BbpFormula", "EvalResult", "eval_P", "parse_formula", "emit_formula"]
 
@@ -50,7 +51,7 @@ class BbpFormula:
             raise ValidationError("coeffs: at least one entry must be nonzero")
         if self.prefactor == 0:
             raise ValidationError("prefactor: must be nonzero")
-        if "\n" in self.label:
+        if self.label.splitlines() not in ([], [self.label]):
             raise ValidationError("label: must be a single line")
 
 
@@ -63,63 +64,44 @@ class EvalResult:
     tail_bound_ulp: int
 
 
-def _tail_cutoff(f: BbpFormula, frac_bits: int) -> int:
-    """First K whose geometric tail majorant drops below one ulp.
+def _truncation(f: BbpFormula, frac_bits: int) -> tuple[int, int]:
+    """Terms K to sum and the tail majorant, in ulps, of what is left out.
 
-    Tail for k >= K:  max|a_j| * l / (K*l+1)**s * b**-K * b/(b-1),
-    using (k*l+1) >= (K*l+1) and the geometric sum of b**-k.
+    Tail for k >= K:  |prefactor| * max|a_j| * l / (K*l+1)**s * b**-K * b/(b-1),
+    using (k*l+1) >= (K*l+1) and the geometric sum of b**-k.  K is the
+    first level whose unscaled majorant drops below one ulp.
     """
     max_a = max(abs(a) for a in f.coeffs)
-    lhs_fixed = max_a * f.length * f.base << frac_bits
-    bpow = 1
-    K = 0
-    while lhs_fixed >= (K * f.length + 1) ** f.degree * bpow * (f.base - 1):
+    top = max_a * f.length * f.base << frac_bits
+    K, bpow = 0, 1
+    while top >= (den := (K * f.length + 1) ** f.degree * bpow * (f.base - 1)):
         bpow *= f.base
         K += 1
-    return K
+    p, q = f.prefactor.numerator, f.prefactor.denominator
+    return K, -(-top * abs(p) // (den * q))
 
 
 def eval_P(f: BbpFormula, frac_bits: int) -> EvalResult:
     """Evaluate prefactor * P(s, b, l, A) to frac_bits of precision.
 
-    Inner denominators (k*l + j)**s and the running power b**k are exact
-    integers; each nonzero term costs one truncating division, so the
-    rounding budget grows additively and the final bound is the per-term
-    count plus the scaled tail majorant.
+    Horner in 1/b from level K-1 down to 0: acc = acc/b + S_k, where S_k
+    sums the level's nonzero terms as floor divisions, each off by less
+    than one ulp.  FixedReal charges every rounding and shrinks earlier
+    error by b at each step, so the bound does not grow with precision;
+    the tail majorant is added once at the end.
     """
     f.validate()
     if frac_bits < 64:
         raise ValidationError("frac_bits: must be >= 64")
-    K = _tail_cutoff(f, frac_bits)
-    one = 1 << frac_bits
-    acc = 0
-    err = 0
-    bpow = 1
-    for k in range(K):
+    K, tail_ulp = _truncation(f, frac_bits)
+    terms = [(j, a << frac_bits) for j, a in enumerate(f.coeffs, start=1) if a]
+    acc = FixedReal(0, frac_bits)
+    for k in reversed(range(K)):
         base_index = k * f.length
-        for j, a in enumerate(f.coeffs, start=1):
-            if a == 0:
-                continue
-            den = bpow * (base_index + j) ** f.degree
-            q, rem = divmod(a << frac_bits, den)
-            if rem:
-                if q < 0:
-                    q += 1  # truncate toward zero
-                err += 1
-            acc += q
-        bpow *= f.base
-    # fold in the prefactor exactly, then charge the scaled tail
-    p, qd = f.prefactor.numerator, f.prefactor.denominator
-    num = acc * p
-    m = _tdiv(num, qd)
-    err_scaled = _ceil_div(err * abs(p), qd) if err else 0
-    if m * qd != num:
-        err_scaled += 1
-    max_a = max(abs(a) for a in f.coeffs)
-    tail_num = max_a * f.length * f.base * abs(p) << frac_bits
-    tail_den = (K * f.length + 1) ** f.degree * bpow * (f.base - 1) * qd
-    tail_ulp = _ceil_div(tail_num, tail_den)
-    value = FixedReal(m, frac_bits, err_scaled + tail_ulp)
+        level = sum(a // (base_index + j) ** f.degree for j, a in terms)
+        acc = acc.div_int(f.base) + FixedReal(level, frac_bits, len(terms))
+    total = acc.mul_fraction(f.prefactor)
+    value = FixedReal(total.mantissa, frac_bits, total.err_ulp + tail_ulp)
     return EvalResult(value=value, terms_used=K, tail_bound_ulp=tail_ulp)
 
 
@@ -178,31 +160,31 @@ def parse_formula(text: str) -> BbpFormula:
     for idx in range(next_line, len(lines)):
         if lines[idx].strip():
             raise ParseError(f"unexpected trailing line {lines[idx]!r}", idx + 1)
-    try:
-        return BbpFormula(
-            degree=s,
-            base=b,
-            length=l,
-            coeffs=coeffs,
-            prefactor=Fraction(num, den),
-            label=label,
-        )
-    except ValidationError:
-        raise
+    return BbpFormula(
+        degree=s,
+        base=b,
+        length=l,
+        coeffs=coeffs,
+        prefactor=Fraction(num, den),
+        label=label,
+    )
 
 
 def emit_formula(f: BbpFormula) -> str:
     """Canonical serialization: single spaces, no trailing whitespace."""
     f.validate()
     pre = f.prefactor
-    lines = [
-        "bbp 1",
-        f"s {f.degree}",
-        f"b {f.base}",
-        f"l {f.length}",
-        f"pre {pre.numerator}/{pre.denominator}",
-        "A " + " ".join(str(a) for a in f.coeffs),
-    ]
+    try:
+        lines = [
+            "bbp 1",
+            f"s {f.degree}",
+            f"b {f.base}",
+            f"l {f.length}",
+            f"pre {pre.numerator}/{pre.denominator}",
+            "A " + " ".join(str(a) for a in f.coeffs),
+        ]
+    except ValueError as exc:  # int/str digit limit: parse could not read it back
+        raise UnsupportedFormulaError("integer too long for the file format") from exc
     if f.label:
         lines.append(f"label {f.label}")
     return "\n".join(lines) + "\n"

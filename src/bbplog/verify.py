@@ -42,8 +42,6 @@ class VerificationReport:
     """One identity check: the two sides, their agreement, the verdict."""
 
     subject: str
-    lhs_bits: str
-    rhs_bits: str
     agreement_bits: int
     threshold: int
     passed: bool
@@ -57,10 +55,6 @@ class VerificationReport:
         )
 
 
-def _summary(x: FixedReal) -> str:
-    return x.decimal(30)
-
-
 def _report(
     subject: str,
     lhs: FixedReal,
@@ -72,8 +66,6 @@ def _report(
     agree = agreement_bits(lhs, rhs)
     return VerificationReport(
         subject=subject,
-        lhs_bits=_summary(lhs),
-        rhs_bits=_summary(rhs),
         agreement_bits=agree,
         threshold=threshold,
         passed=agree >= threshold and extra_ok,

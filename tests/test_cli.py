@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import bbplog.cli as cli
 from bbplog.cli import main
+from bbplog.errors import DomainError
 from bbplog.family import golden_constant
 from bbplog.presets import GOLDEN_TEXT, LOG2_TEXT
+from bbplog.verify import verify_theorem
 
 from _oracles import fixedreal_bits
 
@@ -117,6 +124,14 @@ def test_family_corollary_requires_t1(capsys):
     assert code == 64
 
 
+def test_family_integer_too_long_for_file_format_exits_2(capsys):
+    # base = 2**20 * t**40 has more digits than int() and str() accept
+    code, out, err = run(capsys, "family", "--t", "1" + "0" * 120)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "too long" in err
+
+
 # -- verify -------------------------------------------------------------------
 
 
@@ -154,6 +169,53 @@ def test_verify_t_zero_exits_2(capsys):
     assert code == 2
 
 
+def test_verify_theorem_with_huge_t(capsys):
+    # u(t)'s numerator, put into the formula label, passes the int/str limit
+    t = "1" + "0" * 1500
+    code, out, _ = run(capsys, "verify", "--theorem", "--t", t, "--bits", "64")
+    assert code == 0
+    assert out.startswith(f"REPORT theorem(t={t}) passed=true")
+
+
+def test_verify_streams_reports_before_a_failure(capsys, monkeypatch):
+    calls = []
+
+    def theorem(t, bits):
+        calls.append(t)
+        if len(calls) == 3:
+            raise DomainError("third check fails")
+        return verify_theorem(t, bits)
+
+    monkeypatch.setattr(cli, "verify_theorem", theorem)
+    code, out, err = run(
+        capsys, "verify", "--theorem", "--t", "1..1000000", "--bits", "64"
+    )
+    assert code == 2
+    assert calls == [1, 2, 3]
+    lines = out.splitlines()
+    assert len(lines) == 2
+    assert all(line.startswith("REPORT theorem(t=") for line in lines)
+
+
+def test_verify_reader_leaving_early_exits_1_without_traceback():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    argv = ["verify", "--theorem", "--t", "1..100000", "--bits", "64"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bbplog", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout.readline().startswith(b"REPORT theorem(t=1)")
+    proc.stdout.close()  # like `| head -1`
+    try:
+        assert proc.wait(timeout=60) == 1
+    finally:
+        proc.kill()
+    assert b"Traceback" not in proc.stderr.read()
+    proc.stderr.close()
+
+
 # -- eval ---------------------------------------------------------------------
 
 
@@ -183,6 +245,17 @@ def test_eval_malformed_file_exits_65(capsys, tmp_path):
 def test_eval_missing_file_exits_65(capsys):
     code, _, err = run(capsys, "eval", "--formula", "/nonexistent/file.bbp")
     assert code == 65
+
+
+@pytest.mark.parametrize("command", ["eval", "digits"])
+def test_non_utf8_formula_file_exits_65(capsys, tmp_path, command):
+    path = tmp_path / "bad.bbp"
+    path.write_bytes(b"bbp 1\ns 1\nb \xff\xfe\n")
+    code, out, err = run(capsys, command, "--formula", str(path))
+    assert code == 65
+    assert out == ""
+    assert err.startswith(f"bbplog: error: cannot read {path}: ")
+    assert err.count("\n") == 1
 
 
 def test_eval_preset_and_formula_mutually_exclusive(capsys, tmp_path):

