@@ -17,16 +17,12 @@ from .errors import (
     ValidationError,
 )
 from .family import (
-    DecompositionCheck,
     FamilyInstance,
-    WeightClass,
-    WeightValue,
     family_coeffs,
     golden_constant,
     golden_formula,
     lhs_value,
     verify_li1_decomposition,
-    weight,
 )
 from .formula import BbpFormula, EvalResult, emit_formula, eval_P, parse_formula
 from .numerics import FixedReal, agreement_bits, fx_atanh, fx_log, fx_sqrt, modpow
@@ -59,16 +55,12 @@ __all__ = [
     "eval_P",
     "parse_formula",
     "emit_formula",
-    "WeightClass",
-    "WeightValue",
     "FamilyInstance",
-    "weight",
     "family_coeffs",
     "golden_formula",
     "lhs_value",
     "golden_constant",
     "verify_li1_decomposition",
-    "DecompositionCheck",
     "SpigotPlan",
     "DigitWindow",
     "build_plan",

@@ -1,4 +1,4 @@
-"""The parametric logarithm family: weights, coefficients, and identities.
+"""The parametric logarithm family: coefficients and identities.
 
 For a nonzero integer parameter t the package builds the length-40,
 degree-1 formula with base 2**20 * t**40 whose value is
@@ -8,121 +8,52 @@ degree-1 formula with base 2**20 * t**40 whose value is
 and, at t = 1 with an extra factor 1/3 in the prefactor, sqrt(5)*log(phi)
 for the golden ratio phi = (1 + sqrt(5))/2.
 
-The coefficient pattern repeats with period 40 and is driven by the
-weight 4*sin(r*pi/5)*sin(2r*pi/5)*cos(r*pi/4).  Using the product-to-sum
-identity 4*sin(r*pi/5)*sin(2r*pi/5) = 2*(cos(r*pi/5) - cos(3r*pi/5)) and
-cos(pi/5) = (sqrt(5)+1)/4, cos(2*pi/5) = (sqrt(5)-1)/4, the sine product
-is sqrt(5) times a period-10 sign, and cos(r*pi/4) contributes the
-period-8 factor in {0, +-1, +-1/sqrt(2)}.  Both tables are frozen below;
-no trigonometry runs in the coefficient path.  The numerical check of
-the four-term polylogarithm decomposition needs four cosines of
-multiples of pi/20; it builds them from nested square roots of 5.
+The coefficients are a_j = w(j)/5 * sqrt(5) * sqrt(2**(40-j)) * t**(39-j)
+with the weight w(j) = 4*sin(j*pi/5)*sin(2j*pi/5)*cos(j*pi/4).  Using the
+product-to-sum identity 4*sin(j*pi/5)*sin(2j*pi/5) = 2*(cos(j*pi/5) -
+cos(3j*pi/5)) and cos(pi/5) = (sqrt(5)+1)/4, cos(2*pi/5) = (sqrt(5)-1)/4,
+the sine product is sqrt(5) times a period-10 sign; cos(j*pi/4) is a
+period-8 sign times 1 for even j and 1/sqrt(2) for odd j.  So a_j is the
+product of the two signs times t**(39-j) * 2**((40-j)//2), the floor
+being the 1/sqrt(2) of odd j; no trigonometry runs in the coefficient
+path.  The numerical check of the four-term polylogarithm decomposition
+needs four cosines of multiples of pi/20; it builds them from nested
+square roots of 5.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
 from .errors import DomainError
 from .formula import BbpFormula
-from .numerics import (
-    FixedReal,
-    agreement_bits,
-    fx_atanh,
-    fx_log,
-    fx_sqrt,
-)
+from .numerics import FixedReal, fx_atanh, fx_log, fx_sqrt
 
 __all__ = [
-    "WeightClass",
-    "WeightValue",
     "FamilyInstance",
-    "weight",
     "family_coeffs",
     "golden_formula",
     "lhs_value",
     "golden_constant",
     "verify_li1_decomposition",
-    "DecompositionCheck",
     "FAMILY_LENGTH",
 ]
 
 FAMILY_LENGTH = 40
 
-# 4*sin(r*pi/5)*sin(2r*pi/5) = _SIN_PRODUCT_SIGN[r % 10] * sqrt(5)
-_SIN_PRODUCT_SIGN = (0, 1, 1, -1, -1, 0, -1, -1, 1, 1)
-
-# cos(r*pi/4) for r % 8: (is_unit, sign); is_unit False means 1/sqrt(2)
-_COS_QUARTER = (
-    (True, 1),
-    (False, 1),
-    None,
-    (False, -1),
-    (True, -1),
-    (False, -1),
-    None,
-    (False, 1),
-)
-
-
-class WeightClass(enum.Enum):
-    ZERO = "zero"
-    ROOT5 = "sqrt5"
-    ROOT5_OVER_ROOT2 = "sqrt5/sqrt2"
-
-
-@dataclass(frozen=True, slots=True)
-class WeightValue:
-    """Exact symbolic value of the period-40 weight: class and sign."""
-
-    klass: WeightClass
-    sign: int
-
-    def __post_init__(self) -> None:
-        if (self.klass is WeightClass.ZERO) != (self.sign == 0):
-            raise ValueError("sign must be zero exactly for the zero class")
-
-    @property
-    def squared(self) -> Fraction:
-        if self.klass is WeightClass.ZERO:
-            return Fraction(0)
-        if self.klass is WeightClass.ROOT5:
-            return Fraction(5)
-        return Fraction(5, 2)
-
-
-_ZERO_WEIGHT = WeightValue(WeightClass.ZERO, 0)
-
-
-def weight(r: int) -> WeightValue:
-    """The weight at integer r, resolved from the frozen sign tables."""
-    chi = _SIN_PRODUCT_SIGN[r % 10]
-    quarter = _COS_QUARTER[r % 8]
-    if chi == 0 or quarter is None:
-        return _ZERO_WEIGHT
-    is_unit, csign = quarter
-    klass = WeightClass.ROOT5 if is_unit else WeightClass.ROOT5_OVER_ROOT2
-    return WeightValue(klass, chi * csign)
+# 4*sin(j*pi/5)*sin(2j*pi/5) = _SIN_SIGN[j % 10] * sqrt(5)
+_SIN_SIGN = (0, 1, 1, -1, -1, 0, -1, -1, 1, 1)
+# cos(j*pi/4) = _COS_SIGN[j % 8], times 1/sqrt(2) for odd j
+_COS_SIGN = (1, 1, 0, -1, -1, -1, 0, 1)
 
 
 def _coefficient(j: int, t: int) -> int:
-    # a_j = weight(j)/5 * t**(39-j) * sqrt(5) * sqrt(2**(40-j)); the class
-    # of weight(j) always matches the parity of j, making a_j an integer.
-    w = weight(j)
-    if w.klass is WeightClass.ZERO:
+    sign = _SIN_SIGN[j % 10] * _COS_SIGN[j % 8]
+    if sign == 0:  # also covers j = 40, where t**(39-j) is not an integer
         return 0
-    if w.klass is WeightClass.ROOT5:
-        if (FAMILY_LENGTH - j) % 2:
-            raise RuntimeError(f"non-integer coefficient at j={j}")
-        exp2 = (FAMILY_LENGTH - j) // 2
-    else:
-        if (FAMILY_LENGTH - 1 - j) % 2:
-            raise RuntimeError(f"non-integer coefficient at j={j}")
-        exp2 = (FAMILY_LENGTH - 1 - j) // 2
-    return w.sign * t ** (FAMILY_LENGTH - 1 - j) * (1 << exp2)
+    return sign * t ** (FAMILY_LENGTH - 1 - j) << ((FAMILY_LENGTH - j) // 2)
 
 
 def _lhs_argument(t: int) -> Fraction:
@@ -229,36 +160,16 @@ def _decomposition_cosines(s5: FixedReal) -> tuple[FixedReal, ...]:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class DecompositionCheck:
-    """Outcome of comparing atanh closed form vs the four-log sum."""
-
-    t: int
-    frac_bits: int
-    lhs: FixedReal
-    rhs: FixedReal
-    agreement_bits: int
-    passed: bool
-
-    @property
-    def deviation_bound(self) -> Fraction:
-        """Certified upper bound on |lhs - rhs|."""
-        gap = abs(self.lhs.mantissa - self.rhs.mantissa)
-        worst = gap + self.lhs.err_ulp + self.rhs.err_ulp
-        return Fraction(worst, 1 << self.lhs.frac_bits)
-
-
-def verify_li1_decomposition(t: int, frac_bits: int) -> DecompositionCheck:
-    """Numerically confirm the alternating four-term log identity.
+def verify_li1_decomposition(t: int, work: int) -> tuple[FixedReal, FixedReal]:
+    """Both sides of the alternating four-term log identity at ``work`` bits.
 
     Left side: atanh(u(t)*sqrt(5)).  Right side: the alternating sum of
     Re Li_1[(1/(t*sqrt(2))) e^{i k pi/20}] for k in {1, 7, 9, 17}, each
     evaluated through its closed log form with closed-form cosines.
-    Passes when the two sides agree to at least ``frac_bits`` bits.
+    Returns ``(lhs, rhs)``; the caller judges their agreement.
     """
     if t == 0:
         raise DomainError("t must be a nonzero integer")
-    work = frac_bits + 64
     s5 = fx_sqrt(FixedReal.from_int(5, work))
     lhs = fx_atanh(s5.mul_fraction(_lhs_argument(t)))
 
@@ -271,14 +182,4 @@ def verify_li1_decomposition(t: int, frac_bits: int) -> DecompositionCheck:
         radicand = one - (q * c).mul_int(2) + q2
         log_term = fx_log(radicand).mul_int(sgn)
         total = log_term if total is None else total + log_term
-    rhs = total.div_int(-2)
-
-    agree = agreement_bits(lhs, rhs)
-    return DecompositionCheck(
-        t=t,
-        frac_bits=frac_bits,
-        lhs=lhs,
-        rhs=rhs,
-        agreement_bits=agree,
-        passed=agree >= frac_bits,
-    )
+    return lhs, total.div_int(-2)

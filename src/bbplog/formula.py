@@ -90,7 +90,6 @@ def eval_P(f: BbpFormula, frac_bits: int) -> EvalResult:
     error by b at each step, so the bound does not grow with precision;
     the tail majorant is added once at the end.
     """
-    f.validate()
     if frac_bits < 64:
         raise ValidationError("frac_bits: must be >= 64")
     K, tail_ulp = _truncation(f, frac_bits)
@@ -172,7 +171,6 @@ def parse_formula(text: str) -> BbpFormula:
 
 def emit_formula(f: BbpFormula) -> str:
     """Canonical serialization: single spaces, no trailing whitespace."""
-    f.validate()
     pre = f.prefactor
     try:
         lines = [

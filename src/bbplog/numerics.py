@@ -226,10 +226,19 @@ class FixedReal:
         fractional places (default: the full capacity of the precision).
         A trailing ``~`` marks a request for digits that could not be
         certified.
+
+        Only the digits that can matter are computed: endpoints 2 ulp or
+        more apart differ within the first F+1 fractional digits, and an
+        exact value has at most F, so the rest are padded zeros.
         """
         F = self.frac_bits
         if digits is None:
             digits = F * 30103 // 100000
+        pad = 0
+        if self.err_ulp:
+            digits = min(digits, F + 1)
+        elif digits > F:
+            digits, pad = F, digits - F
         lo = self.mantissa - self.err_ulp
         hi = self.mantissa + self.err_ulp
         if lo < 0 <= hi:
@@ -253,7 +262,7 @@ class FixedReal:
         frac_part = s_lo[width - digits : common]
         out = f"{sign}{int_part.lstrip('0') or '0'}"
         if frac_part:
-            out += "." + frac_part
+            out += "." + frac_part + "0" * pad
         if common < width:
             out += "~"
         return out
@@ -401,17 +410,19 @@ def fx_log(x: FixedReal) -> FixedReal:
 
 
 def fx_atanh(x: FixedReal) -> FixedReal:
-    """Inverse hyperbolic tangent as (ln(1+x) - ln(1-x)) / 2.
+    """Inverse hyperbolic tangent as log((1+|x|)/(1-|x|)) / 2, sign of x.
 
-    Sharing the logarithm code keeps one certified series and makes the
-    defining identity hold by construction; the error bound is the two
-    logs' bounds halved.
+    One certified division and one certified log; the bound is theirs,
+    halved.  Working on |x| keeps the quotient >= 1, where its leading
+    bits are all significant, and atanh is odd.
     """
     F = x.frac_bits
     if abs(x.mantissa) >= (1 << F):
         raise DomainError("fx_atanh requires |x| < 1")
     one = FixedReal.from_int(1, F)
-    return (fx_log(one + x) - fx_log(one - x)).div_int(2)
+    ax = abs(x)
+    y = fx_log((one + ax) / (one - ax)).div_int(2)
+    return -y if x.mantissa < 0 else y
 
 
 # -- modular exponentiation ---------------------------------------------

@@ -21,7 +21,6 @@ budget], and both ends of that interval certify the returned digits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .errors import UnsupportedFormulaError, ValidationError
 from .formula import BbpFormula
@@ -59,8 +58,7 @@ class SpigotPlan:
 
 
 def build_plan(f: BbpFormula) -> SpigotPlan:
-    """Validate and preprocess a formula for digit extraction."""
-    f.validate()
+    """Preprocess a formula for digit extraction."""
     if f.degree != 1:
         raise UnsupportedFormulaError(
             f"degree {f.degree} not supported; extraction needs degree 1"
@@ -69,15 +67,11 @@ def build_plan(f: BbpFormula) -> SpigotPlan:
         raise UnsupportedFormulaError(
             f"base {f.base} not supported; extraction needs a power of two"
         )
-    p = f.prefactor.numerator
-    q = f.prefactor.denominator
-    if gcd(p, q) != 1:
-        raise ValidationError("prefactor: not in lowest terms")
     return SpigotPlan(
         formula=f,
         beta=f.base.bit_length() - 1,
-        numerator_scale=p,
-        denominator_scale=q,
+        numerator_scale=f.prefactor.numerator,
+        denominator_scale=f.prefactor.denominator,
         nonzero=tuple((j, a) for j, a in enumerate(f.coeffs, start=1) if a),
     )
 

@@ -234,6 +234,17 @@ def test_eval_golden_preset_matches_oracle_decimals(capsys):
     assert value.rstrip("~")[:20] == oracle[:20]
 
 
+def test_eval_oversized_digits_prints_the_certified_line(capsys):
+    # a million requested digits at 64 bits: only ~19 can be certified,
+    # and computing the rest must not make the print slow
+    _, short, _ = run(capsys, "eval", "--preset", "golden", "--bits", "64", "--digits", "100")
+    code, out, _ = run(
+        capsys, "eval", "--preset", "golden", "--bits", "64", "--digits", "1000000"
+    )
+    assert code == 0
+    assert out == short
+
+
 def test_eval_malformed_file_exits_65(capsys, tmp_path):
     path = tmp_path / "broken.bbp"
     path.write_text("bbp 1\ns 1\nb 2\nl x\n", encoding="utf-8")

@@ -9,7 +9,12 @@ import pytest
 import bbplog.verify as verify_mod
 from bbplog.errors import DomainError
 from bbplog.numerics import FixedReal
-from bbplog.verify import verify_corollary, verify_decomposition, verify_theorem
+from bbplog.verify import (
+    GUARD_BITS,
+    verify_corollary,
+    verify_decomposition,
+    verify_theorem,
+)
 
 REPORT_RE = re.compile(r"^REPORT \S+ passed=(true|false) bits=-?\d+ ms=\d+$")
 
@@ -57,6 +62,19 @@ def test_decomposition_report():
     report = verify_decomposition(2, 128)
     assert report.passed
     assert report.subject == "decomposition(t=2)"
+
+
+@pytest.mark.parametrize("t", [1, -2, 50])
+def test_every_check_kind_runs_at_guard_bits(t):
+    # each check computes at target + GUARD_BITS and loses only a few bits
+    # of that margin to rounding
+    target = 1000
+    for report in (
+        verify_theorem(t, target),
+        verify_corollary(target),
+        verify_decomposition(t, target),
+    ):
+        assert report.agreement_bits >= target + GUARD_BITS - 16, report.line()
 
 
 def test_report_line_format():
