@@ -6,16 +6,24 @@ b = 2**beta, the bits after position n are the fractional part of
 
     2**n * C = sum_{k,j} p*a_j * 2**(n - beta*k) / (q*(k*l + j)).
 
-Head terms (nonnegative exponent) reduce to an exact rational with
-denominator q*(k*l + j) via the builtin three-argument ``pow`` -- the
-prefactor denominator q is folded into every modulus because frac(x/q)
-is not a function of frac(x), so dividing at the end would be wrong.
-Tail terms are summed directly in fixed point.  Every contribution
-enters a W-bit accumulator mod 1 through a floor division, so the true
-value exceeds the accumulated one by at most one ulp per term; the
-discarded tail beyond the last summed term has mixed signs and lies in
-(-1, 1) ulp.  The true accumulator is therefore in (acc - 1, acc +
-budget], and both ends of that interval certify the returned digits.
+Write q = 2**w * q' and p*a_j = 2**x_j * c_j with q' and c_j odd.  Each
+term is then c_j * 2**(n - beta*k + x_j - w) / (q'*(k*l + j)).  On a head
+level every one of these exponents is nonnegative, so each term's
+fractional part is an exact rational with denominator q'*(k*l + j),
+reduced by the builtin three-argument ``pow`` on that odd modulus (one
+30-bit CPython digit below position 10**8 for both presets and the
+t = +-2**s family files).  The odd part q' stays in the modulus because
+frac(x/q') is not a function of frac(x).  A level where some exponent is
+negative moves whole into the tail, which is summed directly in fixed
+point down to a cutoff.
+
+Bound.  Every contribution enters a W-bit accumulator mod 1 through one
+floor division, so the true value exceeds the accumulated one by less
+than one ulp per term: a head term costs that ulp only when its division
+leaves a remainder, and every tail term (the moved levels included)
+costs it.  The discarded terms beyond the cutoff have mixed signs and
+lie in (-1, 1) ulp.  The true accumulator is therefore in (acc - 1, acc
++ budget], and both ends of that interval certify the returned digits.
 """
 
 from __future__ import annotations
@@ -63,7 +71,7 @@ def build_plan(f: BbpFormula) -> SpigotPlan:
         raise UnsupportedFormulaError(
             f"degree {f.degree} not supported; extraction needs degree 1"
         )
-    if f.base < 2 or f.base & (f.base - 1):
+    if f.base & (f.base - 1):
         raise UnsupportedFormulaError(
             f"base {f.base} not supported; extraction needs a power of two"
         )
@@ -90,10 +98,11 @@ def extract_bits(plan: SpigotPlan, n: int, count: int) -> DigitWindow:
     """Binary digits of the constant at positions n+1 .. n+count.
 
     The accumulator width is count + 64 guard bits, widened by the bit
-    length of the expected term count when n is large, so the one-ulp-
-    per-term budget always fits.  ``certified`` is the longest prefix
-    whose bits cannot change when the true accumulated error (anywhere
-    in (-1, budget] ulp) is added; it is computed, never assumed.
+    length of the expected term count (head levels, the levels moved to
+    the tail, and the tail itself) when n is large, so the one-ulp-per-
+    term budget always fits.  ``certified`` is the longest prefix whose
+    bits cannot change when the true accumulated error (anywhere in
+    (-1, budget] ulp) is added; it is computed, never assumed.
     """
     if count < 1 or count > MAX_WINDOW_BITS:
         raise ValidationError(f"count: must be in 1..{MAX_WINDOW_BITS}")
@@ -105,20 +114,32 @@ def extract_bits(plan: SpigotPlan, n: int, count: int) -> DigitWindow:
     q = plan.denominator_scale
     n_nonzero = len(plan.nonzero)
 
-    head_k = n // beta + 1
-    est_terms = (head_k + 2) * n_nonzero + 128
+    # q = 2**w * q_odd and p*a_j = 2**x_j * c_j (module docstring)
+    w = (q & -q).bit_length() - 1
+    q_odd = q >> w
+    split = []
+    for j, a in plan.nonzero:
+        pa = p * a
+        x = (pa & -pa).bit_length() - 1
+        split.append((j, pa >> x, x - w))
+    head_k = max(0, (n + min(s for _, _, s in split)) // beta + 1)
+
+    levels = max(head_k, n // beta + 1)  # the head and the moved levels
+    est_terms = (levels + 2) * n_nonzero + 128
     width = count + 64 + max(0, est_terms.bit_length() - 32)
     mask = (1 << width) - 1
 
-    # head: exact fractional parts via modular exponentiation
+    # head: exact fractional parts via modular exponentiation; c_j times
+    # the residue is not reduced mod m again, because the whole multiples
+    # of m it carries add multiples of 2**width, which the mask drops
     acc = 0
     budget = 0
     for k in range(head_k):
         e = n - beta * k
         base_index = k * length
-        for j, a in plan.nonzero:
-            m = q * (base_index + j)
-            contrib, rem = divmod((p * a * pow(2, e, m) % m) << width, m)
+        for j, c, s in split:
+            m = q_odd * (base_index + j)
+            contrib, rem = divmod(c * pow(2, e + s, m) << width, m)
             acc += contrib
             if rem:
                 budget += 1

@@ -95,9 +95,10 @@ def verify_corollary(target_bits: int) -> VerificationReport:
     started = time.perf_counter()
     work = target_bits + GUARD_BITS
     oracle = golden_constant(work)
-    evaluated = eval_P(golden_formula(), work).value
+    formula = golden_formula()
+    evaluated = eval_P(formula, work).value
 
-    window = extract_bits(build_plan(golden_formula()), 0, 32)
+    window = extract_bits(build_plan(formula), 0, 32)
     mask = (1 << work) - 1
     lo_bits, hi_bits = (
         format(((oracle.mantissa + d) & mask) >> (work - 32), "032b")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from bbplog.formula import BbpFormula
 from bbplog.numerics import FixedReal, fx_log
 from bbplog.spigot import build_plan, extract_bits, extract_hex
 
-from _oracles import fixedreal_bits
+from _oracles import bbp_sum_exact, fixedreal_bits
 
 LOG2_FORMULA = BbpFormula(
     degree=1, base=2, length=1, coeffs=(1,), prefactor=Fraction(1), label="2*log(2)"
@@ -92,6 +93,41 @@ def test_overlap_coherence(golden_plan):
         w1 = extract_bits(golden_plan, n, 48)
         w2 = extract_bits(golden_plan, n + 20, 48)
         assert w1.bits[20:] == w2.bits[:28]
+
+
+# (beta, coeffs, prefactor), each a branch of the head's power-of-two split
+# q = 2**w * q_odd, p*a_j = 2**x_j * c_j
+SPLIT_CASES = {
+    # odd q, even p*a_j: x_j - w >= 2, so the head reaches past n // beta
+    "odd-q-even-pa-beta1": (1, (4, -6, 0, 12), Fraction(2, 3)),
+    # q = 2**9 > b = 2**4: empty head for n < 9, then two or three levels move
+    "q-pow2-beta4": (4, (1, -3, 0, 5), Fraction(7, 1 << 9)),
+    # golden-like q = 3 * 2**25, b = 2**20, a_j = +-2**x, negative constant
+    "golden-like-beta20": (20, (8, 0, -1, 2, 0, -16), Fraction(-5, 3 << 25)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+def test_power_of_two_split_matches_exact_sum(case):
+    beta, coeffs, prefactor = SPLIT_CASES[case]
+    f = BbpFormula(
+        degree=1, base=1 << beta, length=len(coeffs), coeffs=coeffs, prefactor=prefactor
+    )
+    plan = build_plan(f)
+    count, n_max = 32, 60
+    terms = (n_max + count + 40) // beta + 1
+    partial = bbp_sum_exact(1, f.base, coeffs, prefactor, terms)
+    # every 1/(k*l + j) <= 1, so the tail is below a geometric series
+    tail = abs(prefactor) * sum(map(abs, coeffs)) * Fraction(2, f.base**terms)
+    for n in range(n_max + 1):
+        lo, hi = (
+            format(math.floor((partial + d) * 2 ** (n + count)) % (1 << count), f"0{count}b")
+            for d in (-tail, tail)
+        )
+        assert lo == hi, "oracle interval straddles a window bit"
+        window = extract_bits(plan, n, count)
+        assert window.certified == count
+        assert window.bits == lo
 
 
 def test_determinism_and_partition_independence(golden_plan):
