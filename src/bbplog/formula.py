@@ -4,14 +4,20 @@ A formula stands for the constant
 
     prefactor * sum_{k>=0} b**-k * sum_{j=1..l} a_j / (k*l + j)**s
 
-and the evaluator returns it as a :class:`FixedReal` whose error bound
-covers both the roundings of its Horner steps and the discarded
-geometric tail.
+Bound of eval_P at F bits.  Level k folds its nonzero terms into one exact
+fraction P_k/Q_k, Q_k = prod_j (k*l + j)**s, and floors it once at width
+W_k = F + G - k*c, where c = floor(log2 b), K is the level count and
+G = bitlen(2K) + 2 the guard.  Horner carries the deeper levels to width
+W_k as floor(acc * 2**c / b).  Each floor costs under one ulp of its width
+and 2**c/b <= 1 never grows an earlier error, so the sum at F + G is off
+by under 2K < 2**(G-2) ulp, or K when b = 2**c (its Horner step is exact
+and skipped).  FixedReal charges the prefactor and the rescale to F, and
+the tail majorant of _truncation is added once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError, UnsupportedFormulaError, ValidationError
@@ -82,24 +88,26 @@ def _truncation(f: BbpFormula, frac_bits: int) -> tuple[int, int]:
 
 
 def eval_P(f: BbpFormula, frac_bits: int) -> EvalResult:
-    """Evaluate prefactor * P(s, b, l, A) to frac_bits of precision.
-
-    Horner in 1/b from level K-1 down to 0: acc = acc/b + S_k, where S_k
-    sums the level's nonzero terms as floor divisions, each off by less
-    than one ulp.  FixedReal charges every rounding and shrinks earlier
-    error by b at each step, so the bound does not grow with precision;
-    the tail majorant is added once at the end.
-    """
+    """Evaluate prefactor * P(s, b, l, A) to frac_bits; the bound is in the module doc."""
     if frac_bits < 64:
         raise ValidationError("frac_bits: must be >= 64")
     K, tail_ulp = _truncation(f, frac_bits)
-    terms = [(j, a << frac_bits) for j, a in enumerate(f.coeffs, start=1) if a]
-    acc = FixedReal(0, frac_bits)
+    W0 = frac_bits + (2 * K).bit_length() + 2  # F + G
+    c = f.base.bit_length() - 1
+    exact_step = f.base == 1 << c
+    terms = [(j, a) for j, a in enumerate(f.coeffs, start=1) if a]
+    acc = 0
     for k in reversed(range(K)):
-        base_index = k * f.length
-        level = sum(a // (base_index + j) ** f.degree for j, a in terms)
-        acc = acc.div_int(f.base) + FixedReal(level, frac_bits, len(terms))
-    total = acc.mul_fraction(f.prefactor)
+        if not exact_step:
+            acc = (acc << c) // f.base
+        num, den = 0, 1
+        for j, a in terms:
+            d = (k * f.length + j) ** f.degree
+            num, den = num * d + a * den, den * d
+        # floor(num * 2**W_k / den); deep levels may have W_k < 0
+        acc += (num << max(W0 - k * c, 0)) // (den << max(k * c - W0, 0))
+    total = FixedReal(acc, W0, K if exact_step else 2 * K)
+    total = total.mul_fraction(f.prefactor).rescale(frac_bits)
     value = FixedReal(total.mantissa, frac_bits, total.err_ulp + tail_ulp)
     return EvalResult(value=value, terms_used=K, tail_bound_ulp=tail_ulp)
 
@@ -151,22 +159,12 @@ def parse_formula(text: str) -> BbpFormula:
     coeffs = tuple(
         parse_int(tok, 5, "coefficient") for tok in expect(5, "A").split()
     )
-    label = ""
-    next_line = 6
-    if len(lines) > 6:
-        label = expect(6, "label")
-        next_line = 7
-    for idx in range(next_line, len(lines)):
+    label = expect(6, "label") if len(lines) > 6 else ""
+    for idx in range(7, len(lines)):
         if lines[idx].strip():
             raise ParseError(f"unexpected trailing line {lines[idx]!r}", idx + 1)
-    return BbpFormula(
-        degree=s,
-        base=b,
-        length=l,
-        coeffs=coeffs,
-        prefactor=Fraction(num, den),
-        label=label,
-    )
+    return BbpFormula(degree=s, base=b, length=l, coeffs=coeffs,
+                      prefactor=Fraction(num, den), label=label)
 
 
 def emit_formula(f: BbpFormula) -> str:

@@ -290,21 +290,21 @@ def fx_sqrt(x: FixedReal) -> FixedReal:
 
     The mantissa is isqrt(m << F), the integer Newton floor square root
     of the scaled mantissa, so result**2 never exceeds x.  Propagated
-    input error uses |sqrt(a)-sqrt(b)| <= min(|a-b|/sqrt(b), sqrt(|a-b|)).
+    input error uses |sqrt(a)-sqrt(b)| <= min(|a-b|/sqrt(b), sqrt(|a-b|)):
+    in ulp, with d = e << F, A = ceil(d/s) and B = ceil(sqrt(d)).  When
+    s*s >= d, d/s <= sqrt(d) and so A <= B; otherwise (s = 0 included)
+    B <= A.  Only the smaller bound is computed.
     """
     if x.mantissa < 0:
         raise DomainError("fx_sqrt of a negative value")
     F = x.frac_bits
     scaled = x.mantissa << F
     s = math.isqrt(scaled)
-    e = 0 if s * s == scaled else 1
+    square = s * s
+    e = 0 if square == scaled else 1
     if x.err_ulp:
-        # bound B: sqrt(e*u) in ulp, always valid
-        prop = _isqrt_ceil(x.err_ulp << F)
-        if s > 0:
-            # bound A: e*u / sqrt(b) in ulp, valid once b > 0
-            prop = min(prop, _ceil_div(x.err_ulp << F, s))
-        e += prop
+        d = x.err_ulp << F
+        e += _ceil_div(d, s) if square >= d else _isqrt_ceil(d)
     return FixedReal(s, F, e)
 
 

@@ -11,7 +11,8 @@ import pytest
 import bbplog.cli as cli
 from bbplog.cli import main
 from bbplog.errors import DomainError
-from bbplog.family import golden_constant
+from bbplog.family import family_coeffs, golden_constant
+from bbplog.formula import emit_formula
 from bbplog.presets import GOLDEN_TEXT, LOG2_TEXT
 from bbplog.verify import verify_theorem
 
@@ -216,6 +217,20 @@ def test_verify_reader_leaving_early_exits_1_without_traceback():
     proc.stderr.close()
 
 
+@pytest.mark.parametrize(
+    "argv", [["eval", "--preset", "log2"], ["verify", "--theorem", "--corollary"]]
+)
+def test_bits_above_the_cap_exit_64_before_any_work(capsys, monkeypatch, argv):
+    def refuse(*args):
+        raise AssertionError("the cap must be checked before any evaluation")
+
+    for name in ("eval_P", "verify_theorem", "verify_corollary", "verify_decomposition"):
+        monkeypatch.setattr(cli, name, refuse)
+    code, err = run_usage_error(capsys, *argv, "--bits", str(cli.MAX_BITS + 1))
+    assert code == 64
+    assert "--bits must be in" in err and str(cli.MAX_BITS) in err
+
+
 # -- eval ---------------------------------------------------------------------
 
 
@@ -243,6 +258,36 @@ def test_eval_oversized_digits_prints_the_certified_line(capsys):
     )
     assert code == 0
     assert out == short
+
+
+# (certified fraction digits, err_ulp) that eval printed with the former
+# per-term evaluator (one floor division per nonzero term); the per-level
+# fraction must never print fewer digits or a larger bound
+PER_TERM_EVAL = {
+    "golden": {64: (18, 3), 1000: (299, 3), 4000: (1203, 3)},
+    "log2": {64: (17, 5), 1000: (299, 5), 4000: (1202, 5)},
+    2: {64: (18, 3), 1000: (299, 3), 4000: (1203, 3)},
+    -2: {64: (18, 3), 1000: (299, 3), 4000: (1202, 3)},
+    7: {64: (17, 3), 1000: (300, 3), 4000: (1202, 3)},
+    -9: {64: (18, 3), 1000: (300, 3), 4000: (1203, 3)},
+    50: {64: (18, 3), 1000: (296, 3), 4000: (1202, 3)},
+}
+
+
+@pytest.mark.parametrize("name", list(PER_TERM_EVAL))
+def test_eval_prints_no_fewer_digits_than_per_term_evaluator(capsys, tmp_path, name):
+    if isinstance(name, int):
+        path = tmp_path / f"t{name}.bbp"
+        path.write_text(emit_formula(family_coeffs(name).formula), encoding="utf-8")
+        source = ["--formula", str(path)]
+    else:
+        source = ["--preset", name]
+    for bits, (digits, err_ulp) in PER_TERM_EVAL[name].items():
+        code, out, _ = run(capsys, "eval", *source, "--bits", str(bits))
+        assert code == 0
+        fields = dict(kv.split("=", 1) for kv in out.split())
+        assert len(fields["value"].rstrip("~").partition(".")[2]) >= digits
+        assert int(fields["err_ulp"]) <= err_ulp
 
 
 def test_eval_malformed_file_exits_65(capsys, tmp_path):

@@ -2,9 +2,9 @@
 
 Every run is derandomized, so a failure reproduces on every machine.
 Sizes stay small (--pos <= 10**4, --bits <= 2000, short --t ranges) so
-that each run finishes: the CLI still accepts unbounded --pos, --bits
-and --t ranges and then runs for as long as they ask, which ROADMAP item
-4(d) keeps open.
+that each run finishes: --pos and --t ranges have no cap and run for as
+long as they ask, and --bits is capped at cli.MAX_BITS, where one request
+still takes minutes.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -56,39 +57,50 @@ def test_invariant_violations_name_the_field():
         eval_P(LOG2_FORMULA, 32)
 
 
-def _random_formula(rng: random.Random) -> BbpFormula:
+def _random_formula(
+    rng: random.Random, degrees=(1, 2), bases=range(2, 8)
+) -> BbpFormula:
     while True:
         length = rng.randint(1, 4)
         coeffs = tuple(rng.randint(-9, 9) for _ in range(length))
         if any(coeffs):
             break
     return BbpFormula(
-        degree=rng.randint(1, 2),
-        base=rng.randint(2, 7),
+        degree=rng.choice(degrees),
+        base=rng.choice(bases),
         length=length,
         coeffs=coeffs,
         prefactor=Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 8)),
     )
 
 
+# bases where 2**c/b < 1 (c = floor(log2 b)) and powers of two, where the
+# Horner step is exact; the last is the family's b at t = 3
+BOUND_BASES = (2, 3, 5, 7, 16, 2**20 * 3**40)
+
+
 def test_truncation_bound_is_sound_on_random_formulas():
     rng = random.Random(20260813)
-    F = 96
-    for _ in range(60):
-        f = _random_formula(rng)
-        K, _ = _truncation(f, F)
-        s_k = bbp_sum_exact(f.degree, f.base, f.coeffs, f.prefactor, K)
-        s_k10 = bbp_sum_exact(f.degree, f.base, f.coeffs, f.prefactor, K + 10)
-        max_a = max(abs(a) for a in f.coeffs)
-        tail = (
-            Fraction(max_a * f.length, (K * f.length + 1) ** f.degree)
-            * Fraction(f.base, f.base - 1)
-            / f.base**K
-            * abs(f.prefactor)
-        )
-        assert abs(s_k10 - s_k) <= tail
-        res = eval_P(f, F)
-        assert abs(res.value.value - s_k10) <= res.value.err + tail
+    for F, cases in ((64, 60), (300, 30), (1000, 10)):
+        for _ in range(cases):
+            f = _random_formula(rng, degrees=(1, 2, 3), bases=BOUND_BASES)
+            K, _ = _truncation(f, F)
+            s_k = bbp_sum_exact(f.degree, f.base, f.coeffs, f.prefactor, K)
+            s_k10 = bbp_sum_exact(f.degree, f.base, f.coeffs, f.prefactor, K + 10)
+            max_a = max(abs(a) for a in f.coeffs)
+            tail = (
+                Fraction(max_a * f.length, (K * f.length + 1) ** f.degree)
+                * Fraction(f.base, f.base - 1)
+                / f.base**K
+                * abs(f.prefactor)
+            )
+            assert abs(s_k10 - s_k) <= tail
+            res = eval_P(f, F)
+            assert abs(res.value.value - s_k10) <= res.value.err + tail
+            # under 2K < 2**(G-2) ulp at F+G, scaled by the prefactor, plus
+            # one ulp each for mul_fraction and the rescale to F
+            rounding = res.value.err_ulp - res.tail_bound_ulp
+            assert rounding <= math.ceil(abs(f.prefactor) / 4) + 2
 
 
 def test_linearity_in_coefficients():

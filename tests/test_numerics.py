@@ -80,6 +80,26 @@ def test_sqrt5_matches_bisection_oracle():
     assert x.err_ulp <= 1
 
 
+def test_sqrt_error_is_the_smaller_of_both_bounds():
+    # fx_sqrt computes only the bound that s*s >= e << F picks; it must
+    # equal min(A, B) with both computed
+    rng = random.Random(20261018)
+    for _ in range(400):
+        F = rng.choice([64, 96, 300])
+        m = rng.randrange(1 << rng.randint(0, F + 8))
+        e = rng.randrange(1, 1 << rng.randint(1, F + 8))
+        scaled = m << F
+        s = isqrt_binary_search(scaled)
+        rounding = 0 if s * s == scaled else 1
+        d = e << F
+        prop = isqrt_binary_search(d)
+        if prop * prop < d:
+            prop += 1
+        if s > 0:
+            prop = min(prop, -(-d // s))
+        assert fx_sqrt(FixedReal(m, F, e)).err_ulp == rounding + prop
+
+
 # -- fx_log ---------------------------------------------------------------
 
 

@@ -19,6 +19,15 @@ from bbplog.verify import (
 REPORT_RE = re.compile(r"^REPORT \S+ passed=(true|false) bits=-?\d+ ms=\d+$")
 
 
+@pytest.mark.slow
+def test_corollary_at_100000_bits():
+    # eval_P at 10**5 bits against the sqrt/log oracle and the spigot;
+    # opt in with `pytest -m slow`
+    report = verify_corollary(100_000)
+    assert report.passed
+    assert report.agreement_bits >= 100_000
+
+
 def test_theorem_t1():
     report = verify_theorem(1, 300)
     assert report.passed
