@@ -5,7 +5,8 @@ Exit codes are part of the interface:
     0   success (for verify: every requested check passed)
     1   a verification check failed, or stdout closed early (say `| head`)
     2   domain or unsupported-formula error (including a family
-        formula with an integer too long for the file format)
+        formula with an integer too long for the file format, and an
+        eval formula of degree above formula.MAX_DEGREE = 128)
     64  usage error (bad flags or flag values, including --bits above
         MAX_BITS and a family -o path that cannot be written)
     65  malformed or invalid input file
@@ -23,7 +24,7 @@ lines of the checks before it.
 eval and verify reject --bits above MAX_BITS = 300 000 before any work
 starts.  At the cap (2 vCPU Xeon, Python 3.11.7, one run each) eval
 takes 4.5 s for golden and 21 s for log2, and one verify check 42 s
-(corollary), 42-81 s (theorem, t = -50 and 1) or 238-249 s
+(corollary), 42 s (theorem, t = -50 and 1) or 180-249 s
 (decomposition, t = 1 and -50); the time grows about quadratically in
 --bits.  A --t range is lazy and has
 no cap: verify runs one check per t in turn, printing as it goes, for as

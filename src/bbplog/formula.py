@@ -25,6 +25,9 @@ from .numerics import FixedReal
 
 __all__ = ["BbpFormula", "EvalResult", "eval_P", "parse_formula", "emit_formula"]
 
+# eval_P forms (K*l + 1)**degree; the package's formulas use degrees 1-3
+MAX_DEGREE = 128
+
 
 @dataclass(frozen=True, slots=True)
 class BbpFormula:
@@ -91,6 +94,10 @@ def eval_P(f: BbpFormula, frac_bits: int) -> EvalResult:
     """Evaluate prefactor * P(s, b, l, A) to frac_bits; the bound is in the module doc."""
     if frac_bits < 64:
         raise ValidationError("frac_bits: must be >= 64")
+    if f.degree > MAX_DEGREE:
+        raise UnsupportedFormulaError(
+            f"degree {f.degree} not supported; eval needs degree <= {MAX_DEGREE}"
+        )
     K, tail_ulp = _truncation(f, frac_bits)
     W0 = frac_bits + (2 * K).bit_length() + 2  # F + G
     c = f.base.bit_length() - 1

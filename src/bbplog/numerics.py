@@ -14,7 +14,10 @@ truncation toward zero, and every truncation charges at most one ulp to
 the error bound.  The bounds are proved by the per-operation ulp algebra
 documented inline, never estimated.
 
-Values are immutable; every function here is pure and thread-safe.
+The logarithm reduces x itself by repeated square roots; it splits off
+no power of two, so no ln 2 constant is needed.  Values are immutable,
+the module keeps no cache, and every function here is pure and
+thread-safe.
 """
 
 from __future__ import annotations
@@ -225,7 +228,10 @@ class FixedReal:
         expansions of the interval endpoints, truncated to ``digits``
         fractional places (default: the full capacity of the precision).
         A trailing ``~`` marks a request for digits that could not be
-        certified.
+        certified.  When the two ends have different integer parts, not
+        even the integer part is defended and the print is ``~`` alone;
+        an interval across zero prints ``0~`` only when both ends are
+        below 1 in magnitude.
 
         Only the digits that can matter are computed: endpoints 2 ulp or
         more apart differ within the first F+1 fractional digits, and an
@@ -242,7 +248,7 @@ class FixedReal:
         lo = self.mantissa - self.err_ulp
         hi = self.mantissa + self.err_ulp
         if lo < 0 <= hi:
-            return "0~"
+            return "0~" if max(-lo, hi) < 1 << F else "~"
         sign = ""
         if hi < 0:
             sign = "-"
@@ -258,6 +264,8 @@ class FixedReal:
         common = 0
         while common < width and s_lo[common] == s_hi[common]:
             common += 1
+        if common < width - digits:
+            return "~"
         int_part = s_lo[: width - digits]
         frac_part = s_lo[width - digits : common]
         out = f"{sign}{int_part.lstrip('0') or '0'}"
@@ -344,40 +352,24 @@ def _atanh_small(z: FixedReal) -> FixedReal:
         k += 1
 
 
-def _reduction_steps(frac_bits: int) -> int:
-    # Repeated square roots shrink the series argument: r steps cost r
-    # isqrt calls (~10x one multiplication) and divide the series length
-    # by ~r, balanced near r ~ sqrt(F/20).
-    return max(4, math.isqrt(frac_bits // 20))
-
-
-def _log2_const(frac_bits: int) -> FixedReal:
-    """ln 2 at the given precision (cached)."""
-    cached = _LOG2_CACHE.get(frac_bits)
-    if cached is None:
-        r = _reduction_steps(frac_bits)
-        y = FixedReal.from_int(2, frac_bits)
-        for _ in range(r):
-            y = fx_sqrt(y)
-        one = FixedReal.from_int(1, frac_bits)
-        z = (y - one) / (y + one)
-        cached = _atanh_small(z).mul_int(2 << r)
-        _LOG2_CACHE[frac_bits] = cached
-    return cached
-
-
-_LOG2_CACHE: dict[int, FixedReal] = {}
-
-
 def fx_log(x: FixedReal) -> FixedReal:
     """Natural logarithm with a certified bound.
 
-    Strategy: split off the power of two (ln x = n ln 2 + ln y with
-    y in [1, 2)), contract y toward 1 by r integer square roots, then sum
-    the atanh series of (y-1)/(y+1) whose tail is bounded analytically.
-    The working precision carries r + 64 guard bits so the final fold
-    returns to the caller's precision with an error of a few ulp plus the
-    propagated input uncertainty e/(m - e).
+    Square-root reduction on x itself (Brent, J. ACM 23, 1976): with x
+    in [2**n, 2**(n+1)), r integer square roots take y = x**(1/2**r) to
+    |ln y| <= (|n|+1) ln 2 / 2**r, and ln x = 2**(r+1) atanh(z) with
+    z = (y-1)/(y+1), summed by :func:`_atanh_small`.  Every step runs on
+    FixedReal at Fw = F + r + 64 + max(0, -n) bits, so the returned
+    err_ulp is the tracked bound plus the propagated input uncertainty
+    e/(m - e); the choices below only keep it small:
+
+    * r = max(4, isqrt(F//20)) + bitlen(|n|).  Since 2**bitlen(|n|) >
+      |n|, |ln y| < ln 2 / 16 and |z| stays far below the series' 1/2.
+    * One ulp 2**-Fw lost at y_j = x**(1/2**j) moves the estimate of
+      ln x by 2**j * 2**-Fw / y_j.  With 2**j <= 2**r and 1/y_j <=
+      2**max(0, -n), the r + max(0, -n) guard bits absorb it, as they
+      do the series' ulps times 2**(r+1); 64 more leave a few ulp after
+      the fold back to F.
     """
     F = x.frac_bits
     m, e = x.mantissa, x.err_ulp
@@ -389,23 +381,18 @@ def fx_log(x: FixedReal) -> FixedReal:
     if m == (1 << F) and e == 0:
         return FixedReal(0, F, 0)
 
-    r = _reduction_steps(F)
-    Fw = F + r + 64
     n = m.bit_length() - 1 - F
-    # y = x / 2**n in [1, 2), exact at the working precision
-    shift = Fw - F - n
-    if shift >= 0:
-        y = FixedReal(m << shift, Fw, 0)
-    else:
-        y = FixedReal(m >> -shift, Fw, 0 if (m >> -shift) << -shift == m else 1)
+    # Repeated square roots shrink the series argument: r steps cost r
+    # isqrt calls (~10x one multiplication) and divide the series length
+    # by ~r, balanced near r ~ sqrt(F/20).
+    r = max(4, math.isqrt(F // 20)) + abs(n).bit_length()
+    Fw = F + r + 64 + max(0, -n)
+    y = FixedReal(m << (Fw - F), Fw, 0)
     for _ in range(r):
         y = fx_sqrt(y)
     one = FixedReal.from_int(1, Fw)
     z = (y - one) / (y + one)
-    acc = _atanh_small(z).mul_int(2 << r)
-    if n:
-        acc = acc + _log2_const(Fw).mul_int(n)
-    out = acc.rescale(F)
+    out = _atanh_small(z).mul_int(2 << r).rescale(F)
     return FixedReal(out.mantissa, F, out.err_ulp + prop)
 
 

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import bbplog.cli as cli
+import bbplog.formula as formula
 from bbplog.cli import main
 from bbplog.errors import DomainError
 from bbplog.family import family_coeffs, golden_constant
@@ -288,6 +289,32 @@ def test_eval_prints_no_fewer_digits_than_per_term_evaluator(capsys, tmp_path, n
         fields = dict(kv.split("=", 1) for kv in out.split())
         assert len(fields["value"].rstrip("~").partition(".")[2]) >= digits
         assert int(fields["err_ulp"]) <= err_ulp
+
+
+def test_eval_value_with_undefended_integer_part_prints_tilde(capsys, tmp_path):
+    # sum_k 2**-k / (k+1)**100 = 1 + 2**-101 + ..., and a 2-ulp bound
+    # at 64 bits reaches below 1: not even the integer part is defended
+    path = tmp_path / "deg100.bbp"
+    path.write_text("bbp 1\ns 100\nb 2\nl 1\npre 1/1\nA 1\n", encoding="utf-8")
+    code, out, _ = run(capsys, "eval", "--formula", str(path), "--bits", "64")
+    assert code == 0
+    assert out.startswith("value=~ err_ulp=2 ")
+
+
+def test_eval_degree_above_max_exits_2_before_any_power(capsys, monkeypatch, tmp_path):
+    def refuse(*args):
+        raise AssertionError("the degree must be checked before any power is formed")
+
+    monkeypatch.setattr(formula, "_truncation", refuse)
+    path = tmp_path / "huge.bbp"
+    path.write_text("bbp 1\ns 1000000000000\nb 2\nl 1\npre 1/1\nA 1\n", encoding="utf-8")
+    code, out, err = run(capsys, "eval", "--formula", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "bbplog: error: degree 1000000000000 not supported;"
+        f" eval needs degree <= {formula.MAX_DEGREE}\n"
+    )
 
 
 def test_eval_malformed_file_exits_65(capsys, tmp_path):

@@ -146,6 +146,23 @@ def test_log_interval_reaching_zero_rejected():
         fx_log(FixedReal(5, 64, 5))
 
 
+@pytest.mark.parametrize("F", [96, 1000])
+def test_log_far_from_one_contained_and_tight(F):
+    # x = u * 2**n exactly, u in [1, 2): the square roots act on x itself,
+    # with bitlen(|n|) more steps and |n| more bits below 1/2; the result
+    # must sit inside a 128-bit finer one and keep a 2-ulp bound
+    fine = F + 128
+    for n in (-600, -200, -64, -8, -1, 1, 4, 64, 300):
+        if F + n < 20:
+            continue
+        for k in (1, 1 << 19, (1 << 20) - 1):
+            m = ((1 << 20) + k) << (F + n - 20)
+            coarse = fx_log(FixedReal(m, F, 0))
+            ref = fx_log(FixedReal(m << 128, fine, 0))
+            assert abs(coarse.value - ref.value) <= coarse.err + ref.err, (F, n, k)
+            assert coarse.err_ulp <= 2, (F, n, k, coarse.err_ulp)
+
+
 # -- fx_atanh -------------------------------------------------------------
 
 
@@ -355,6 +372,22 @@ def test_decimal_interval_straddling_boundary_prints_nothing_false():
     assert x.decimal(18) == "0~"
 
 
+def test_decimal_undefended_integer_part_prints_tilde_alone():
+    F = 64
+    # [1 - 2**-63, 1 + 2**-63]: the integer part is 0 or 1
+    assert FixedReal(1 << F, F, 2).decimal() == "~"
+    # [99.99.., 100.00..]
+    assert FixedReal(100 << F, F, 1 << 40).decimal(6) == "~"
+    assert FixedReal(-(100 << F), F, 1 << 40).decimal(6) == "~"
+    # across zero and wider than +-1
+    assert FixedReal(0, F, 3 << F).decimal() == "~"
+    assert FixedReal(1 << (F - 1), F, 2 << F).decimal() == "~"
+    # across zero within (-1, 1): the integer part 0 is still defended
+    assert FixedReal(0, F, 1 << (F - 2)).decimal() == "0~"
+    # one end at an integer, the other below it
+    assert FixedReal((2 << F) - 1, F, 1).decimal(3) == "~"
+
+
 def test_decimal_full_capacity_beyond_int_str_limit():
     # 6020 digits, past the 4300 that str(int) allows by default; the last
     # one is not defended by the 1-ulp bound and is marked, not printed
@@ -367,7 +400,7 @@ def _decimal_uncapped(x: FixedReal, digits: int) -> str:
     places, with no shortcut: the reference the capped print must match."""
     lo, hi = x.mantissa - x.err_ulp, x.mantissa + x.err_ulp
     if lo < 0 <= hi:
-        return "0~"
+        return "0~" if max(-lo, hi) < 1 << x.frac_bits else "~"
     sign = ""
     if hi < 0:
         sign, lo, hi = "-", -hi, -lo
@@ -377,6 +410,8 @@ def _decimal_uncapped(x: FixedReal, digits: int) -> str:
     common = 0
     while common < width and s_lo[common] == s_hi[common]:
         common += 1
+    if common < width - digits:
+        return "~"
     out = sign + (s_lo[: width - digits].lstrip("0") or "0")
     if s_lo[width - digits : common]:
         out += "." + s_lo[width - digits : common]

@@ -28,6 +28,35 @@ def test_corollary_at_100000_bits():
     assert report.agreement_bits >= 100_000
 
 
+@pytest.mark.slow
+def test_theorem_t1_at_100000_bits():
+    # the left side's log argument (1+x)/(1-x) ~ 17.9 lies in [2**4, 2**5),
+    # so fx_log takes bitlen(4) = 3 more square roots than for golden
+    report = verify_theorem(1, 100_000)
+    assert report.passed
+    assert report.agreement_bits >= 100_000
+
+
+# agreement bits of verify_theorem and verify_decomposition at 1000 bits,
+# recorded when fx_log still split off n*ln 2 with a cached ln 2; every
+# check passed, theorem read 1085 throughout and decomposition 1083 for
+# every t not listed here
+DECOMPOSITION_BITS_AT_1000 = {
+    **dict.fromkeys((-4, -3, -2, 2, 3, 4, 5, 6, 10, 12), 1082),
+    -1: 1081,
+    1: 1081,
+}
+
+
+def test_theorem_and_decomposition_match_recorded_lines():
+    for t in [*range(-50, 0), *range(1, 51)]:
+        theorem = verify_theorem(t, 1000)
+        decomposition = verify_decomposition(t, 1000)
+        assert (theorem.passed, theorem.agreement_bits) == (True, 1085), t
+        expected = DECOMPOSITION_BITS_AT_1000.get(t, 1083)
+        assert (decomposition.passed, decomposition.agreement_bits) == (True, expected), t
+
+
 def test_theorem_t1():
     report = verify_theorem(1, 300)
     assert report.passed
