@@ -15,9 +15,10 @@ the error bound.  The bounds are proved by the per-operation ulp algebra
 documented inline, never estimated.
 
 The logarithm reduces x itself by repeated square roots; it splits off
-no power of two, so no ln 2 constant is needed.  Values are immutable,
-the module keeps no cache, and every function here is pure and
-thread-safe.
+no power of two, so no ln 2 constant is needed.  It then sums the atanh
+series by rectangular splitting, with the number of terms fixed and
+proven before summing.  Values are immutable, the module keeps no cache,
+and every function here is pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -319,15 +320,35 @@ def fx_sqrt(x: FixedReal) -> FixedReal:
 # -- logarithm ----------------------------------------------------------
 
 
-def _atanh_small(z: FixedReal) -> FixedReal:
-    """atanh via its odd power series; requires |z| (incl. error) < 1/2.
+def _atanh_terms(zb: int, F: int) -> int:
+    """The series length n that :func:`_atanh_small` proves sufficient:
+    the smallest n with (2n+1)*lam >= F+1, lam = F - bitlen(zb)."""
+    lam = F - zb.bit_length()
+    return (F + lam) // (2 * lam)
 
-    Tail after the z**(2k+1) term: sum_{i>k} z**(2i+1)/(2i+1)
-    <= |z**(2k+1)| * zb**2 / ((2k+3) * (1 - zb**2)) with zb the upper
-    bound on |z|; one ulp is charged once that bound provably drops
-    below one ulp.  The stop test compares bit lengths only:
-    pb*zb^2 < 2**(pb_bits + 2*zb_bits) and den*(2k+3) >= 2**(den_bits
-    + kbits - 2), so the inequality of exponents implies the bound.
+
+def _atanh_small(z: FixedReal) -> FixedReal:
+    """atanh z = z * sum_{k<n} y**k/(2k+1) + tail, y = z*z, for |z| < 1/2.
+
+    The length n is fixed before summing.  With zb = |m| + err_ulp
+    bounding |z| in ulp and lam = F - bitlen(zb), |z| < 2**-lam and
+    lam >= 1; n is the smallest integer with (2n+1)*lam >= F+1, so
+    |z|**(2n+1) < 2**(-F-1).  The tail is below the geometric majorant
+
+        sum_{k>=n} |z|**(2k+1)/(2k+1) <= |z|**(2n+1) / ((2n+1)(1-z**2))
+
+    and 1/((2n+1)(1-z**2)) <= 4/3 as |z| < 1/2, so the tail is below
+    2/3 ulp and one ulp is charged for it, once.
+
+    The sum runs by rectangular splitting (Paterson & Stockmeyer, SIAM
+    J. Comput. 2, 1973; Smith, Math. Comp. 52, 1989): y**0..y**s with
+    s = isqrt(n) as FixedReal products, then Horner in y**s over blocks
+    of s terms, acc = acc * y**s + S_b, and z * acc at the end, so about
+    2*sqrt(n) full multiplications in all.  Each block sum S_b runs on
+    raw ints: every y**j has a mantissa >= 0, so floor is truncation and
+    a term pm // d with d = 2k+1 is charged ceil(pe/d) plus one ulp when
+    inexact, as div_int followed by + would charge.  All other errors
+    are tracked by FixedReal.
     """
     F = z.frac_bits
     one = 1 << F
@@ -336,20 +357,26 @@ def _atanh_small(z: FixedReal) -> FixedReal:
         raise PrecisionError("atanh series requires |z| < 1/2")
     if z.mantissa == 0 and z.err_ulp == 0:
         return z
-    z2 = z * z
-    power = z
-    acc = z
-    k = 1
-    zb_bits = zb.bit_length()
-    den_bits = ((one * one) - zb * zb).bit_length()
-    while True:
-        power = power * z2
-        acc = acc + power.div_int(2 * k + 1)
-        pb_bits = (abs(power.mantissa) + power.err_ulp).bit_length()
-        k_bits = (2 * k + 3).bit_length()
-        if pb_bits + 2 * zb_bits <= den_bits + k_bits - 2:
-            return FixedReal(acc.mantissa, F, acc.err_ulp + 1)
-        k += 1
+    n = _atanh_terms(zb, F)
+    s = math.isqrt(n)
+    y = z * z
+    powers = [FixedReal(one, F, 0), y]
+    for _ in range(s - 1):
+        powers.append(powers[-1] * y)
+    pm = [p.mantissa for p in powers]
+    pe = [p.err_ulp for p in powers]
+    ys = powers[s]
+    acc = FixedReal(0, F, 0)
+    for start in reversed(range(0, n, s)):
+        sm = se = 0
+        for j in range(min(s, n - start)):
+            d = 2 * (start + j) + 1
+            q, rem = divmod(pm[j], d)
+            sm += q
+            se += -(-pe[j] // d) + (rem != 0)
+        acc = acc * ys + FixedReal(sm, F, se)
+    out = z * acc
+    return FixedReal(out.mantissa, F, out.err_ulp + 1)
 
 
 def fx_log(x: FixedReal) -> FixedReal:
@@ -363,8 +390,14 @@ def fx_log(x: FixedReal) -> FixedReal:
     err_ulp is the tracked bound plus the propagated input uncertainty
     e/(m - e); the choices below only keep it small:
 
-    * r = max(4, isqrt(F//20)) + bitlen(|n|).  Since 2**bitlen(|n|) >
-      |n|, |ln y| < ln 2 / 16 and |z| stays far below the series' 1/2.
+    * r = max(8, isqrt(F//320)) + bitlen(|n|).  Since 2**bitlen(|n|) >
+      |n|, |ln y| < ln 2 / 256 and |z| < 2**-9, far below the series'
+      1/2.  Each square root costs an isqrt and a squaring, about five
+      multiplications, and halves |z|: the series then needs about
+      F/(2r) terms, summed with ~2*sqrt(F/(2r)) multiplications and
+      one small division per term.  Timing golden_constant over r put
+      the optimum near 8 from 10**3 to 10**4 bits and near 14..20 at
+      10**5 bits.
     * One ulp 2**-Fw lost at y_j = x**(1/2**j) moves the estimate of
       ln x by 2**j * 2**-Fw / y_j.  With 2**j <= 2**r and 1/y_j <=
       2**max(0, -n), the r + max(0, -n) guard bits absorb it, as they
@@ -382,10 +415,7 @@ def fx_log(x: FixedReal) -> FixedReal:
         return FixedReal(0, F, 0)
 
     n = m.bit_length() - 1 - F
-    # Repeated square roots shrink the series argument: r steps cost r
-    # isqrt calls (~10x one multiplication) and divide the series length
-    # by ~r, balanced near r ~ sqrt(F/20).
-    r = max(4, math.isqrt(F // 20)) + abs(n).bit_length()
+    r = max(8, math.isqrt(F // 320)) + abs(n).bit_length()
     Fw = F + r + 64 + max(0, -n)
     y = FixedReal(m << (Fw - F), Fw, 0)
     for _ in range(r):

@@ -1,8 +1,9 @@
 """Independent reference computations used by the test suite.
 
 Everything here deliberately avoids the code paths under test: square
-roots by pure binary search, series summed in exact rational arithmetic,
-modular exponentiation by brute-force repeated multiplication.
+roots by pure binary search, series summed in exact rational arithmetic
+or in the decimal module, modular exponentiation by brute-force repeated
+multiplication.
 """
 
 from __future__ import annotations
@@ -45,6 +46,26 @@ def e_series(terms: int) -> tuple[Fraction, Fraction]:
         total += Fraction(1, fact)
     tail = Fraction(2, fact * (terms + 1))
     return total, tail
+
+
+def golden_decimal(ctx):
+    """(value, error bound) of sqrt(5)*log(phi) as Decimals in ``ctx``.
+
+    log(phi) = atanh(1/sqrt5), so sqrt(5)*log(phi) = sum_k 5**-k/(2k+1),
+    summed until 5**-k < 10**-prec.  The tail left is below 5**-k * 5/4
+    < 2 * power, and each of the 3k rounded operations is off by at most
+    one unit in the last place of a value below 2, so 10**(1 - prec).
+    """
+    eps = ctx.scaleb(1, -ctx.prec)
+    total = ctx.create_decimal(0)
+    power = ctx.create_decimal(1)
+    k = 0
+    while power >= eps:
+        total = ctx.add(total, ctx.divide(power, 2 * k + 1))
+        power = ctx.divide(power, 5)
+        k += 1
+    rounding = ctx.multiply(3 * k, ctx.scaleb(1, 1 - ctx.prec))
+    return total, ctx.add(ctx.multiply(power, 2), rounding)
 
 
 def modpow_bruteforce(base: int, exp: int, m: int) -> int:

@@ -2,17 +2,33 @@
 
 from __future__ import annotations
 
+import decimal
+import functools
+import hashlib
+import math
 import random
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
 from bbplog.errors import DomainError, PrecisionError
-from bbplog.numerics import FixedReal, agreement_bits, fx_atanh, fx_log, fx_sqrt, modpow
+from bbplog.family import golden_constant
+from bbplog.numerics import (
+    FixedReal,
+    _atanh_small,
+    _atanh_terms,
+    agreement_bits,
+    fx_atanh,
+    fx_log,
+    fx_sqrt,
+    modpow,
+)
 
 from _oracles import (
     e_series,
+    golden_decimal,
     isqrt_binary_search,
     log2_series,
     modpow_bruteforce,
@@ -146,21 +162,211 @@ def test_log_interval_reaching_zero_rejected():
         fx_log(FixedReal(5, 64, 5))
 
 
-@pytest.mark.parametrize("F", [96, 1000])
-def test_log_far_from_one_contained_and_tight(F):
-    # x = u * 2**n exactly, u in [1, 2): the square roots act on x itself,
-    # with bitlen(|n|) more steps and |n| more bits below 1/2; the result
-    # must sit inside a 128-bit finer one and keep a 2-ulp bound
-    fine = F + 128
+def _far_from_one_grid(F: int) -> list[int]:
+    """Mantissas of x = u * 2**n exactly, u in [1, 2), at F bits."""
+    grid = []
     for n in (-600, -200, -64, -8, -1, 1, 4, 64, 300):
         if F + n < 20:
             continue
         for k in (1, 1 << 19, (1 << 20) - 1):
-            m = ((1 << 20) + k) << (F + n - 20)
-            coarse = fx_log(FixedReal(m, F, 0))
-            ref = fx_log(FixedReal(m << 128, fine, 0))
-            assert abs(coarse.value - ref.value) <= coarse.err + ref.err, (F, n, k)
-            assert coarse.err_ulp <= 2, (F, n, k, coarse.err_ulp)
+            grid.append(((1 << 20) + k) << (F + n - 20))
+    return grid
+
+
+@pytest.mark.parametrize("F", [96, 1000])
+def test_log_far_from_one_contained_and_tight(F):
+    # the square roots act on x itself, with bitlen(|n|) more steps and
+    # |n| more bits below 1/2; the result must sit inside a 128-bit finer
+    # one and keep a 2-ulp bound
+    fine = F + 128
+    for m in _far_from_one_grid(F):
+        coarse = fx_log(FixedReal(m, F, 0))
+        ref = fx_log(FixedReal(m << 128, fine, 0))
+        assert abs(coarse.value - ref.value) <= coarse.err + ref.err, (F, m)
+        assert coarse.err_ulp <= 2, (F, m, coarse.err_ulp)
+
+
+# golden_constant(F) followed by fx_log over _far_from_one_grid(F), as
+# computed before the atanh series used rectangular splitting: the low 16
+# bits of each mantissa and a SHA-256 over the hex of all mantissas >> 16.
+# Every recorded err_ulp was 2.
+PINNED_LOGS = {
+    64: (
+        "29ce4f7b2193a4c7ba44017b738abfca",
+        (57353, 12968, 25197, 44109, 34394, 46624, 0, 31153, 43382, 62294,
+         59060, 5754, 24666, 27383, 39613, 58525, 38229, 50459, 3835),
+    ),
+    1000: (
+        "96abbf3c92b512ed7669bf1971d5307f",
+        (32202, 25664, 59247, 32629, 19476, 53059, 26441, 64558, 32605, 5987,
+         6020, 39603, 12985, 31471, 65054, 38436, 1292, 34875, 8257, 21562,
+         55145, 28527, 33741, 1788, 40706, 11740, 45323, 18705),
+    ),
+    20000: (
+        "5f70d79cce68bf204b5c497f11324476",
+        (27315, 58814, 1201, 14659, 26868, 34791, 48249, 33046, 40969, 54426,
+         58720, 1107, 14564, 61929, 4316, 17774, 25396, 33319, 46776, 36134,
+         44056, 57514, 54279, 62202, 10124, 3318, 11241, 24699),
+    ),
+}
+PINNED_LOG_ERR = 2
+
+
+@pytest.mark.parametrize("F", sorted(PINNED_LOGS))
+def test_log_oracle_overlaps_pinned_intervals(F):
+    # each recorded mantissa is the one nearest the new mantissa with the
+    # recorded low 16 bits; the hash confirms all of them at once, so the
+    # intervals overlap exactly when every distance is within both bounds
+    digest, low16 = PINNED_LOGS[F]
+    now = [golden_constant(F)]
+    now += [fx_log(FixedReal(m, F, 0)) for m in _far_from_one_grid(F)]
+    assert len(now) == len(low16)
+    pinned = [
+        x.mantissa + ((low - x.mantissa + (1 << 15)) & 0xFFFF) - (1 << 15)
+        for x, low in zip(now, low16)
+    ]
+    joined = ",".join(format(m >> 16, "x") for m in pinned)
+    assert hashlib.sha256(joined.encode()).hexdigest()[:32] == digest
+    for i, (x, m) in enumerate(zip(now, pinned)):
+        assert abs(x.mantissa - m) <= x.err_ulp + PINNED_LOG_ERR, (F, i)
+        assert x.err_ulp <= PINNED_LOG_ERR, (F, i, x.err_ulp)
+
+
+# -- the atanh series --------------------------------------------------------
+
+
+@pytest.mark.parametrize("F", [64, 200, 1000])
+def test_atanh_series_length_is_proven(F):
+    # for fixed n the bound grows with zb, so the largest zb of each
+    # bit length, 2**b - 1, covers every zb < 2**(F-1): bit length 1 is
+    # the 1-ulp input, F - 1 is |z| just below 1/2 (lam = 1)
+    one = 1 << F
+    for b in range(1, F):
+        zb = (1 << b) - 1
+        n = _atanh_terms(zb, F)
+        z = Fraction(zb, one)
+        tail = z ** (2 * n + 1) / ((2 * n + 1) * (1 - z * z))
+        assert tail < Fraction(1, one), (F, b, n)
+        # and n is the smallest with (2n+1)*lam >= F+1
+        lam = F - b
+        assert (2 * n - 1) * lam < F + 1 <= (2 * n + 1) * lam, (F, b, n)
+
+
+# |z| for the containment checks below; None stands for one ulp
+ATANH_MAGNITUDES = {
+    "ulp": None,
+    "2^-40": Fraction(5, 7) / 2**40,
+    "2^-8": Fraction(5, 7) / 2**8,
+    "2^-1": Fraction(1, 2) - Fraction(1, 97),
+}
+# _atanh_small's err_ulp at err_ulp 0 and 3 of its input, either sign, as
+# recorded when it did one full multiplication per term
+ATANH_PARENT_ERR = {
+    (64, "ulp"): (2, 5), (64, "2^-40"): (2, 5),
+    (64, "2^-8"): (7, 10), (64, "2^-1"): (54, 58),
+    (1000, "ulp"): (2, 5), (1000, "2^-40"): (20, 23),
+    (1000, "2^-8"): (116, 119), (1000, "2^-1"): (956, 960),
+    (8000, "ulp"): (2, 5), (8000, "2^-40"): (197, 200),
+    (8000, "2^-8"): (937, 940), (8000, "2^-1"): (7753, 7757),
+}
+
+
+def _atanh_inputs(F: int):
+    for name, v in ATANH_MAGNITUDES.items():
+        m = 1 if v is None else FixedReal.from_fraction(v, F).mantissa
+        for sign in (1, -1):
+            for i, e in enumerate((0, 3)):
+                yield name, i, FixedReal(sign * m, F, e)
+
+
+@functools.lru_cache(maxsize=None)
+def _atanh_decimal_ulp(m: int, F: int) -> Decimal:
+    """atanh(m * 2**-F) * 2**F from the decimal module's ln, at
+    F*0.302 + 40 digits: its own rounding stays below 10**-30 ulp."""
+    if m < 0:
+        return _atanh_decimal_ulp(-m, F).copy_negate()
+    ctx = decimal.Context(prec=int(F * 0.302) + 40)
+    z = ctx.divide(m, 1 << F)
+    ln = ctx.ln(ctx.divide(ctx.add(1, z), ctx.subtract(1, z)))
+    return ctx.multiply(ln, 1 << (F - 1))
+
+
+@pytest.mark.parametrize(
+    "F", [64, 1000, pytest.param(8000, marks=pytest.mark.slow)]
+)
+def test_atanh_series_contains_decimal_reference(F):
+    # the interval must hold atanh at every point of the input's own
+    # interval; atanh is monotone, so its ends and middle suffice
+    slack = Fraction(1, 10**20)
+    for name, _, z in _atanh_inputs(F):
+        got = _atanh_small(z)
+        for m in {z.mantissa - z.err_ulp, z.mantissa, z.mantissa + z.err_ulp}:
+            ref = Fraction(_atanh_decimal_ulp(m, F))
+            lo = got.mantissa - got.err_ulp
+            hi = got.mantissa + got.err_ulp
+            assert lo - slack <= ref <= hi + slack, (F, name, z.err_ulp, m)
+
+
+@pytest.mark.parametrize("F", [64, 1000, 8000])
+def test_atanh_series_err_no_larger_than_recorded(F):
+    for name, i, z in _atanh_inputs(F):
+        got = _atanh_small(z).err_ulp
+        assert got <= ATANH_PARENT_ERR[F, name][i], (F, name, z, got)
+
+
+def _atanh_by_fixedreal_ops(z: FixedReal) -> FixedReal:
+    """The same rectangular splitting with every block term a div_int and
+    a FixedReal addition, as the docstring says the raw ints charge."""
+    F = z.frac_bits
+    n = _atanh_terms(abs(z.mantissa) + z.err_ulp, F)
+    s = math.isqrt(n)
+    y = z * z
+    powers = [FixedReal.from_int(1, F), y]
+    for _ in range(s - 1):
+        powers.append(powers[-1] * y)
+    acc = FixedReal(0, F, 0)
+    for start in reversed(range(0, n, s)):
+        block = FixedReal(0, F, 0)
+        for j in range(min(s, n - start)):
+            block = block + powers[j].div_int(2 * (start + j) + 1)
+        acc = acc * powers[s] + block
+    out = z * acc
+    return FixedReal(out.mantissa, F, out.err_ulp + 1)
+
+
+@pytest.mark.parametrize("F", [64, 1000])
+def test_atanh_series_block_sums_charge_as_fixedreal_ops(F):
+    rng = random.Random(F)
+    inputs = [z for _, _, z in _atanh_inputs(F)]
+    for _ in range(40):
+        m = rng.randrange(1, 1 << (F - rng.randint(2, F - 1)))
+        inputs.append(FixedReal(rng.choice((1, -1)) * m, F, rng.choice((0, 1, 9))))
+    for z in inputs:
+        assert _atanh_small(z) == _atanh_by_fixedreal_ops(z), z
+
+
+def test_atanh_series_rejects_half_and_keeps_exact_zero():
+    F = 64
+    with pytest.raises(PrecisionError):
+        _atanh_small(FixedReal((1 << (F - 1)) - 1, F, 1))
+    with pytest.raises(PrecisionError):
+        _atanh_small(FixedReal(-(1 << (F - 1)), F, 0))
+    zero = _atanh_small(FixedReal(0, F, 0))
+    assert zero.mantissa == 0 and zero.err_ulp == 0
+
+
+@pytest.mark.slow
+def test_golden_constant_at_100000_bits_contains_decimal_reference():
+    F = 100_000
+    x = golden_constant(F)
+    ctx = decimal.Context(prec=int(F * 0.302) + 40)
+    ref, ref_err = golden_decimal(ctx)
+    scaled = Fraction(ctx.multiply(ref, 1 << F))
+    slack = Fraction(ctx.multiply(ref_err, 1 << F)) + Fraction(1, 10**20)
+    assert slack < 1
+    lo, hi = x.mantissa - x.err_ulp, x.mantissa + x.err_ulp
+    assert lo - slack <= scaled <= hi + slack
+    assert x.err_ulp <= 2
 
 
 # -- fx_atanh -------------------------------------------------------------
