@@ -246,7 +246,7 @@ def test_atanh_series_length_is_proven(F):
         n = _atanh_terms(zb, F)
         z = Fraction(zb, one)
         tail = z ** (2 * n + 1) / ((2 * n + 1) * (1 - z * z))
-        assert tail < Fraction(1, one), (F, b, n)
+        assert tail < Fraction(2, 3 * one), (F, b, n)
         # and n is the smallest with (2n+1)*lam >= F+1
         lam = F - b
         assert (2 * n - 1) * lam < F + 1 <= (2 * n + 1) * lam, (F, b, n)
