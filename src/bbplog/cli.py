@@ -34,6 +34,7 @@ long as the range asks.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from itertools import chain
@@ -65,6 +66,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EX_USAGE)
 
 
+@functools.cache  # one parser per process: in-process callers parse many argvs
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="bbplog",

@@ -24,10 +24,19 @@ leaves a remainder, and every tail term (the moved levels included)
 costs it.  The discarded terms beyond the cutoff have mixed signs and
 lie in (-1, 1) ulp.  The true accumulator is therefore in (acc - 1, acc
 + budget], and both ends of that interval certify the returned digits.
+
+Partition.  The head's accumulator and budget are integer sums over its
+terms, taken before the mask, so cutting its k range into contiguous parts
+and adding the parts' sums gives them exactly.  A long head is summed
+that way, one part per CPU the process may use, the parts after the
+first in forked child processes; the digits, the budget and ``certified``
+do not depend on the partition, and the bound above is unchanged.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 from .errors import UnsupportedFormulaError, ValidationError
@@ -94,6 +103,103 @@ def _certified_prefix(acc: int, width: int, count: int, budget: int) -> int:
     return 0
 
 
+# A forked part has to pay for its process.  Fork, pipe and waitpid take
+# about 1.6 ms together and one head term about 1.6 us (median; 2 vCPU
+# Xeon, Python 3.11.7, bbplog.cli imported), so a part of 8192 terms runs
+# about 13 ms, eight times its overhead.  Two parts broke even at about
+# 4096 terms in all and ran the head 0.62x as long at 16384.
+_MIN_PART_TERMS = 8192
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _head_sum(split, q_odd, n, beta, length, width, k0, k1) -> tuple[int, int]:
+    """Head levels k0 .. k1-1: the unmasked sum of their floored W-bit
+    fractional parts, and the number of terms whose floor left a remainder.
+
+    The exact fractional part comes from modular exponentiation.  c_j times
+    the residue is not reduced mod m again: the whole multiples of m it
+    carries add multiples of 2**width, which the caller's mask drops.
+    """
+    acc = 0
+    budget = 0
+    for k in range(k0, k1):
+        e = n - beta * k
+        base_index = k * length
+        for j, c, s in split:
+            m = q_odd * (base_index + j)
+            contrib, rem = divmod(c * pow(2, e + s, m) << width, m)
+            acc += contrib
+            if rem:
+                budget += 1
+    return acc, budget
+
+
+def _forked_head_sum(head: tuple, head_k: int, parts: int) -> tuple[int, int]:
+    """``_head_sum(*head, 0, head_k)`` cut into ``parts`` contiguous k ranges.
+
+    The first range is summed here; every other one in a forked child that
+    writes its (acc, budget) in hex to a pipe.  A range whose child could
+    not start, failed or wrote a short result is summed here instead, so
+    the result never depends on the children.
+    """
+    bounds = [head_k * i // parts for i in range(parts + 1)]
+    ranges = list(zip(bounds[1:-1], bounds[2:]))
+    children = {}  # range index -> (pid, read end of its pipe)
+    try:
+        for i, (k0, k1) in enumerate(ranges):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the range is summed here
+                os.close(r)
+                os.close(w)
+                continue
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(r)
+                    os.write(w, b"%x %x\n" % _head_sum(*head, k0, k1))
+                    code = 0
+                finally:
+                    # skips exit handlers and stdio flushes, which would
+                    # write the parent's unflushed output a second time
+                    os._exit(code)
+            os.close(w)
+            children[i] = (pid, r)
+        acc, budget = _head_sum(*head, bounds[0], bounds[1])
+        for i, (k0, k1) in enumerate(ranges):
+            part = _reap(*children.pop(i)) if i in children else None
+            a, b = part or _head_sum(*head, k0, k1)
+            acc += a
+            budget += b
+    finally:
+        for pid, r in children.values():
+            _reap(pid, r)
+    return acc, budget
+
+
+def _reap(pid: int, r: int) -> tuple[int, int] | None:
+    """Read a child's (acc, budget) from its pipe and wait for the child;
+    None if it exited nonzero or its line is short.  The line is one write
+    of under PIPE_BUF bytes, so its newline shows that it is whole."""
+    try:
+        with open(r, "rb") as pipe:
+            out = pipe.read()
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    if status or not out.endswith(b"\n"):
+        return None
+    acc, budget = out.split()
+    return int(acc, 16), int(budget, 16)
+
+
 def extract_bits(plan: SpigotPlan, n: int, count: int) -> DigitWindow:
     """Binary digits of the constant at positions n+1 .. n+count.
 
@@ -129,20 +235,13 @@ def extract_bits(plan: SpigotPlan, n: int, count: int) -> DigitWindow:
     width = count + 64 + max(0, est_terms.bit_length() - 32)
     mask = (1 << width) - 1
 
-    # head: exact fractional parts via modular exponentiation; c_j times
-    # the residue is not reduced mod m again, because the whole multiples
-    # of m it carries add multiples of 2**width, which the mask drops
-    acc = 0
-    budget = 0
-    for k in range(head_k):
-        e = n - beta * k
-        base_index = k * length
-        for j, c, s in split:
-            m = q_odd * (base_index + j)
-            contrib, rem = divmod(c * pow(2, e + s, m) << width, m)
-            acc += contrib
-            if rem:
-                budget += 1
+    head = (split, q_odd, n, beta, length, width)
+    parts = min(_usable_cpus(), head_k * n_nonzero // _MIN_PART_TERMS)
+    # forking a process that runs other threads can copy a held lock
+    if parts > 1 and hasattr(os, "fork") and threading.active_count() == 1:
+        acc, budget = _forked_head_sum(head, head_k, parts)
+    else:
+        acc, budget = _head_sum(*head, 0, head_k)
     acc &= mask
 
     # tail: directly summed fixed-point contributions below 2**(W-shift)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 
@@ -356,3 +357,40 @@ def test_eval_formula_file_round_trip(capsys, tmp_path):
     code, out, _ = run(capsys, "eval", "--formula", str(path), "--bits", "96")
     assert code == 0
     assert out.startswith("value=1.3862943611")
+
+
+# -- one process, many requests -------------------------------------------------
+
+
+def test_requests_in_one_process_match_fresh_processes(capsys):
+    # main reuses one parser per process; a request after a usage error
+    # must still parse as it would in a fresh process
+    requests = [
+        ["digits", "--pos", "1000", "--count", "32"],
+        ["digits", "--bogus"],
+        ["eval", "--preset", "log2", "--bits", "128"],
+        ["verify", "--theorem", "--t", "1..2", "--bits", "64"],
+    ]
+
+    def strip_ms(out):  # verify lines carry wall-clock milliseconds
+        return re.sub(r" ms=\d+", "", out)
+
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    in_process, fresh = [], []
+    for argv in requests:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        in_process.append((code, strip_ms(captured.out), captured.err))
+        proc = subprocess.run(
+            [sys.executable, "-m", "bbplog", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+        fresh.append((proc.returncode, strip_ms(proc.stdout), proc.stderr))
+    assert [code for code, _, _ in in_process] == [0, 64, 0, 0]
+    assert in_process == fresh

@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
 import bbplog.spigot as spigot_mod
 from bbplog.errors import UnsupportedFormulaError, ValidationError
-from bbplog.family import golden_constant, golden_formula
+from bbplog.family import family_coeffs, golden_constant, golden_formula
 from bbplog.formula import BbpFormula
 from bbplog.numerics import FixedReal, fx_log
 from bbplog.spigot import build_plan, extract_bits, extract_hex
@@ -130,9 +134,134 @@ def test_power_of_two_split_matches_exact_sum(case):
         assert window.bits == lo
 
 
-def test_determinism_and_partition_independence(golden_plan):
-    baseline = extract_bits(golden_plan, 5000, 40)
-    assert baseline == extract_bits(golden_plan, 5000, 40)
+PARTITION_FORMULAS = {
+    "golden": golden_formula,
+    "log2": lambda: LOG2_FORMULA,
+    "family-t2": lambda: family_coeffs(2).formula,
+}
+
+
+def _serial_head_args(monkeypatch, plan, n):
+    """One serial extraction and the arguments it passed to _head_sum."""
+    calls = []
+    real = spigot_mod._head_sum
+    with monkeypatch.context() as m:
+        m.setattr(spigot_mod, "_usable_cpus", lambda: 1)
+        m.setattr(spigot_mod, "_head_sum", lambda *a: calls.append(a) or real(*a))
+        window = extract_bits(plan, n, 64)
+    (args,) = calls
+    return window, args
+
+
+def test_determinism_and_partition_independence(monkeypatch):
+    rng = random.Random(20261018)
+    for make_formula in PARTITION_FORMULAS.values():
+        plan = build_plan(make_formula())
+        for n in (0, 59, 5000, 41_000):
+            window, args = _serial_head_args(monkeypatch, plan, n)
+            assert window == extract_bits(plan, n, 64)
+            *head, k0, head_k = args
+            assert k0 == 0
+            whole = spigot_mod._head_sum(*args)
+            cuts = [[head_k * i // p for i in range(p + 1)] for p in (1, 2, 3, 7)]
+            cuts.append([0, *sorted(rng.randrange(head_k + 1) for _ in range(4)), head_k])
+            for bounds in cuts:
+                sums = [spigot_mod._head_sum(*head, a, b) for a, b in zip(bounds, bounds[1:])]
+                assert (sum(a for a, _ in sums), sum(b for _, b in sums)) == whole, (n, bounds)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_forked_head_equals_serial(golden_plan, monkeypatch):
+    n = 41_000  # 49 224 head terms, enough for six parts
+    default = extract_bits(golden_plan, n, 64)
+    forks = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    monkeypatch.setattr(spigot_mod, "_usable_cpus", lambda: 3)
+    three = extract_bits(golden_plan, n, 64)
+    assert len(forks) == 2
+    monkeypatch.setattr(spigot_mod, "_usable_cpus", lambda: 1)
+    assert extract_bits(golden_plan, n, 64) == default == three
+    assert len(forks) == 2
+    _no_child_left()
+
+
+@pytest.mark.parametrize("fault", ["raise", "short", "exit", "fork"])
+def test_parent_resums_the_range_of_a_failed_child(golden_plan, monkeypatch, fault):
+    n = 41_000
+    expected, _ = _serial_head_args(monkeypatch, golden_plan, n)
+    parent = os.getpid()
+    real_sum, real_write, real_exit = spigot_mod._head_sum, os.write, os._exit
+    parent_ranges = []
+
+    def head_sum(*args):
+        if os.getpid() == parent:
+            parent_ranges.append(args[-2:])
+        elif fault == "raise":
+            raise RuntimeError("child failed")
+        return real_sum(*args)
+
+    def write(fd, data):  # the child's line cut in half, then exit 0
+        return real_write(fd, data[: len(data) // 2] if os.getpid() != parent else data)
+
+    def exit_(code):  # a whole line, then a nonzero exit
+        real_exit(3 if os.getpid() != parent else code)
+
+    def no_fork():
+        raise BlockingIOError("no process to spare")
+
+    monkeypatch.setattr(spigot_mod, "_head_sum", head_sum)
+    if fault == "short":
+        monkeypatch.setattr(os, "write", write)
+    elif fault == "exit":
+        monkeypatch.setattr(os, "_exit", exit_)
+    elif fault == "fork":
+        monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(spigot_mod, "_usable_cpus", lambda: 3)
+    assert extract_bits(golden_plan, n, 64) == expected
+    assert len(parent_ranges) == 3  # its own range, then both children's
+    _no_child_left()
+
+
+def test_no_fork_while_another_thread_runs(golden_plan, monkeypatch):
+    expected, _ = _serial_head_args(monkeypatch, golden_plan, 41_000)
+    monkeypatch.setattr(spigot_mod, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked a threaded process"))
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(60,))
+    thread.start()
+    try:
+        assert extract_bits(golden_plan, 41_000, 64) == expected
+    finally:
+        release.set()
+        thread.join(timeout=60)
+    assert not thread.is_alive()
+
+
+def test_children_leave_the_parents_stdout_buffer_alone():
+    src = os.path.dirname(os.path.dirname(spigot_mod.__file__))
+    script = (
+        "import sys\n"
+        "import bbplog.spigot as spigot\n"
+        "from bbplog.family import golden_formula\n"
+        "spigot._usable_cpus = lambda: 2\n"
+        "sys.stdout.write('x')\n"
+        "spigot.extract_bits(spigot.build_plan(golden_formula()), 200_000, 64)\n"
+    )
+    # a buffered stdout: an unbuffered one has nothing left to flush twice
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        env={**env, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"x"
 
 
 def test_certified_prefix_checks_borrow_and_carry():
