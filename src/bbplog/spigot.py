@@ -6,31 +6,34 @@ b = 2**beta, the bits after position n are the fractional part of
 
     2**n * C = sum_{k,j} p*a_j * 2**(n - beta*k) / (q*(k*l + j)).
 
-Write q = 2**w * q' and p*a_j = 2**x_j * c_j with q' and c_j odd.  Each
-term is then c_j * 2**(n - beta*k + x_j - w) / (q'*(k*l + j)).  On a head
-level every one of these exponents is nonnegative, so each term's
-fractional part is an exact rational with denominator q'*(k*l + j),
-reduced by the builtin three-argument ``pow`` on that odd modulus (one
-30-bit CPython digit below position 10**8 for both presets and the
-t = +-2**s family files).  The odd part q' stays in the modulus because
-frac(x/q') is not a function of frac(x).  A level where some exponent is
-negative moves whole into the tail, which is summed directly in fixed
-point down to a cutoff.
+Write q = 2**w * q' and p*a_j = 2**x_j * c_j with q' and c_j odd, and
+s_j = x_j - w.  Each term is then c_j * 2**(n - beta*k + s_j) / (q'*(k*l + j)).
+The levels are cut into blocks of L = ceil(T / nonzero terms) whole
+levels (T = ``_FOLD_TERMS``), so that each block has about T terms.  A block is folded into one
+exact fraction N/M, with M = q' * prod (k*l + j) over its terms, times
+2**e, where e is the block's smallest exponent.  On a head block every
+exponent is nonnegative, so e >= 0 and the block's fractional part is
+the exact rational (N * 2**e mod M) / M, reduced by one builtin
+three-argument ``pow`` on the multi-digit modulus M.  The odd part q'
+stays in the modulus because frac(x/q') is not a function of frac(x).
+The levels past the last whole head block, where some exponent may be
+negative, form the tail: its blocks are folded the same way and, when
+e < 0, floored directly in fixed point, down to a cutoff.
 
-Bound.  Every contribution enters a W-bit accumulator mod 1 through one
-floor division, so the true value exceeds the accumulated one by less
-than one ulp per term: a head term costs that ulp only when its division
-leaves a remainder, and every tail term (the moved levels included)
-costs it.  The discarded terms beyond the cutoff have mixed signs and
+Bound.  Every block enters a W-bit accumulator mod 1 through one floor
+division, so the true value exceeds the accumulated one by less than one
+ulp per block, and a block costs that ulp only when its division leaves
+a remainder.  The discarded terms beyond the cutoff have mixed signs and
 lie in (-1, 1) ulp.  The true accumulator is therefore in (acc - 1, acc
 + budget], and both ends of that interval certify the returned digits.
 
 Partition.  The head's accumulator and budget are integer sums over its
-terms, taken before the mask, so cutting its k range into contiguous parts
-and adding the parts' sums gives them exactly.  A long head is summed
-that way, one part per CPU the process may use, the parts after the
-first in forked child processes; the digits, the budget and ``certified``
-do not depend on the partition, and the bound above is unchanged.
+blocks, taken before the mask, so cutting its block range into contiguous
+parts and adding the parts' sums gives them exactly.  A long head is
+summed that way, one part per CPU the process may use, the parts after
+the first in forked child processes; the digits, the budget and
+``certified`` do not depend on the partition, and the bound above is
+unchanged.
 """
 
 from __future__ import annotations
@@ -103,12 +106,19 @@ def _certified_prefix(acc: int, width: int, count: int, budget: int) -> int:
     return 0
 
 
+# T, the terms folded into one fraction: enough for the interpreter's cost
+# per modular power to stop dominating, few enough that the fraction's
+# size does not.  Summing log2's head serially at position 2*10**5 took
+# 451, 299, 202, 175, 188 and 202 ms at T = 1, 4, 8, 16, 32 and 64, and
+# golden's 169 ms in blocks of one level (24 terms) against 186 ms in
+# blocks of two (best of 7; 2 vCPU Xeon, Python 3.11.7).
+_FOLD_TERMS = 16
+
 # A forked part has to pay for its process.  Fork, pipe and waitpid take
-# about 1.6 ms together and one head term about 1.6 us (median; 2 vCPU
-# Xeon, Python 3.11.7, bbplog.cli imported), so a part of 8192 terms runs
-# about 13 ms, eight times its overhead.  Two parts broke even at about
-# 4096 terms in all and ran the head 0.62x as long at 16384.
-_MIN_PART_TERMS = 8192
+# about 1.3-1.8 ms together and one folded head term 0.4-0.7 us (median;
+# same machine, bbplog.cli imported, positions 10**4 .. 2*10**5), so a
+# part of 16384 terms runs 7-12 ms, five to seven times its overhead.
+_MIN_PART_TERMS = 16384
 
 
 def _usable_cpus() -> int:
@@ -119,41 +129,59 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _head_sum(split, q_odd, n, beta, length, width, k0, k1) -> tuple[int, int]:
-    """Head levels k0 .. k1-1: the unmasked sum of their floored W-bit
-    fractional parts, and the number of terms whose floor left a remainder.
+def _fold(split, q_odd, e0, beta, length, width, k0, k1) -> tuple[int, int]:
+    """Levels k0 .. k1-1 folded into one exact fraction and floored once:
+    floor(2**width * their sum) up to a multiple of 2**width, and the
+    remainder of that floor division (zero when it was exact).
 
-    The exact fractional part comes from modular exponentiation.  c_j times
-    the residue is not reduced mod m again: the whole multiples of m it
-    carries add multiples of 2**width, which the caller's mask drops.
+    A term at level k has exponent e0 - beta*k + s_j with every split
+    s_j >= 0, so the block's smallest, e = e0 - beta*(k1 - 1), is
+    factored out.
     """
-    acc = 0
-    budget = 0
+    num, den = 0, 1
     for k in range(k0, k1):
-        e = n - beta * k
+        shift = beta * (k1 - 1 - k)
         base_index = k * length
         for j, c, s in split:
-            m = q_odd * (base_index + j)
-            contrib, rem = divmod(c * pow(2, e + s, m) << width, m)
-            acc += contrib
-            if rem:
-                budget += 1
+            d = base_index + j
+            num, den = num * d + (c << shift + s) * den, den * d
+    den *= q_odd
+    e = e0 - beta * (k1 - 1)
+    if e >= 0:  # 2**e * num/den mod 1, exactly
+        return divmod(num * pow(2, e, den) % den << width, den)
+    e += width
+    return divmod(num << e, den) if e >= 0 else divmod(num, den << -e)
+
+
+def _head_sum(split, q_odd, e0, beta, length, width, levels, b0, b1) -> tuple[int, int]:
+    """Head blocks b0 .. b1-1 of ``levels`` levels each: the unmasked sum
+    of their floored W-bit fractional parts, and the number of blocks
+    whose floor left a remainder."""
+    fold = (split, q_odd, e0, beta, length, width)
+    acc = 0
+    budget = 0
+    for b in range(b0, b1):
+        contrib, rem = _fold(*fold, b * levels, (b + 1) * levels)
+        acc += contrib
+        if rem:
+            budget += 1
     return acc, budget
 
 
-def _forked_head_sum(head: tuple, head_k: int, parts: int) -> tuple[int, int]:
-    """``_head_sum(*head, 0, head_k)`` cut into ``parts`` contiguous k ranges.
+def _forked_head_sum(head: tuple, blocks: int, parts: int) -> tuple[int, int]:
+    """``_head_sum(*head, 0, blocks)`` cut into ``parts`` contiguous block
+    ranges.
 
     The first range is summed here; every other one in a forked child that
     writes its (acc, budget) in hex to a pipe.  A range whose child could
     not start, failed or wrote a short result is summed here instead, so
     the result never depends on the children.
     """
-    bounds = [head_k * i // parts for i in range(parts + 1)]
+    bounds = [blocks * i // parts for i in range(parts + 1)]
     ranges = list(zip(bounds[1:-1], bounds[2:]))
     children = {}  # range index -> (pid, read end of its pipe)
     try:
-        for i, (k0, k1) in enumerate(ranges):
+        for i, (b0, b1) in enumerate(ranges):
             r, w = os.pipe()
             try:
                 pid = os.fork()
@@ -165,7 +193,7 @@ def _forked_head_sum(head: tuple, head_k: int, parts: int) -> tuple[int, int]:
                 code = 1
                 try:
                     os.close(r)
-                    os.write(w, b"%x %x\n" % _head_sum(*head, k0, k1))
+                    os.write(w, b"%x %x\n" % _head_sum(*head, b0, b1))
                     code = 0
                 finally:
                     # skips exit handlers and stdio flushes, which would
@@ -174,9 +202,9 @@ def _forked_head_sum(head: tuple, head_k: int, parts: int) -> tuple[int, int]:
             os.close(w)
             children[i] = (pid, r)
         acc, budget = _head_sum(*head, bounds[0], bounds[1])
-        for i, (k0, k1) in enumerate(ranges):
+        for i, (b0, b1) in enumerate(ranges):
             part = _reap(*children.pop(i)) if i in children else None
-            a, b = part or _head_sum(*head, k0, k1)
+            a, b = part or _head_sum(*head, b0, b1)
             acc += a
             budget += b
     finally:
@@ -205,8 +233,8 @@ def extract_bits(plan: SpigotPlan, n: int, count: int) -> DigitWindow:
 
     The accumulator width is count + 64 guard bits, widened by the bit
     length of the expected term count (head levels, the levels moved to
-    the tail, and the tail itself) when n is large, so the one-ulp-per-
-    term budget always fits.  ``certified`` is the longest prefix whose
+    the tail, and the tail itself) when n is large, so the budget of at
+    most one ulp per fold, fewer than one per term, always fits.  ``certified`` is the longest prefix whose
     bits cannot change when the true accumulated error (anywhere in
     (-1, budget] ulp) is added; it is computed, never assumed.
     """
@@ -220,7 +248,8 @@ def extract_bits(plan: SpigotPlan, n: int, count: int) -> DigitWindow:
     q = plan.denominator_scale
     n_nonzero = len(plan.nonzero)
 
-    # q = 2**w * q_odd and p*a_j = 2**x_j * c_j (module docstring)
+    # q = 2**w * q_odd and p*a_j = 2**x_j * c_j (module docstring); the
+    # smallest s_j moves into e0, so every split exponent is nonnegative
     w = (q & -q).bit_length() - 1
     q_odd = q >> w
     split = []
@@ -228,38 +257,38 @@ def extract_bits(plan: SpigotPlan, n: int, count: int) -> DigitWindow:
         pa = p * a
         x = (pa & -pa).bit_length() - 1
         split.append((j, pa >> x, x - w))
-    head_k = max(0, (n + min(s for _, _, s in split)) // beta + 1)
+    s_min = min(s for _, _, s in split)
+    split = [(j, c, s - s_min) for j, c, s in split]
+    e0 = n + s_min
+    head_k = max(0, e0 // beta + 1)
 
     levels = max(head_k, n // beta + 1)  # the head and the moved levels
     est_terms = (levels + 2) * n_nonzero + 128
     width = count + 64 + max(0, est_terms.bit_length() - 32)
     mask = (1 << width) - 1
 
-    head = (split, q_odd, n, beta, length, width)
-    parts = min(_usable_cpus(), head_k * n_nonzero // _MIN_PART_TERMS)
+    block = -(-_FOLD_TERMS // n_nonzero)  # levels per block
+    head_blocks = head_k // block
+    fold = (split, q_odd, e0, beta, length, width)
+    head = (*fold, block)
+    parts = min(_usable_cpus(), head_blocks * block * n_nonzero // _MIN_PART_TERMS)
     # forking a process that runs other threads can copy a held lock
     if parts > 1 and hasattr(os, "fork") and threading.active_count() == 1:
-        acc, budget = _forked_head_sum(head, head_k, parts)
+        acc, budget = _forked_head_sum(head, head_blocks, parts)
     else:
-        acc, budget = _head_sum(*head, 0, head_k)
-    acc &= mask
+        acc, budget = _head_sum(*head, 0, head_blocks)
 
-    # tail: directly summed fixed-point contributions below 2**(W-shift)
+    # tail: the levels past the last whole head block, folded up to the
+    # last level k with W + n - beta*k >= cutoff
     max_pa = max(abs(p * a) for _, a in plan.nonzero)
     cutoff = -(2 * n_nonzero * max_pa).bit_length()
-    k = head_k
-    while True:
-        shift = width + n - beta * k
-        if shift < cutoff:
-            break
-        base_index = k * length
-        for j, a in plan.nonzero:
-            den = q * (base_index + j)
-            num = p * a
-            contrib = (num << shift) // den if shift >= 0 else num // (den << -shift)
-            acc = (acc + contrib) & mask
+    k_end = (width + n - cutoff) // beta + 1
+    for k in range(head_blocks * block, k_end, block):
+        contrib, rem = _fold(*fold, k, min(k + block, k_end))
+        acc += contrib
+        if rem:
             budget += 1
-        k += 1
+    acc &= mask
     budget += 1  # discarded tail: a mixed-sign remainder in (-1, 1) ulp
 
     certified = _certified_prefix(acc, width, count, budget)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import random
@@ -161,6 +162,47 @@ def test_determinism_and_partition_independence(monkeypatch):
             for bounds in cuts:
                 sums = [spigot_mod._head_sum(*head, a, b) for a, b in zip(bounds, bounds[1:])]
                 assert (sum(a for a, _ in sums), sum(b for _, b in sums)) == whole, (n, bounds)
+
+
+def test_head_sum_brackets_the_exact_head(monkeypatch):
+    # golden and t = +-2**s fold one level per block, log2 several
+    for formula in (golden_formula(), LOG2_FORMULA, *(family_coeffs(t).formula for t in (2, -4))):
+        plan = build_plan(formula)
+        beta, length = plan.beta, formula.length
+        p, q = plan.numerator_scale, plan.denominator_scale
+        for n in (0, 1, 59, 60, 61, 500, 2000):
+            _, args = _serial_head_args(monkeypatch, plan, n)
+            *_, width, levels, b0, blocks = args
+            assert b0 == 0
+            acc, budget = spigot_mod._head_sum(*args)
+            exact = Fraction(0)
+            for k in range(blocks * levels):
+                for j, a in plan.nonzero:
+                    term = Fraction(p * a, q * (k * length + j)) * Fraction(2) ** (n - beta * k)
+                    exact += term - math.floor(term)
+            # acc is unmasked: compare its W-bit fraction with the exact one
+            excess = (exact * 2**width - acc) % 2**width
+            assert 0 <= excess <= budget, (formula.label, n)
+            assert budget or excess == 0, (formula.label, n)
+            assert budget <= blocks, (formula.label, n)
+
+
+# sha256 of the windows below as printed by the per-term head sum that
+# preceded the folded one (one modular power per term)
+PINNED_WINDOWS = "6f658802baa6cfbe7cdce17a987cb0eabfd50c7e79db3aa0da8671469074de63"
+
+
+def test_windows_match_the_per_term_head_sum():
+    plans = [build_plan(f) for f in (golden_formula(), LOG2_FORMULA, family_coeffs(2).formula)]
+    lines = []
+    for plan in plans:
+        for n in (*range(120), 20_000, 41_000, 60_000):
+            for count in (1, 17, 64):
+                w = extract_bits(plan, n, count)
+                lines.append(f"{n} 2 {w.bits} {w.certified}\n")
+            w = extract_hex(plan, n, 16)
+            lines.append(f"{n} 16 {w.bits} {w.certified}\n")
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == PINNED_WINDOWS
 
 
 def _no_child_left():
