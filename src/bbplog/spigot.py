@@ -17,8 +17,11 @@ the exact rational (N * 2**e mod M) / M, reduced by one builtin
 three-argument ``pow`` on the multi-digit modulus M.  The odd part q'
 stays in the modulus because frac(x/q') is not a function of frac(x).
 The levels past the last whole head block, where some exponent may be
-negative, form the tail: its blocks are folded the same way and, when
-e < 0, floored directly in fixed point, down to a cutoff.
+negative, form the tail, down to a cutoff: the head and the tail go
+through one block sum, and a tail block with e < 0 is floored directly
+in fixed point.  None of q',
+the split (j, c_j, s_j), L or the cutoff depends on n, so
+:func:`build_plan` computes them once per formula.
 
 Bound.  Every block enters a W-bit accumulator mod 1 through one floor
 division, so the true value exceeds the accumulated one by less than one
@@ -26,6 +29,11 @@ ulp per block, and a block costs that ulp only when its division leaves
 a remainder.  The discarded terms beyond the cutoff have mixed signs and
 lie in (-1, 1) ulp.  The true accumulator is therefore in (acc - 1, acc
 + budget], and both ends of that interval certify the returned digits.
+W is the digit count plus 64 guard bits, widened by the bit length of
+the expected term count when n is large, so the budget, at most one ulp
+per block and so per term, always fits in the guard bits.
+``certified`` is the longest prefix that no value in the interval
+changes: it is computed, never assumed.
 
 Partition.  The head's accumulator and budget are integer sums over its
 blocks, taken before the mask, so cutting its block range into contiguous
@@ -68,13 +76,17 @@ class DigitWindow:
 
 @dataclass(frozen=True, slots=True)
 class SpigotPlan:
-    """A formula prepared for extraction: power-of-two base, folded scales."""
+    """A formula prepared for extraction: everything that does not depend
+    on the position (module docstring)."""
 
     formula: BbpFormula
     beta: int
-    numerator_scale: int
-    denominator_scale: int
     nonzero: tuple[tuple[int, int], ...]  # (j, a_j), 1-based j
+    q_odd: int
+    split: tuple[tuple[int, int, int], ...]  # (j, c_j, s_j - s_min), all >= 0
+    s_min: int
+    levels: int  # per block
+    cutoff: int  # the tail's last level k has W + n - beta*k >= cutoff
 
 
 def build_plan(f: BbpFormula) -> SpigotPlan:
@@ -87,12 +99,27 @@ def build_plan(f: BbpFormula) -> SpigotPlan:
         raise UnsupportedFormulaError(
             f"base {f.base} not supported; extraction needs a power of two"
         )
+    p, q = f.prefactor.numerator, f.prefactor.denominator
+    nonzero = tuple((j, a) for j, a in enumerate(f.coeffs, start=1) if a)
+    # q = 2**w * q_odd and p*a_j = 2**x_j * c_j (module docstring)
+    w = (q & -q).bit_length() - 1
+    split = []
+    for j, a in nonzero:
+        pa = p * a
+        x = (pa & -pa).bit_length() - 1
+        split.append((j, pa >> x, x - w))
+    # the smallest s_j moves into the exponent e0 = n + s_min
+    s_min = min(s for _, _, s in split)
+    max_pa = max(abs(p * a) for _, a in nonzero)
     return SpigotPlan(
         formula=f,
         beta=f.base.bit_length() - 1,
-        numerator_scale=f.prefactor.numerator,
-        denominator_scale=f.prefactor.denominator,
-        nonzero=tuple((j, a) for j, a in enumerate(f.coeffs, start=1) if a),
+        nonzero=nonzero,
+        q_odd=q >> w,
+        split=tuple((j, c, s - s_min) for j, c, s in split),
+        s_min=s_min,
+        levels=-(-_FOLD_TERMS // len(nonzero)),
+        cutoff=-(2 * len(nonzero) * max_pa).bit_length(),
     )
 
 
@@ -129,7 +156,7 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _fold(split, q_odd, e0, beta, length, width, k0, k1) -> tuple[int, int]:
+def _fold(plan: SpigotPlan, e0: int, width: int, k0: int, k1: int) -> tuple[int, int]:
     """Levels k0 .. k1-1 folded into one exact fraction and floored once:
     floor(2**width * their sum) up to a multiple of 2**width, and the
     remainder of that floor division (zero when it was exact).
@@ -138,14 +165,15 @@ def _fold(split, q_odd, e0, beta, length, width, k0, k1) -> tuple[int, int]:
     s_j >= 0, so the block's smallest, e = e0 - beta*(k1 - 1), is
     factored out.
     """
+    beta, length = plan.beta, plan.formula.length
     num, den = 0, 1
     for k in range(k0, k1):
         shift = beta * (k1 - 1 - k)
         base_index = k * length
-        for j, c, s in split:
+        for j, c, s in plan.split:
             d = base_index + j
             num, den = num * d + (c << shift + s) * den, den * d
-    den *= q_odd
+    den *= plan.q_odd
     e = e0 - beta * (k1 - 1)
     if e >= 0:  # 2**e * num/den mod 1, exactly
         return divmod(num * pow(2, e, den) % den << width, den)
@@ -153,35 +181,35 @@ def _fold(split, q_odd, e0, beta, length, width, k0, k1) -> tuple[int, int]:
     return divmod(num << e, den) if e >= 0 else divmod(num, den << -e)
 
 
-def _head_sum(split, q_odd, e0, beta, length, width, levels, b0, b1) -> tuple[int, int]:
-    """Head blocks b0 .. b1-1 of ``levels`` levels each: the unmasked sum
-    of their floored W-bit fractional parts, and the number of blocks
-    whose floor left a remainder."""
-    fold = (split, q_odd, e0, beta, length, width)
-    acc = 0
-    budget = 0
-    for b in range(b0, b1):
-        contrib, rem = _fold(*fold, b * levels, (b + 1) * levels)
+def _sum_blocks(plan: SpigotPlan, e0: int, width: int, k0: int, k1: int) -> tuple[int, int]:
+    """Levels k0 .. k1-1 in blocks of ``plan.levels``, the last one cut at
+    k1: the unmasked sum of their floored width-bit fractional parts, and
+    the number of blocks whose floor left a remainder."""
+    acc = budget = 0
+    for k in range(k0, k1, plan.levels):
+        contrib, rem = _fold(plan, e0, width, k, min(k + plan.levels, k1))
         acc += contrib
         if rem:
             budget += 1
     return acc, budget
 
 
-def _forked_head_sum(head: tuple, blocks: int, parts: int) -> tuple[int, int]:
-    """``_head_sum(*head, 0, blocks)`` cut into ``parts`` contiguous block
-    ranges.
+def _forked_sum(plan: SpigotPlan, e0: int, width: int, head_end: int, parts: int) -> tuple[int, int]:
+    """``_sum_blocks(plan, e0, width, 0, head_end)``, head_end a whole
+    number of blocks, cut at block boundaries into ``parts`` contiguous
+    level ranges.
 
     The first range is summed here; every other one in a forked child that
     writes its (acc, budget) in hex to a pipe.  A range whose child could
     not start, failed or wrote a short result is summed here instead, so
     the result never depends on the children.
     """
-    bounds = [blocks * i // parts for i in range(parts + 1)]
+    blocks = head_end // plan.levels
+    bounds = [blocks * i // parts * plan.levels for i in range(parts + 1)]
     ranges = list(zip(bounds[1:-1], bounds[2:]))
     children = {}  # range index -> (pid, read end of its pipe)
     try:
-        for i, (b0, b1) in enumerate(ranges):
+        for i, (k0, k1) in enumerate(ranges):
             r, w = os.pipe()
             try:
                 pid = os.fork()
@@ -193,7 +221,7 @@ def _forked_head_sum(head: tuple, blocks: int, parts: int) -> tuple[int, int]:
                 code = 1
                 try:
                     os.close(r)
-                    os.write(w, b"%x %x\n" % _head_sum(*head, b0, b1))
+                    os.write(w, b"%x %x\n" % _sum_blocks(plan, e0, width, k0, k1))
                     code = 0
                 finally:
                     # skips exit handlers and stdio flushes, which would
@@ -201,10 +229,10 @@ def _forked_head_sum(head: tuple, blocks: int, parts: int) -> tuple[int, int]:
                     os._exit(code)
             os.close(w)
             children[i] = (pid, r)
-        acc, budget = _head_sum(*head, bounds[0], bounds[1])
-        for i, (b0, b1) in enumerate(ranges):
+        acc, budget = _sum_blocks(plan, e0, width, bounds[0], bounds[1])
+        for i, (k0, k1) in enumerate(ranges):
             part = _reap(*children.pop(i)) if i in children else None
-            a, b = part or _head_sum(*head, b0, b1)
+            a, b = part or _sum_blocks(plan, e0, width, k0, k1)
             acc += a
             budget += b
     finally:
@@ -229,67 +257,33 @@ def _reap(pid: int, r: int) -> tuple[int, int] | None:
 
 
 def extract_bits(plan: SpigotPlan, n: int, count: int) -> DigitWindow:
-    """Binary digits of the constant at positions n+1 .. n+count.
-
-    The accumulator width is count + 64 guard bits, widened by the bit
-    length of the expected term count (head levels, the levels moved to
-    the tail, and the tail itself) when n is large, so the budget of at
-    most one ulp per fold, fewer than one per term, always fits.  ``certified`` is the longest prefix whose
-    bits cannot change when the true accumulated error (anywhere in
-    (-1, budget] ulp) is added; it is computed, never assumed.
-    """
+    """Binary digits of the constant at positions n+1 .. n+count, with
+    ``certified`` as in the module docstring's Bound paragraph."""
     if count < 1 or count > MAX_WINDOW_BITS:
-        raise ValidationError(f"count: must be in 1..{MAX_WINDOW_BITS}")
+        raise ValidationError(f"count: must be in 1..{MAX_WINDOW_BITS} bits")
     if n < 0:
         raise ValidationError("position: must be nonnegative")
     beta = plan.beta
-    length = plan.formula.length
-    p = plan.numerator_scale
-    q = plan.denominator_scale
-    n_nonzero = len(plan.nonzero)
-
-    # q = 2**w * q_odd and p*a_j = 2**x_j * c_j (module docstring); the
-    # smallest s_j moves into e0, so every split exponent is nonnegative
-    w = (q & -q).bit_length() - 1
-    q_odd = q >> w
-    split = []
-    for j, a in plan.nonzero:
-        pa = p * a
-        x = (pa & -pa).bit_length() - 1
-        split.append((j, pa >> x, x - w))
-    s_min = min(s for _, _, s in split)
-    split = [(j, c, s - s_min) for j, c, s in split]
-    e0 = n + s_min
+    e0 = n + plan.s_min
     head_k = max(0, e0 // beta + 1)
+    head_end = head_k - head_k % plan.levels  # whole blocks only
 
-    levels = max(head_k, n // beta + 1)  # the head and the moved levels
-    est_terms = (levels + 2) * n_nonzero + 128
+    # the head, the levels moved to the tail and the tail itself
+    est_terms = (max(head_k, n // beta + 1) + 2) * len(plan.nonzero) + 128
     width = count + 64 + max(0, est_terms.bit_length() - 32)
-    mask = (1 << width) - 1
 
-    block = -(-_FOLD_TERMS // n_nonzero)  # levels per block
-    head_blocks = head_k // block
-    fold = (split, q_odd, e0, beta, length, width)
-    head = (*fold, block)
-    parts = min(_usable_cpus(), head_blocks * block * n_nonzero // _MIN_PART_TERMS)
+    parts = min(_usable_cpus(), head_end * len(plan.nonzero) // _MIN_PART_TERMS)
     # forking a process that runs other threads can copy a held lock
     if parts > 1 and hasattr(os, "fork") and threading.active_count() == 1:
-        acc, budget = _forked_head_sum(head, head_blocks, parts)
+        acc, budget = _forked_sum(plan, e0, width, head_end, parts)
     else:
-        acc, budget = _head_sum(*head, 0, head_blocks)
+        acc, budget = _sum_blocks(plan, e0, width, 0, head_end)
 
-    # tail: the levels past the last whole head block, folded up to the
-    # last level k with W + n - beta*k >= cutoff
-    max_pa = max(abs(p * a) for _, a in plan.nonzero)
-    cutoff = -(2 * n_nonzero * max_pa).bit_length()
-    k_end = (width + n - cutoff) // beta + 1
-    for k in range(head_blocks * block, k_end, block):
-        contrib, rem = _fold(*fold, k, min(k + block, k_end))
-        acc += contrib
-        if rem:
-            budget += 1
-    acc &= mask
-    budget += 1  # discarded tail: a mixed-sign remainder in (-1, 1) ulp
+    # tail: up to the last level k with W + n - beta*k >= cutoff
+    k_end = (width + n - plan.cutoff) // beta + 1
+    tail_acc, tail_budget = _sum_blocks(plan, e0, width, head_end, k_end)
+    acc = (acc + tail_acc) & ((1 << width) - 1)
+    budget += tail_budget + 1  # the discarded tail: in (-1, 1) ulp
 
     certified = _certified_prefix(acc, width, count, budget)
     bits = format(acc >> (width - count), f"0{count}b")
@@ -300,12 +294,9 @@ def extract_hex(plan: SpigotPlan, hex_position: int, count: int) -> DigitWindow:
     """Hexadecimal digits starting after the given hex position.
 
     A wrapper over :func:`extract_bits` at bit position 4*hex_position,
-    regrouping each four bits into one hex character.
+    regrouping each four bits into one hex character; that function
+    checks the position and the count.
     """
-    if count < 1 or 4 * count > MAX_WINDOW_BITS:
-        raise ValidationError(f"count: must be in 1..{MAX_WINDOW_BITS // 4}")
-    if hex_position < 0:
-        raise ValidationError("position: must be nonnegative")
     window = extract_bits(plan, 4 * hex_position, 4 * count)
     value = int(window.bits, 2)
     return DigitWindow(

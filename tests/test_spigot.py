@@ -42,14 +42,18 @@ def log2_plan():
 
 def test_build_plan_golden(golden_plan):
     assert golden_plan.beta == 20
-    assert golden_plan.numerator_scale == 5
-    assert golden_plan.denominator_scale == 3 << 20
     assert len(golden_plan.nonzero) == 24
+    assert golden_plan.q_odd == 3
+    assert golden_plan.levels == 1
+    assert len(golden_plan.split) == 24
+    assert all(s >= 0 for _, _, s in golden_plan.split)
 
 
 def test_build_plan_log2(log2_plan):
     assert log2_plan.beta == 1
-    assert log2_plan.denominator_scale == 1
+    assert len(log2_plan.nonzero) == 1
+    assert log2_plan.q_odd == 1
+    assert log2_plan.levels == 16
 
 
 def test_build_plan_rejects_non_power_of_two_base():
@@ -135,16 +139,18 @@ def test_power_of_two_split_matches_exact_sum(case):
         assert window.bits == lo
 
 
-def _serial_head_args(monkeypatch, plan, n):
-    """One serial extraction and the arguments it passed to _head_sum."""
+def _serial_block_sums(monkeypatch, plan, n):
+    """One serial extraction and the arguments it passed to _sum_blocks:
+    first the head's, then the tail's, which starts where the head ends."""
     calls = []
-    real = spigot_mod._head_sum
+    real = spigot_mod._sum_blocks
     with monkeypatch.context() as m:
         m.setattr(spigot_mod, "_usable_cpus", lambda: 1)
-        m.setattr(spigot_mod, "_head_sum", lambda *a: calls.append(a) or real(*a))
+        m.setattr(spigot_mod, "_sum_blocks", lambda *a: calls.append(a) or real(*a))
         window = extract_bits(plan, n, 64)
-    (args,) = calls
-    return window, args
+    head, tail = calls
+    assert head[4] == tail[3]
+    return window, head, tail
 
 
 def test_determinism_and_partition_independence(monkeypatch):
@@ -152,39 +158,43 @@ def test_determinism_and_partition_independence(monkeypatch):
     for formula in (golden_formula(), LOG2_FORMULA, family_coeffs(2).formula):
         plan = build_plan(formula)
         for n in (0, 59, 5000, 41_000):
-            window, args = _serial_head_args(monkeypatch, plan, n)
+            window, args, _ = _serial_block_sums(monkeypatch, plan, n)
             assert window == extract_bits(plan, n, 64)
-            *head, k0, head_k = args
+            *head, k0, head_end = args
             assert k0 == 0
-            whole = spigot_mod._head_sum(*args)
-            cuts = [[head_k * i // p for i in range(p + 1)] for p in (1, 2, 3, 7)]
-            cuts.append([0, *sorted(rng.randrange(head_k + 1) for _ in range(4)), head_k])
+            assert head_end % plan.levels == 0
+            whole = spigot_mod._sum_blocks(*args)
+            blocks = head_end // plan.levels
+            cuts = [[blocks * i // p for i in range(p + 1)] for p in (1, 2, 3, 7)]
+            cuts.append([0, *sorted(rng.randrange(blocks + 1) for _ in range(4)), blocks])
             for bounds in cuts:
-                sums = [spigot_mod._head_sum(*head, a, b) for a, b in zip(bounds, bounds[1:])]
+                levels = [b * plan.levels for b in bounds]  # cut on block boundaries
+                sums = [spigot_mod._sum_blocks(*head, a, b) for a, b in zip(levels, levels[1:])]
                 assert (sum(a for a, _ in sums), sum(b for _, b in sums)) == whole, (n, bounds)
 
 
 def test_head_sum_brackets_the_exact_head(monkeypatch):
-    # golden and t = +-2**s fold one level per block, log2 several
+    # golden and t = +-2**s fold one level per block, log2 several; the
+    # tail's last blocks have negative exponents, floored in fixed point
     for formula in (golden_formula(), LOG2_FORMULA, *(family_coeffs(t).formula for t in (2, -4))):
         plan = build_plan(formula)
         beta, length = plan.beta, formula.length
-        p, q = plan.numerator_scale, plan.denominator_scale
         for n in (0, 1, 59, 60, 61, 500, 2000):
-            _, args = _serial_head_args(monkeypatch, plan, n)
-            *_, width, levels, b0, blocks = args
-            assert b0 == 0
-            acc, budget = spigot_mod._head_sum(*args)
-            exact = Fraction(0)
-            for k in range(blocks * levels):
-                for j, a in plan.nonzero:
-                    term = Fraction(p * a, q * (k * length + j)) * Fraction(2) ** (n - beta * k)
-                    exact += term - math.floor(term)
-            # acc is unmasked: compare its W-bit fraction with the exact one
-            excess = (exact * 2**width - acc) % 2**width
-            assert 0 <= excess <= budget, (formula.label, n)
-            assert budget or excess == 0, (formula.label, n)
-            assert budget <= blocks, (formula.label, n)
+            _, head, tail = _serial_block_sums(monkeypatch, plan, n)
+            assert head[3] == 0
+            for args in (head, tail):
+                *_, width, k0, k1 = args
+                acc, budget = spigot_mod._sum_blocks(*args)
+                exact = Fraction(0)
+                for k in range(k0, k1):
+                    for j, a in plan.nonzero:
+                        term = formula.prefactor * a / (k * length + j) * Fraction(2) ** (n - beta * k)
+                        exact += term - math.floor(term)
+                # acc is unmasked: compare its W-bit fraction with the exact one
+                excess = (exact * 2**width - acc) % 2**width
+                assert 0 <= excess <= budget, (formula.label, n, k0)
+                assert budget or excess == 0, (formula.label, n, k0)
+                assert budget <= -(-(k1 - k0) // plan.levels), (formula.label, n, k0)
 
 
 # sha256 of the windows below as printed by the per-term head sum that
@@ -228,14 +238,16 @@ def test_forked_head_equals_serial(golden_plan, monkeypatch):
 @pytest.mark.parametrize("fault", ["raise", "short", "exit", "fork"])
 def test_parent_resums_the_range_of_a_failed_child(golden_plan, monkeypatch, fault):
     n = 41_000
-    expected, _ = _serial_head_args(monkeypatch, golden_plan, n)
+    expected, head, _ = _serial_block_sums(monkeypatch, golden_plan, n)
+    head_end = head[4]
     parent = os.getpid()
-    real_sum, real_write, real_exit = spigot_mod._head_sum, os.write, os._exit
+    real_sum, real_write, real_exit = spigot_mod._sum_blocks, os.write, os._exit
     parent_ranges = []
 
-    def head_sum(*args):
+    def sum_blocks(*args):
         if os.getpid() == parent:
-            parent_ranges.append(args[-2:])
+            if args[3] < head_end:  # not the tail
+                parent_ranges.append(args[-2:])
         elif fault == "raise":
             raise RuntimeError("child failed")
         return real_sum(*args)
@@ -249,7 +261,7 @@ def test_parent_resums_the_range_of_a_failed_child(golden_plan, monkeypatch, fau
     def no_fork():
         raise BlockingIOError("no process to spare")
 
-    monkeypatch.setattr(spigot_mod, "_head_sum", head_sum)
+    monkeypatch.setattr(spigot_mod, "_sum_blocks", sum_blocks)
     if fault == "short":
         monkeypatch.setattr(os, "write", write)
     elif fault == "exit":
@@ -263,7 +275,7 @@ def test_parent_resums_the_range_of_a_failed_child(golden_plan, monkeypatch, fau
 
 
 def test_no_fork_while_another_thread_runs(golden_plan, monkeypatch):
-    expected, _ = _serial_head_args(monkeypatch, golden_plan, 41_000)
+    expected, _, _ = _serial_block_sums(monkeypatch, golden_plan, 41_000)
     monkeypatch.setattr(spigot_mod, "_usable_cpus", lambda: 3)
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked a threaded process"))
     release = threading.Event()
@@ -334,5 +346,9 @@ def test_window_validation(golden_plan):
         extract_bits(golden_plan, 0, 65)
     with pytest.raises(ValidationError, match="count"):
         extract_hex(golden_plan, 0, 0)
+    with pytest.raises(ValidationError, match="count"):
+        extract_hex(golden_plan, 0, 17)
     with pytest.raises(ValidationError, match="position"):
         extract_bits(golden_plan, -1, 8)
+    with pytest.raises(ValidationError, match="position"):
+        extract_hex(golden_plan, -1, 4)
