@@ -24,7 +24,7 @@ lines of the checks before it.
 eval and verify reject --bits above MAX_BITS = 300 000 before any work
 starts.  At the cap (2 vCPU Xeon, Python 3.11.7, one run each) eval
 takes 4.5 s for golden and 21 s for log2, and one verify check 12 s
-(corollary), 10-14 s (theorem, t = -50 and 1) or 43-44 s
+(corollary), 10-14 s (theorem, t = -50 and 1) or 16-17 s
 (decomposition, t = -50 and 1); the time grows about quadratically in
 --bits.  A --t range is lazy and has
 no cap: verify runs one check per t in turn, printing as it goes, for as

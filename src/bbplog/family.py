@@ -136,10 +136,6 @@ def golden_constant(frac_bits: int) -> FixedReal:
 
 # -- the four-term polylogarithm decomposition check ----------------------
 
-# Re Li_1[q e^{ix}] = -log(1 - 2q cos x + q^2)/2 at the four angles
-# k*pi/20, k = 1, 7, 9, 17, with alternating signs.
-_DECOMPOSITION_SIGNS = (1, -1, 1, -1)
-
 
 def _decomposition_cosines(s5: FixedReal) -> tuple[FixedReal, ...]:
     """cos(k*pi/20) for k = 1, 7, 9, 17 from a certified sqrt(5).
@@ -160,26 +156,39 @@ def _decomposition_cosines(s5: FixedReal) -> tuple[FixedReal, ...]:
     )
 
 
+def _decomposition_radicands(t: int, s5: FixedReal) -> tuple[FixedReal, ...]:
+    """R_i = 1 - 2q cos x_i + q^2 with q = 1/(t*sqrt(2)), one per cosine."""
+    work = s5.frac_bits
+    s2 = fx_sqrt(FixedReal.from_int(2, work))
+    q = s2.mul_fraction(Fraction(1, 2 * t))
+    q2 = q * q
+    one = FixedReal.from_int(1, work)
+    return tuple(one - (q * c).mul_int(2) + q2 for c in _decomposition_cosines(s5))
+
+
 def verify_li1_decomposition(t: int, work: int) -> tuple[FixedReal, FixedReal]:
     """Both sides of the alternating four-term log identity at ``work`` bits.
 
-    Left side: atanh(u(t)*sqrt(5)).  Right side: the alternating sum of
-    Re Li_1[(1/(t*sqrt(2))) e^{i k pi/20}] for k in {1, 7, 9, 17}, each
-    evaluated through its closed log form with closed-form cosines.
+    Left side: atanh(u(t)*sqrt(5)), through its own log.  Right side: the
+    alternating sum of Re Li_1[q e^{i x_i}] = -log(R_i)/2 with
+    R_i = 1 - 2q cos x_i + q^2, q = 1/(t*sqrt(2)) and x_i = k*pi/20 for
+    k in {1, 7, 9, 17}, each R_i built from its closed-form cosine.  The
+    signed sum of the four logs is the log of one quotient,
+
+        sum_i (-1)**i log R_i = log(R_0 R_2 / (R_1 R_3)),
+
+    so the right side takes a single log.  The quotient is oriented to be
+    >= 1, the larger product over the smaller with the sign flipped, as
+    :func:`fx_atanh` does.  No divisor can reach zero: R_i = |1 - q
+    e^{i x_i}|**2 >= (1 - |q|)**2 > 0.08, because |q| <= 1/sqrt(2).
     Returns ``(lhs, rhs)``; the caller judges their agreement.
     """
     if t == 0:
         raise DomainError("t must be a nonzero integer")
     s5 = fx_sqrt(FixedReal.from_int(5, work))
     lhs = fx_atanh(s5.mul_fraction(_lhs_argument(t)))
-
-    s2 = fx_sqrt(FixedReal.from_int(2, work))
-    q = s2.mul_fraction(Fraction(1, 2 * t))  # 1/(t*sqrt(2))
-    q2 = q * q
-    one = FixedReal.from_int(1, work)
-    total = None
-    for c, sgn in zip(_decomposition_cosines(s5), _DECOMPOSITION_SIGNS):
-        radicand = one - (q * c).mul_int(2) + q2
-        log_term = fx_log(radicand).mul_int(sgn)
-        total = log_term if total is None else total + log_term
-    return lhs, total.div_int(-2)
+    r0, r1, r2, r3 = _decomposition_radicands(t, s5)
+    num, den = r0 * r2, r1 * r3
+    if num.mantissa >= den.mantissa:
+        return lhs, fx_log(num / den).div_int(-2)
+    return lhs, fx_log(den / num).div_int(2)

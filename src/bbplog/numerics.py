@@ -293,6 +293,8 @@ def agreement_bits(a: FixedReal, b: FixedReal) -> int:
 
 # -- square root -------------------------------------------------------
 
+_LOW64 = (1 << 64) - 1
+
 
 def fx_sqrt(x: FixedReal) -> FixedReal:
     """Square root with a certified bound.
@@ -303,17 +305,27 @@ def fx_sqrt(x: FixedReal) -> FixedReal:
     in ulp, with d = e << F, A = ceil(d/s) and B = ceil(sqrt(d)).  When
     s*s >= d, d/s <= sqrt(d) and so A <= B; otherwise (s = 0 included)
     B <= A.  Only the smaller bound is computed.
+
+    Neither decision needs s*s in full as a rule.  The root is exact only
+    if s*s and the scaled mantissa agree mod 2**64, which the low 64 bits
+    of s decide; and 2*(bitlen(s) - 1) >= bitlen(d) already gives
+    s*s >= 2**bitlen(d) > d.  s is squared only when those tests leave
+    the answer open.
     """
     if x.mantissa < 0:
         raise DomainError("fx_sqrt of a negative value")
     F = x.frac_bits
     scaled = x.mantissa << F
     s = math.isqrt(scaled)
-    square = s * s
-    e = 0 if square == scaled else 1
+    low = s & _LOW64
+    exact = (low * low & _LOW64) == (scaled & _LOW64) and s * s == scaled
+    e = 0 if exact else 1
     if x.err_ulp:
         d = x.err_ulp << F
-        e += _ceil_div(d, s) if square >= d else _isqrt_ceil(d)
+        if 2 * (s.bit_length() - 1) >= d.bit_length() or s * s >= d:
+            e += _ceil_div(d, s)
+        else:
+            e += _isqrt_ceil(d)
     return FixedReal(s, F, e)
 
 

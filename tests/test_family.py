@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import decimal
 import math
 from fractions import Fraction
 
 import pytest
 
+import bbplog.family as family_mod
+import bbplog.numerics as numerics_mod
 from bbplog.errors import DomainError
 from bbplog.family import (
     FAMILY_LENGTH,
+    _decomposition_radicands,
     family_coeffs,
     golden_constant,
     golden_formula,
@@ -17,7 +21,9 @@ from bbplog.family import (
     verify_li1_decomposition,
 )
 from bbplog.formula import eval_P
-from bbplog.numerics import agreement_bits
+from bbplog.numerics import FixedReal, agreement_bits, fx_sqrt
+
+from _oracles import li1_decomposition_decimal
 
 # the t=1 coefficient vector, all 24 nonzero entries signed powers of two
 T1_COEFFS = (
@@ -154,3 +160,43 @@ def test_li1_decomposition(t):
 def test_li1_decomposition_rejects_t_zero():
     with pytest.raises(DomainError):
         verify_li1_decomposition(0, 64)
+
+
+@pytest.mark.parametrize("work", [64, 1000])
+@pytest.mark.parametrize("t", [1, -1, 2, -2, 7, -13, 50])
+def test_li1_decomposition_rhs_contains_decimal_oracle(t, work):
+    # the right side's interval must hold the stdlib decimal value of
+    # -1/2 sum (-1)**i ln R_i, widened only by the oracle's own bound
+    ctx = decimal.Context(prec=work * 30103 // 100000 + 12)
+    ref, ref_err = li1_decomposition_decimal(t, ctx)
+    assert Fraction(ref_err) < Fraction(1, 1 << work)
+    _, rhs = verify_li1_decomposition(t, work)
+    assert abs(Fraction(ref) - rhs.value) <= rhs.err + Fraction(ref_err)
+
+
+def test_li1_decomposition_takes_one_log_per_side(monkeypatch):
+    # the right side's four logs are one log of R_0 R_2 / (R_1 R_3); the
+    # left side keeps its own, inside fx_atanh
+    calls = []
+    real_log = numerics_mod.fx_log
+
+    def counting_log(x):
+        calls.append(x)
+        return real_log(x)
+
+    monkeypatch.setattr(numerics_mod, "fx_log", counting_log)
+    monkeypatch.setattr(family_mod, "fx_log", counting_log)
+    for t in (1, -1, 7):
+        calls.clear()
+        verify_li1_decomposition(t, 1088)
+        assert len(calls) == 2, t
+
+    # the divisor bound: R_i >= (1 - |q|)**2 with |q| = 1/sqrt(2) at t = +-1,
+    # and every interval end stays above it
+    for t in (1, -1):
+        for work in (64, 1088):
+            s5 = fx_sqrt(FixedReal.from_int(5, work))
+            for r in _decomposition_radicands(t, s5):
+                low = Fraction(r.mantissa - r.err_ulp, 1 << work)
+                # low > 3/2 - sqrt(2), the square of 1 - 1/sqrt(2)
+                assert low >= Fraction(3, 2) or (Fraction(3, 2) - low) ** 2 < 2, (t, work)

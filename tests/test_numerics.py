@@ -116,6 +116,59 @@ def test_sqrt_error_is_the_smaller_of_both_bounds():
         assert fx_sqrt(FixedReal(m, F, e)).err_ulp == rounding + prop
 
 
+def _sqrt_by_full_square(x: FixedReal) -> tuple[int, int]:
+    # the expression fx_sqrt used before it tested low bits and bit
+    # lengths first: square s in full, then decide both charges
+    F = x.frac_bits
+    scaled = x.mantissa << F
+    s = math.isqrt(scaled)
+    square = s * s
+    e = 0 if square == scaled else 1
+    if x.err_ulp:
+        d = x.err_ulp << F
+        if square >= d:
+            e += -(-d // s)
+        else:
+            r = math.isqrt(d)
+            e += r if r * r == d else r + 1
+    return s, e
+
+
+def test_sqrt_cheap_tests_match_full_square():
+    rng = random.Random(20261018)
+    cases = []
+    # s*s and the scaled mantissa agree mod 2**64 but differ: s = a << 32
+    # with s > 2**63 makes s*s = 0 mod 2**64, and adding k*2**64 <= 2s
+    # keeps isqrt at s
+    for _ in range(100):
+        s = rng.randrange(1 << 31, 1 << 60) << 32
+        k = rng.randrange(1, (2 * s >> 64) + 1)
+        scaled = s * s + (k << 64)
+        assert math.isqrt(scaled) == s
+        assert (s * s - scaled) % (1 << 64) == 0 and s * s != scaled
+        cases.append(FixedReal(scaled >> 64, 64, rng.choice([0, 1, k])))
+    # exact squares, zero among them
+    for F in (2, 64, 300):
+        for r in (0, 1, 3 << F, (1 << 90) + 7 << F // 2 + 1):
+            if r * r % (1 << F) == 0:
+                cases += [FixedReal(r * r >> F, F, e) for e in (0, 1, 5)]
+    # d = e << F on both sides of s*s and of the bit-length test
+    for _ in range(100):
+        F = rng.choice([64, 300])
+        m = rng.randrange(1, 1 << rng.randint(1, F))
+        for e in {m - 1, m, m + 1, 1 << m.bit_length(), 1 << m.bit_length() - 1}:
+            if e > 0:
+                cases.append(FixedReal(m, F, e))
+    # random values
+    for _ in range(200):
+        F = rng.choice([64, 1100, 4100])
+        m = rng.randrange(1 << rng.randint(0, F + 8))
+        cases.append(FixedReal(m, F, rng.choice([0, rng.randrange(1, 1 << F)])))
+    for x in cases:
+        y = fx_sqrt(x)
+        assert (y.mantissa, y.err_ulp) == _sqrt_by_full_square(x), x
+
+
 # -- fx_log ---------------------------------------------------------------
 
 

@@ -37,12 +37,23 @@ def test_theorem_t1_at_100000_bits():
     assert report.agreement_bits >= 100_000
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("t", [1, -50])
+def test_decomposition_at_100000_bits(t):
+    # one log of the quotient of the radicand products against the left
+    # side's own log; t = 1 has the smallest radicand, t = -50 the smallest |q|
+    report = verify_decomposition(t, 100_000)
+    assert report.passed
+    assert report.agreement_bits >= 100_000
+
+
 # agreement bits of verify_theorem and verify_decomposition at 1000 bits,
 # recorded when fx_log still split off n*ln 2 with a cached ln 2; every
 # check passed, theorem read 1085 throughout and decomposition 1083 for
-# every t not listed here
+# every t not listed here.  t = -4, 6, 10 and 12 read 1082 until the right
+# side took one log of a quotient instead of four logs, and gained a bit.
 DECOMPOSITION_BITS_AT_1000 = {
-    **dict.fromkeys((-4, -3, -2, 2, 3, 4, 5, 6, 10, 12), 1082),
+    **dict.fromkeys((-3, -2, 2, 3, 4, 5), 1082),
     -1: 1081,
     1: 1081,
 }
