@@ -4,15 +4,19 @@ A formula stands for the constant
 
     prefactor * sum_{k>=0} b**-k * sum_{j=1..l} a_j / (k*l + j)**s
 
-Bound of eval_P at F bits.  Level k folds its nonzero terms into one exact
-fraction P_k/Q_k, Q_k = prod_j (k*l + j)**s, and floors it once at width
-W_k = F + G - k*c, where c = floor(log2 b), K is the level count and
-G = bitlen(2K) + 2 the guard.  Horner carries the deeper levels to width
-W_k as floor(acc * 2**c / b).  Each floor costs under one ulp of its width
-and 2**c/b <= 1 never grows an earlier error, so the sum at F + G is off
-by under 2K < 2**(G-2) ulp, or K when b = 2**c (its Horner step is exact
-and skipped).  FixedReal charges the prefactor and the rescale to F, and
-the tail majorant of _truncation is added once.
+Bound of eval_P at F bits.  The K levels are summed in blocks of
+L = ceil(T / nonzero terms) levels (T = ``_BLOCK_TERMS``), deepest block
+first.  c = floor(log2 b), G = bitlen(2K) + 2 is the guard and
+W_k = F + G - k*c.  The block of levels k0 .. k1-1 is folded into one
+exact fraction b**(k1-1-k0) * sum_k b**(k0-k) * S_k (``_fold_levels``,
+S_k the level's sum over j) and floored once at width W_k0, dividing by
+b**(k1-1-k0).  Horner carries the deeper blocks to width W_k0 as
+floor(acc * 2**(c*L) / b**L).  Each floor costs under one ulp of its
+width, and 2**(cL)/b**L <= 1 never grows an earlier error, so each block
+costs under 2 ulp at F + G, or 1 when b = 2**c (its Horner step is exact
+and skipped, and the division a shift).  That charge is at most
+2K < 2**(G-2) ulp.  FixedReal charges the prefactor and the rescale to
+F, and the tail majorant of _truncation is added once.
 """
 
 from __future__ import annotations
@@ -73,21 +77,64 @@ class EvalResult:
     tail_bound_ulp: int
 
 
+# T, the terms folded into one block fraction.  A block pays one long
+# division at its width, so eval wants more terms per block than the
+# spigot, whose blocks pay a modular power.  eval_P took, in ms at
+# T = 8, 16, 32, 64, 128 and 256 (best of 5, best of 2 at 10**5 bits;
+# 2 vCPU Xeon, Python 3.11.7):
+#   log2    20 000 bits   40.2  28.3  22.2  19.9  20.5  24.9
+#   golden  20 000 bits   18.4  19.0  17.0  15.2  17.0  27.8
+#   t = 3   20 000 bits    8.6   8.7   7.1   6.4   6.6   8.3
+#   log2   100 000 bits     -   363   316   238   231   267
+#   golden 100 000 bits     -   376   338   296   266   291
+# At 4 000 and 8 000 bits T = 64 was within 10% of the best for these
+# three and for t = 2 and -7.
+_BLOCK_TERMS = 64
+
+
+def _fold_levels(
+    base: int, degree: int, length: int, terms: tuple[tuple[int, int], ...], k0: int, k1: int
+) -> tuple[int, int]:
+    """Levels k0 .. k1-1 as one exact fraction (num, den):
+    sum_k base**(k1-1-k) * sum_(j, a) a / (k*length + j)**degree, in
+    Horner form, over the nonzero (j, a) pairs given."""
+    num, den = 0, 1
+    for k in range(k0, k1):
+        num *= base
+        kl = k * length
+        for j, a in terms:
+            d = kl + j
+            if degree != 1:  # every shipped formula has degree 1: skip the pow
+                d **= degree
+            num, den = num * d + a * den, den * d
+    return num, den
+
+
 def _truncation(f: BbpFormula, frac_bits: int) -> tuple[int, int]:
     """Terms K to sum and the tail majorant, in ulps, of what is left out.
 
     Tail for k >= K:  |prefactor| * max|a_j| * l / (K*l+1)**s * b**-K * b/(b-1),
     using (k*l+1) >= (K*l+1) and the geometric sum of b**-k.  K is the
-    first level whose unscaled majorant drops below one ulp.
+    first level whose unscaled majorant drops below one ulp:
+    top = max|a_j| * l * b * 2**frac_bits < den(K) = (K*l+1)**s * b**K * (b-1).
+    den is strictly increasing and den(K) >= 2**(c*K) > top for
+    K = bitlen(top)//c + 1, c = floor(log2 b), so K is found by bisection.
     """
-    max_a = max(abs(a) for a in f.coeffs)
-    top = max_a * f.length * f.base << frac_bits
-    K, bpow = 0, 1
-    while top >= (den := (K * f.length + 1) ** f.degree * bpow * (f.base - 1)):
-        bpow *= f.base
-        K += 1
+    length, degree, b = f.length, f.degree, f.base
+    top = max(abs(a) for a in f.coeffs) * length * b << frac_bits
+
+    def den(K: int) -> int:
+        return (K * length + 1) ** degree * b**K * (b - 1)
+
+    lo, hi = 0, top.bit_length() // (b.bit_length() - 1) + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if top < den(mid):
+            hi = mid
+        else:
+            lo = mid + 1
     p, q = f.prefactor.numerator, f.prefactor.denominator
-    return K, -(-top * abs(p) // (den * q))
+    return lo, -(-top * abs(p) // (den(lo) * q))
 
 
 def eval_P(f: BbpFormula, frac_bits: int) -> EvalResult:
@@ -100,20 +147,26 @@ def eval_P(f: BbpFormula, frac_bits: int) -> EvalResult:
         )
     K, tail_ulp = _truncation(f, frac_bits)
     W0 = frac_bits + (2 * K).bit_length() + 2  # F + G
-    c = f.base.bit_length() - 1
-    exact_step = f.base == 1 << c
-    terms = [(j, a) for j, a in enumerate(f.coeffs, start=1) if a]
+    b = f.base
+    c = b.bit_length() - 1
+    exact_step = b == 1 << c
+    terms = tuple((j, a) for j, a in enumerate(f.coeffs, start=1) if a)
+    L = -(-_BLOCK_TERMS // len(terms))
+    blocks = range(0, K, L)
+    carry = b**L
     acc = 0
-    for k in reversed(range(K)):
-        if not exact_step:
-            acc = (acc << c) // f.base
-        num, den = 0, 1
-        for j, a in terms:
-            d = (k * f.length + j) ** f.degree
-            num, den = num * d + a * den, den * d
-        # floor(num * 2**W_k / den); deep levels may have W_k < 0
-        acc += (num << max(W0 - k * c, 0)) // (den << max(k * c - W0, 0))
-    total = FixedReal(acc, W0, K if exact_step else 2 * K)
+    for k0 in reversed(blocks):
+        k1 = min(k0 + L, K)
+        num, den = _fold_levels(b, f.degree, f.length, terms, k0, k1)
+        if exact_step:  # dividing by b**(k1-1-k0) narrows the width
+            w = W0 - (k1 - 1) * c
+        else:
+            acc = (acc << c * L) // carry
+            w = W0 - k0 * c
+            den *= b ** (k1 - 1 - k0)
+        # floor(num * 2**w / den); deep blocks may have w < 0
+        acc += (num << max(w, 0)) // (den << max(-w, 0))
+    total = FixedReal(acc, W0, len(blocks) if exact_step else 2 * len(blocks))
     total = total.mul_fraction(f.prefactor).rescale(frac_bits)
     value = FixedReal(total.mantissa, frac_bits, total.err_ulp + tail_ulp)
     return EvalResult(value=value, terms_used=K, tail_bound_ulp=tail_ulp)

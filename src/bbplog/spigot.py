@@ -9,18 +9,21 @@ b = 2**beta, the bits after position n are the fractional part of
 Write q = 2**w * q' and p*a_j = 2**x_j * c_j with q' and c_j odd, and
 s_j = x_j - w.  Each term is then c_j * 2**(n - beta*k + s_j) / (q'*(k*l + j)).
 The levels are cut into blocks of L = ceil(T / nonzero terms) whole
-levels (T = ``_FOLD_TERMS``), so that each block has about T terms.  A block is folded into one
-exact fraction N/M, with M = q' * prod (k*l + j) over its terms, times
-2**e, where e is the block's smallest exponent.  On a head block every
-exponent is nonnegative, so e >= 0 and the block's fractional part is
-the exact rational (N * 2**e mod M) / M, reduced by one builtin
-three-argument ``pow`` on the multi-digit modulus M.  The odd part q'
-stays in the modulus because frac(x/q') is not a function of frac(x).
-The levels past the last whole head block, where some exponent may be
-negative, form the tail, down to a cutoff: the head and the tail go
-through one block sum, and a tail block with e < 0 is floored directly
-in fixed point.  None of q',
-the split (j, c_j, s_j), L or the cutoff depends on n, so
+levels (T = ``_FOLD_TERMS``), so that each block has about T terms.  A
+block is folded into one exact fraction N/M, with M = q' * prod (k*l + j)
+over its terms, times 2**e, where e is the block's smallest exponent.
+N/M comes from the fold that ``eval_P`` uses too,
+``formula._fold_levels``, with base 2**beta, degree 1 and the pairs
+(j, c_j * 2**(s_j - s_min)), s_min the smallest s_j; M also takes q'.
+On a head block every exponent is nonnegative, so e >= 0 and the
+block's fractional part is the exact rational (N * 2**e mod M) / M,
+reduced by one builtin three-argument ``pow`` on the multi-digit
+modulus M.  The odd part q' stays in the modulus because frac(x/q') is
+not a function of frac(x).  The levels past the last whole head block,
+where some exponent may be negative, form the tail, down to a cutoff:
+the head and the tail go through one block sum, and a tail block with
+e < 0 is floored directly in fixed point.  None of q', s_min, the pairs,
+L or the cutoff depends on n, so
 :func:`build_plan` computes them once per formula.
 
 Bound.  Every block enters a W-bit accumulator mod 1 through one floor
@@ -51,7 +54,7 @@ import threading
 from dataclasses import dataclass
 
 from .errors import UnsupportedFormulaError, ValidationError
-from .formula import BbpFormula
+from .formula import BbpFormula, _fold_levels
 
 __all__ = ["SpigotPlan", "DigitWindow", "build_plan", "extract_bits", "extract_hex"]
 
@@ -83,7 +86,7 @@ class SpigotPlan:
     beta: int
     nonzero: tuple[tuple[int, int], ...]  # (j, a_j), 1-based j
     q_odd: int
-    split: tuple[tuple[int, int, int], ...]  # (j, c_j, s_j - s_min), all >= 0
+    terms: tuple[tuple[int, int], ...]  # (j, c_j * 2**(s_j - s_min))
     s_min: int
     levels: int  # per block
     cutoff: int  # the tail's last level k has W + n - beta*k >= cutoff
@@ -101,23 +104,19 @@ def build_plan(f: BbpFormula) -> SpigotPlan:
         )
     p, q = f.prefactor.numerator, f.prefactor.denominator
     nonzero = tuple((j, a) for j, a in enumerate(f.coeffs, start=1) if a)
-    # q = 2**w * q_odd and p*a_j = 2**x_j * c_j (module docstring)
+    # q = 2**w * q_odd and p*a_j = 2**x_j * c_j (module docstring); the
+    # smallest s_j = x_j - w moves into the exponent e0 = n + s_min, which
+    # leaves c_j * 2**(s_j - s_min) = p*a_j / 2**(min x_j)
     w = (q & -q).bit_length() - 1
-    split = []
-    for j, a in nonzero:
-        pa = p * a
-        x = (pa & -pa).bit_length() - 1
-        split.append((j, pa >> x, x - w))
-    # the smallest s_j moves into the exponent e0 = n + s_min
-    s_min = min(s for _, _, s in split)
+    x_min = min((p * a & -(p * a)).bit_length() - 1 for _, a in nonzero)
     max_pa = max(abs(p * a) for _, a in nonzero)
     return SpigotPlan(
         formula=f,
         beta=f.base.bit_length() - 1,
         nonzero=nonzero,
         q_odd=q >> w,
-        split=tuple((j, c, s - s_min) for j, c, s in split),
-        s_min=s_min,
+        terms=tuple((j, p * a >> x_min) for j, a in nonzero),
+        s_min=x_min - w,
         levels=-(-_FOLD_TERMS // len(nonzero)),
         cutoff=-(2 * len(nonzero) * max_pa).bit_length(),
     )
@@ -161,20 +160,15 @@ def _fold(plan: SpigotPlan, e0: int, width: int, k0: int, k1: int) -> tuple[int,
     floor(2**width * their sum) up to a multiple of 2**width, and the
     remainder of that floor division (zero when it was exact).
 
-    A term at level k has exponent e0 - beta*k + s_j with every split
-    s_j >= 0, so the block's smallest, e = e0 - beta*(k1 - 1), is
-    factored out.
+    A term at level k has exponent e0 - beta*k + (s_j - s_min), every
+    s_j - s_min >= 0, so the block's smallest, e = e0 - beta*(k1 - 1), is
+    factored out: what is left of level k is base**(k1-1-k) times its
+    plan terms, the fold's Horner form.
     """
-    beta, length = plan.beta, plan.formula.length
-    num, den = 0, 1
-    for k in range(k0, k1):
-        shift = beta * (k1 - 1 - k)
-        base_index = k * length
-        for j, c, s in plan.split:
-            d = base_index + j
-            num, den = num * d + (c << shift + s) * den, den * d
+    f = plan.formula
+    num, den = _fold_levels(f.base, 1, f.length, plan.terms, k0, k1)
     den *= plan.q_odd
-    e = e0 - beta * (k1 - 1)
+    e = e0 - plan.beta * (k1 - 1)
     if e >= 0:  # 2**e * num/den mod 1, exactly
         return divmod(num * pow(2, e, den) % den << width, den)
     e += width

@@ -134,6 +134,20 @@ def bbp_sum_exact(
     return prefactor * total
 
 
+def truncation_walk(f, frac_bits: int) -> tuple[int, int]:
+    """(K, tail ulp) of ``formula._truncation`` by walking K = 0, 1, 2, ...
+    until top < den(K) = (K*l+1)**s * b**K * (b-1), with
+    top = max|a_j| * l * b * 2**frac_bits."""
+    max_a = max(abs(a) for a in f.coeffs)
+    top = max_a * f.length * f.base << frac_bits
+    K, bpow = 0, 1
+    while top >= (den := (K * f.length + 1) ** f.degree * bpow * (f.base - 1)):
+        bpow *= f.base
+        K += 1
+    p, q = f.prefactor.numerator, f.prefactor.denominator
+    return K, -(-top * abs(p) // (den * q))
+
+
 def sqrt5_pair_pow(a: int, b: int, n: int) -> tuple[int, int]:
     """(a + b*sqrt5)**n in Z[sqrt5], returned as a coefficient pair."""
     ra, rb = 1, 0

@@ -8,12 +8,15 @@ from fractions import Fraction
 
 import pytest
 
+import bbplog.formula as formula_mod
 from bbplog.errors import ParseError, ValidationError
+from bbplog.family import family_coeffs, golden_formula
 from bbplog.formula import BbpFormula, emit_formula, eval_P, parse_formula
-from bbplog.formula import _truncation
-from bbplog.numerics import FixedReal, fx_log
+from bbplog.formula import _fold_levels, _truncation
+from bbplog.numerics import FixedReal, agreement_bits, fx_log
+from bbplog.presets import load_preset
 
-from _oracles import bbp_sum_exact, log2_series
+from _oracles import bbp_sum_exact, log2_series, truncation_walk
 
 LOG2_FORMULA = BbpFormula(
     degree=1, base=2, length=1, coeffs=(1,), prefactor=Fraction(1), label="2*log(2)"
@@ -101,6 +104,87 @@ def test_truncation_bound_is_sound_on_random_formulas():
             # one ulp each for mul_fraction and the rescale to F
             rounding = res.value.err_ulp - res.tail_bound_ulp
             assert rounding <= math.ceil(abs(f.prefactor) / 4) + 2
+
+
+@pytest.mark.parametrize("base", [2, 3, 16, pytest.param(2**20 * 3**40, id="2**20*3**40")])
+def test_fold_levels_is_the_exact_block_sum(base):
+    # sum_{k0 <= k < k1} base**(k1-1-k) * sum_j a_j / (k*l + j)**s
+    for coeffs in ((3, 0, -5, 1), (-7,)):
+        terms = tuple((j, a) for j, a in enumerate(coeffs, start=1) if a)
+        L = -(-formula_mod._BLOCK_TERMS // len(terms))
+        for degree in (1, 2, 3):
+            for k0 in (0, 1, 37):
+                for n in range(1, L + 2):
+                    k1 = k0 + n
+                    num, den = _fold_levels(base, degree, len(coeffs), terms, k0, k1)
+                    exact = sum(
+                        Fraction(a * base ** (k1 - 1 - k), (k * len(coeffs) + j) ** degree)
+                        for k in range(k0, k1)
+                        for j, a in terms
+                    )
+                    assert Fraction(num, den) == exact, (coeffs, degree, k0, n)
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3, 5])
+def test_eval_blocks_match_exact_sum(monkeypatch, levels):
+    # three nonzero terms, so T = 3 * levels gives blocks of that many
+    # levels; the bases are not powers of two, so the Horner step runs
+    monkeypatch.setattr(formula_mod, "_BLOCK_TERMS", 3 * levels)
+    for base, F in ((3, 103), (2**20 * 3**40, 1344)):
+        f = BbpFormula(2, base, 4, (2, -1, 0, 5), Fraction(-3, 7))
+        res = eval_P(f, F)
+        K = res.terms_used
+        assert levels == 1 or K % levels, (base, K)
+        # the rounding charge alone bounds the distance to the K-level sum
+        rounding = res.value.err_ulp - res.tail_bound_ulp
+        assert rounding <= 3
+        partial = bbp_sum_exact(f.degree, f.base, f.coeffs, f.prefactor, K)
+        assert abs(res.value.value - partial) <= Fraction(rounding, 1 << F), (base, levels)
+
+
+def test_truncation_bisection_matches_walk():
+    rng = random.Random(20261018)
+    formulas = []
+    for F in (64, 65, 300, 1000, 4096):
+        for _ in range(220):
+            length = rng.randint(1, 6)
+            coeffs = tuple(rng.randint(-50, 50) for _ in range(length))
+            if not any(coeffs):
+                continue
+            base = rng.choice((2**20 * 3**40, round(10 ** rng.uniform(0.31, 6))))
+            prefactor = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            f = BbpFormula(rng.randint(1, 6), base, length, coeffs, prefactor)
+            formulas.append((f, F))
+    assert len(formulas) >= 1000
+    formulas += [
+        (family_coeffs(t).formula, F)
+        for t in (*range(-50, 0), *range(1, 51))
+        for F in (1088, 8088)
+    ]
+    formulas += [
+        (f, F)
+        for f in (golden_formula(), load_preset("log2"))
+        for F in (64, 1000, 10_000, 100_000)
+    ]
+    for f, F in formulas:
+        assert _truncation(f, F) == truncation_walk(f, F), (f, F)
+
+
+def test_truncation_stops_only_below_the_majorant():
+    # top = 16 * 2 * 2**64 = 2**69 equals den(63) = 64 * 2**63 * 1: K = 63
+    # leaves a majorant of exactly one ulp, so K is 64
+    f = BbpFormula(1, 2, 1, (16,), Fraction(1))
+    assert _truncation(f, 64) == truncation_walk(f, 64) == (64, 1)
+
+
+@pytest.mark.slow
+def test_eval_log2_at_100000_bits_meets_fx_log():
+    # fx_log works by square roots and atanh and shares no code with eval_P
+    F = 100_000
+    res = eval_P(load_preset("log2"), F).value
+    ref = fx_log(FixedReal.from_int(2, F)).mul_int(2)
+    assert abs(res.mantissa - ref.mantissa) <= res.err_ulp + ref.err_ulp
+    assert agreement_bits(res, ref) >= F - 10
 
 
 def test_linearity_in_coefficients():

@@ -45,8 +45,10 @@ def test_build_plan_golden(golden_plan):
     assert len(golden_plan.nonzero) == 24
     assert golden_plan.q_odd == 3
     assert golden_plan.levels == 1
-    assert len(golden_plan.split) == 24
-    assert all(s >= 0 for _, _, s in golden_plan.split)
+    # p = 5, q = 3 * 2**20 and the smallest |a_j| is 1: the pairs are
+    # (j, 5 * a_j) with every s_j - s_min >= 0
+    assert golden_plan.s_min == -20
+    assert golden_plan.terms == tuple((j, 5 * a) for j, a in golden_plan.nonzero)
 
 
 def test_build_plan_log2(log2_plan):
