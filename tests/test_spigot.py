@@ -16,7 +16,7 @@ import pytest
 import bbplog.spigot as spigot_mod
 from bbplog.errors import UnsupportedFormulaError, ValidationError
 from bbplog.family import family_coeffs, golden_constant, golden_formula
-from bbplog.formula import BbpFormula
+from bbplog.formula import BbpFormula, _fold_levels
 from bbplog.numerics import FixedReal, fx_log
 from bbplog.spigot import build_plan, extract_bits, extract_hex
 
@@ -197,6 +197,59 @@ def test_head_sum_brackets_the_exact_head(monkeypatch):
                 assert 0 <= excess <= budget, (formula.label, n, k0)
                 assert budget or excess == 0, (formula.label, n, k0)
                 assert budget <= -(-(k1 - k0) // plan.levels), (formula.label, n, k0)
+
+
+# the fold's formulas: golden and t = +-2**s fold one level per block
+# (D = 24), log2 sixteen (D = 16); only t = -4 lifts N by a C > 0
+FOLD_FORMULAS = {
+    "golden": golden_formula,
+    "log2": lambda: LOG2_FORMULA,
+    **{f"t={t}": (lambda t=t: family_coeffs(t).formula) for t in (2, -4, 8, 32)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOLD_FORMULAS))
+def test_block_fractions_equal_the_fold(name):
+    formula = FOLD_FORMULAS[name]()
+    plan = build_plan(formula)
+    levels = plan.levels
+    degree = levels * len(plan.nonzero)
+    for k0 in (0, levels, 37 * levels, 500_000):
+        for blocks in (1, degree, degree + 1, degree + 2, 3 * degree + 5):
+            # whole blocks, then (log2) the same range cut in a partial block
+            for k1 in {k0 + blocks * levels, k0 + blocks * levels - levels // 2}:
+                expected = []
+                for k in range(k0, k1, levels):
+                    cut = min(k + levels, k1)
+                    num, den = _fold_levels(formula.base, 1, formula.length, plan.terms, k, cut)
+                    expected.append((num, den * plan.q_odd))
+                got = list(spigot_mod._block_fractions(plan, k0, k1))
+                assert got == expected, (name, k0, blocks, k1 - k0)
+
+
+def test_packed_fields_never_carry_at_position_10_7(golden_plan):
+    # the deepest range of a golden head at position 10**7 cut in two:
+    # the widest registers a forked part steps
+    plan = golden_plan
+    levels = plan.levels
+    degree = levels * len(plan.nonzero)
+    e0 = 10**7 + plan.s_min
+    head_end = (e0 // plan.beta + 1) // levels * levels
+    k0 = head_end // levels // 2 * levels
+    last = head_end - levels
+    table = [spigot_mod._folded(plan, k, k + levels) for k in range(k0, k0 + (degree + 1) * levels, levels)]
+    regs, slot, low, c = spigot_mod._stepper(plan, table, last)
+    for _ in range((last - k0) // levels):
+        regs += regs >> slot
+    # the exact registers at the last block, from its fractions and the next D
+    far = [spigot_mod._folded(plan, k, k + levels) for k in range(last, last + (degree + 1) * levels, levels)]
+    dn = spigot_mod._differences([n + c * m for n, m in far])
+    dm = spigot_mod._differences([m for _, m in far])
+    assert regs >> (degree + 1) * slot == 0
+    for i in range(degree + 1):
+        field = regs >> i * slot & (1 << slot) - 1
+        assert (field & (1 << low) - 1, field >> low) == (dn[i], dm[i]), i
+        assert 0 <= dn[i] < 1 << low and 0 <= dm[i] < 1 << (slot - low), i
 
 
 # sha256 of the windows below as printed by the per-term head sum that
