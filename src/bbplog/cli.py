@@ -23,12 +23,12 @@ lines of the checks before it.
 
 eval and verify reject --bits above MAX_BITS = 300 000 before any work
 starts.  At the cap (2 vCPU Xeon, Python 3.11.7, one run each) eval
-takes 3.2 s for golden and 2.7 s for log2, and one verify check 9 s
-(corollary), 8-10 s (theorem, t = -50 and 1) or 16-17 s
-(decomposition, t = -50 and 1); the time grows about quadratically in
---bits.  A --t range is lazy and has
-no cap: verify runs one check per t in turn, printing as it goes, for as
-long as the range asks.
+takes 3.2 s for golden and 2.7 s for log2, and one verify check 5.5 s
+(corollary), 4.3-5.8 s (theorem, t = -50 and 1) or 8.4-9.1 s
+(decomposition, t = -50 and 1) by its ms= field; the time grows about
+quadratically in --bits.  A --t range is lazy and has no cap: verify
+runs one check per t in turn, printing as it goes, for as long as the
+range asks.
 """
 
 from __future__ import annotations

@@ -16,9 +16,10 @@ documented inline, never estimated.
 
 The logarithm reduces x itself by repeated square roots; it splits off
 no power of two, so no ln 2 constant is needed.  It then sums the atanh
-series by rectangular splitting, with the number of terms fixed and
-proven before summing.  Values are immutable, the module keeps no cache,
-and every function here is pure and thread-safe.
+series by rectangular splitting, each block at a width that shrinks
+with its depth, with the number of terms fixed and proven before
+summing.  Values are immutable, the module keeps no cache, and every
+function here is pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -354,13 +355,29 @@ def _atanh_small(z: FixedReal) -> FixedReal:
 
     The sum runs by rectangular splitting (Paterson & Stockmeyer, SIAM
     J. Comput. 2, 1973; Smith, Math. Comp. 52, 1989): y**0..y**s with
-    s = isqrt(n) as FixedReal products, then Horner in y**s over blocks
-    of s terms, acc = acc * y**s + S_b, and z * acc at the end, so about
-    2*sqrt(n) full multiplications in all.  Each block sum S_b runs on
-    raw ints: every y**j has a mantissa >= 0, so floor is truncation and
-    a term pm // d with d = 2k+1 is charged ceil(pe/d) plus one ulp when
-    inexact, as div_int followed by + would charge.  All other errors
-    are tracked by FixedReal.
+    s = isqrt(n) as FixedReal products, then Horner in Y = y**s over
+    nb = ceil(n/s) blocks of s terms in :func:`_atanh_horner`, and z * acc
+    at the end.  Every y**j has a mantissa pm_j >= 0 and error pe_j, so
+    floor is truncation.  Block b only contributes at scale |Y|**b, so
+    it is held in units of 2**-(F - delta_b): with c = F - bitlen(Y_m +
+    Y_e), |Y| < 2**-c on Y's whole interval, and delta_b = min(b*c, F-1)
+    is nondecreasing with steps t = delta_{b+1} - delta_b <= c.  The
+    widths fall about linearly to zero over the blocks, as nb*c ~ F.
+
+    * Block sum: S_b = floor(sum_j (pm_j >> delta_b) * (D/d_j) / D),
+      over d_j = 2(b*s+j)+1 and D = prod d_j, stands for sum_j y**j/d_j.
+      Term j is off by at most pe_j/2**delta_b from the shift of the
+      true y**j, plus one when the shift drops a set bit, all over d_j:
+      charged ceil(sum_j (ceil(pe_j/2**delta_b) + dropped_j) * (D/d_j)
+      / D), plus one ulp if the floor leaves a remainder.
+    * Horner step: acc_b = floor(acc_{b+1} * Y_m / 2**(F-t)) + S_b.
+      err_{b+1} ulp of block b+1, times |Y|, is below err_{b+1} ulp of
+      block b, as |Y| * 2**t < 1, so it is carried unchanged; the
+      uncertainty of Y is charged as ceil(acc_{b+1} * Y_e / 2**(F-t)),
+      and one ulp if the floor is inexact.
+
+    The cap F-1 keeps every width at least 1.  acc_0 is at width F, and
+    the result is z * FixedReal(acc_0, F, err_0) plus the tail ulp.
     """
     F = z.frac_bits
     one = 1 << F
@@ -375,20 +392,46 @@ def _atanh_small(z: FixedReal) -> FixedReal:
     powers = [FixedReal(one, F, 0), y]
     for _ in range(s - 1):
         powers.append(powers[-1] * y)
-    pm = [p.mantissa for p in powers]
-    pe = [p.err_ulp for p in powers]
-    ys = powers[s]
-    acc = FixedReal(0, F, 0)
-    for start in reversed(range(0, n, s)):
-        sm = se = 0
-        for j in range(min(s, n - start)):
-            d = 2 * (start + j) + 1
-            q, rem = divmod(pm[j], d)
-            sm += q
-            se += -(-pe[j] // d) + (rem != 0)
-        acc = acc * ys + FixedReal(sm, F, se)
-    out = z * acc
+    acc, err = _atanh_horner(
+        [p.mantissa for p in powers], [p.err_ulp for p in powers], n, F
+    )
+    out = z * FixedReal(acc, F, err)
     return FixedReal(out.mantissa, F, out.err_ulp + 1)
+
+
+def _atanh_horner(pm: list[int], pe: list[int], n: int, F: int) -> tuple[int, int]:
+    """The tapered Horner sum of :func:`_atanh_small`, whose docstring
+    states its bound: sum_{k<n} y_k/(2k+1) in units of 2**-F and its
+    err_ulp, from mantissas pm >= 0 and errors pe of y**0..y**s, s =
+    len(pm) - 1, with y_k = y**(k mod s) * (y**s)**(k div s)."""
+    s = len(pm) - 1
+    Ym, Ye = pm[s], pe[s]
+    c = F - (Ym + Ye).bit_length()
+    nb = -(-n // s)
+    # the shift pm_j >> delta drops a set bit only past its trailing zeros
+    tz = [(p & -p).bit_length() - 1 if p else F for p in pm[:s]]
+    acc = err = 0
+    above = min(nb * c, F - 1)
+    for b in reversed(range(nb)):
+        delta = min(b * c, F - 1)
+        shift = F - (above - delta)
+        prod = acc * Ym
+        err += -(-(acc * Ye) >> shift)
+        acc = prod >> shift
+        if acc << shift != prod:
+            err += 1
+        ks = range(b * s, min(b * s + s, n))
+        D = math.prod(2 * k + 1 for k in ks)
+        num = es = 0
+        for j, k in enumerate(ks):
+            q = D // (2 * k + 1)
+            num += (pm[j] >> delta) * q
+            es += (-(-pe[j] >> delta) + (delta > tz[j])) * q
+        S, rem = divmod(num, D)
+        acc += S
+        err += -(-es // D) + (rem != 0)
+        above = delta
+    return acc, err
 
 
 def fx_log(x: FixedReal) -> FixedReal:
@@ -406,10 +449,15 @@ def fx_log(x: FixedReal) -> FixedReal:
       |n|, |ln y| < ln 2 / 256 and |z| < 2**-9, far below the series'
       1/2.  Each square root costs an isqrt and a squaring, about five
       multiplications, and halves |z|: the series then needs about
-      F/(2r) terms, summed with ~2*sqrt(F/(2r)) multiplications and
-      one small division per term.  Timing golden_constant over r put
-      the optimum near 8 from 10**3 to 10**4 bits and near 14..20 at
-      10**5 bits.
+      F/(2r) terms, summed with ~2*sqrt(F/(2r)) multiplications at
+      widths that shrink block by block.  Timing fx_log on phi and on
+      verify's arguments (1.05..16) with the floor at 5..10 (2 vCPU
+      Xeon, Python 3.11.7, best of 7 interleaved): at 10**3 bits all
+      were within 5% (0.094..0.099 ms), at 4*10**3 bits 6..10 within
+      2% (0.64 ms; 5 was 3-6% slower), and at 10**4 bits 8..10 within
+      2% (3.3 ms; 5 was 7-10% slower).  At 10**5 bits isqrt(F//320) =
+      17 sets r; over r = 8..23 (best of 3) 14..17 were within 2%,
+      8 was 12-16% slower and 23 was 7-8% slower.
     * One ulp 2**-Fw lost at y_j = x**(1/2**j) moves the estimate of
       ln x by 2**j * 2**-Fw / y_j.  With 2**j <= 2**r and 1/y_j <=
       2**max(0, -n), the r + max(0, -n) guard bits absorb it, as they

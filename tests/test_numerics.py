@@ -17,6 +17,7 @@ from bbplog.errors import DomainError, PrecisionError
 from bbplog.family import golden_constant
 from bbplog.numerics import (
     FixedReal,
+    _atanh_horner,
     _atanh_small,
     _atanh_terms,
     agreement_bits,
@@ -367,35 +368,144 @@ def test_atanh_series_err_no_larger_than_recorded(F):
         assert got <= ATANH_PARENT_ERR[F, name][i], (F, name, z, got)
 
 
-def _atanh_by_fixedreal_ops(z: FixedReal) -> FixedReal:
-    """The same rectangular splitting with every block term a div_int and
-    a FixedReal addition, as the docstring says the raw ints charge."""
+def _atanh_powers(z: FixedReal) -> tuple[int, list[FixedReal]]:
+    """n and the powers y**0..y**s, s = isqrt(n), that _atanh_small sums."""
     F = z.frac_bits
     n = _atanh_terms(abs(z.mantissa) + z.err_ulp, F)
-    s = math.isqrt(n)
     y = z * z
     powers = [FixedReal.from_int(1, F), y]
-    for _ in range(s - 1):
+    for _ in range(math.isqrt(n) - 1):
         powers.append(powers[-1] * y)
-    acc = FixedReal(0, F, 0)
-    for start in reversed(range(0, n, s)):
-        block = FixedReal(0, F, 0)
-        for j in range(min(s, n - start)):
-            block = block + powers[j].div_int(2 * (start + j) + 1)
-        acc = acc * powers[s] + block
-    out = z * acc
-    return FixedReal(out.mantissa, F, out.err_ulp + 1)
+    return n, powers
+
+
+def _series_at_corners(pm: list[int], pe: list[int], n: int, F: int):
+    """sum_{k<n} y_k/(2k+1) in ulp, exactly, as (numerator, denominator),
+    with y_k = y**(k mod s) * Y**(k div s), s = len(pm) - 1, Y = y**s and
+    every power at the low end, the middle and the high end of its
+    interval: each is a point the series' bound must cover."""
+    s = len(pm) - 1
+    for sign in (-1, 0, 1):
+        p = [m + sign * e for m, e in zip(pm, pe)]
+        num, den = 0, 1
+        for b in reversed(range(-(-n // s))):
+            ks = range(b * s, min(b * s + s, n))
+            d = math.prod(2 * k + 1 for k in ks)
+            block = sum(p[k - b * s] * (d // (2 * k + 1)) for k in ks)
+            # num/den * p[s]/2**F + block/d
+            num, den = num * p[s] * d + block * (den << F), (den * d) << F
+        yield num, den
+
+
+def _assert_series_holds_exact_sums(z: FixedReal) -> None:
+    # z times the exact sum of the powers _atanh_small computes, at every
+    # corner of z's and the powers' intervals, lies within the returned
+    # bound less the tail's ulp
+    F = z.frac_bits
+    got = _atanh_small(z)
+    n, powers = _atanh_powers(z)
+    pm = [p.mantissa for p in powers]
+    pe = [p.err_ulp for p in powers]
+    room = got.err_ulp - 1
+    for num, den in _series_at_corners(pm, pe, n, F):
+        for zm in (z.mantissa - z.err_ulp, z.mantissa, z.mantissa + z.err_ulp):
+            # zm/2**F * num/den against got.mantissa, in ulp
+            gap = abs(zm * num - got.mantissa * (den << F))
+            assert gap <= room * (den << F), (z, zm)
 
 
 @pytest.mark.parametrize("F", [64, 1000])
-def test_atanh_series_block_sums_charge_as_fixedreal_ops(F):
+def test_atanh_series_holds_exact_sum_of_its_powers(F):
     rng = random.Random(F)
     inputs = [z for _, _, z in _atanh_inputs(F)]
     for _ in range(40):
         m = rng.randrange(1, 1 << (F - rng.randint(2, F - 1)))
         inputs.append(FixedReal(rng.choice((1, -1)) * m, F, rng.choice((0, 1, 9))))
     for z in inputs:
-        assert _atanh_small(z) == _atanh_by_fixedreal_ops(z), z
+        _assert_series_holds_exact_sums(z)
+
+
+def _taper(z: FixedReal) -> tuple[int, int, list[int]]:
+    """c, the block count nb and delta_0..delta_nb of z's series."""
+    F = z.frac_bits
+    n, powers = _atanh_powers(z)
+    s = len(powers) - 1
+    c = F - (powers[s].mantissa + powers[s].err_ulp).bit_length()
+    nb = -(-n // s)
+    return c, nb, [min(b * c, F - 1) for b in range(nb + 1)]
+
+
+@pytest.mark.parametrize("F", [64, 1000, 8000])
+@pytest.mark.parametrize("e", [0, 3])
+def test_atanh_series_of_one_ulp_is_one_block(F, e):
+    for sign in (1, -1):
+        z = FixedReal(sign, F, e)
+        assert _taper(z)[1] == 1
+        # atanh(2**-F) = 2**-F + 2**-3F/3 + ...: the one block is y**0
+        assert _atanh_small(z) == FixedReal(sign, F, e + 1)
+        _assert_series_holds_exact_sums(z)
+
+
+@pytest.mark.parametrize(
+    "F, m, capped",
+    [
+        # |z| just below 1/2: c = 9 is smallest, and nb*c = 63 = F - 1
+        (64, (1 << 63) - 2, 0),
+        # |z| just above 1/4: the same n, c twice as large, so nb*c > F
+        # and the deepest blocks sit at the cap
+        (64, (1 << 62) + 1, 3),
+        (1000, (1 << 998) + 1, 11),
+        # |z| = 5/7 * 2**-8, as in fx_log: nb*c just above F, no block capped
+        (1000, (5 << 1000) // (7 << 8), 0),
+    ],
+)
+def test_atanh_series_tapers_to_the_width_cap(F, m, capped):
+    for e in (0, 1, 9):
+        for z in (FixedReal(m - e, F, e), FixedReal(e - m, F, e)):
+            c, nb, delta = _taper(z)
+            assert nb * c >= F - 1
+            assert delta[-1] == F - 1
+            assert sum(d == F - 1 for d in delta[:-1]) == capped
+            _assert_series_holds_exact_sums(z)
+            got = _atanh_small(z)
+            slack = Fraction(1, 10**20)
+            for mm in (z.mantissa - e, z.mantissa + e):
+                ref = Fraction(_atanh_decimal_ulp(mm, F))
+                assert got.mantissa - got.err_ulp - slack <= ref
+                assert ref <= got.mantissa + got.err_ulp + slack
+
+
+def _assert_horner_holds(pm: list[int], pe: list[int], n: int, F: int) -> None:
+    acc, err = _atanh_horner(pm, pe, n, F)
+    for num, den in _series_at_corners(pm, pe, n, F):
+        assert abs(num - acc * den) <= err * den, (pm, pe, n, F)
+
+
+def test_atanh_horner_charges_each_inexact_floor():
+    F = 64
+    # one block, exact shifts: only the block's floor, by 3, is inexact
+    _assert_horner_holds([1 << F, 1 << 50, 1 << 40, 1 << 20], [0] * 4, 3, F)
+    # s = 1, three blocks at delta 0, 8, 16: every block sum is exact, and
+    # only the two Horner floors lose (almost) a whole ulp each
+    pm, n = [15 << 40, (1 << 56) - 1], 3
+    assert _atanh_horner(pm, [0, 0], n, F)[1] == 2
+    _assert_horner_holds(pm, [0, 0], n, F)
+    # an error on Y that is large against Y itself
+    _assert_horner_holds([1 << F, 1 << 50], [0, 1 << 40], 4, F)
+
+
+@pytest.mark.parametrize("F", [16, 64, 200])
+def test_atanh_horner_holds_exact_sums_at_its_corners(F):
+    # any mantissas >= 0 with Y_m + Y_e < 2**F, not just powers of one y
+    rng = random.Random(F)
+    for _ in range(150):
+        s = rng.randint(1, 6)
+        pm = [rng.randrange(1 << rng.randint(1, F)) for _ in range(s + 1)]
+        pe = [rng.choice((0, 1, 9, m >> rng.randint(0, 8))) for m in pm]
+        while pm[s] + pe[s] >= 1 << F:
+            pm[s] >>= 1
+            pe[s] >>= 1
+        _assert_horner_holds(pm, pe, rng.randint(1, 12 * s), F)
 
 
 def test_atanh_series_rejects_half_and_keeps_exact_zero():
