@@ -4,7 +4,7 @@ Builds the length-40 binary formulas whose values are
 sqrt(5)*atanh(u(t)*sqrt(5)) for nonzero integer t (and sqrt(5)*log(phi)
 at t=1), evaluates general P(s,b,l,A) sums with certified error bounds,
 verifies every identity against an independent sqrt/log oracle, and
-extracts binary or hexadecimal digits at arbitrary positions by a
+extracts binary digits at arbitrary positions by a
 modular-exponentiation spigot.
 """
 
@@ -27,7 +27,7 @@ from .family import (
 from .formula import BbpFormula, EvalResult, emit_formula, eval_P, parse_formula
 from .numerics import FixedReal, agreement_bits, fx_atanh, fx_log, fx_sqrt, modpow
 from .presets import GOLDEN_TEXT, LOG2_TEXT, load_preset
-from .spigot import DigitWindow, SpigotPlan, build_plan, extract_bits, extract_hex
+from .spigot import DigitWindow, SpigotPlan, build_plan, extract_bits
 from .verify import (
     VerificationReport,
     verify_corollary,
@@ -65,7 +65,6 @@ __all__ = [
     "DigitWindow",
     "build_plan",
     "extract_bits",
-    "extract_hex",
     "VerificationReport",
     "verify_theorem",
     "verify_corollary",

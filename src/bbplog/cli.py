@@ -7,13 +7,23 @@ Exit codes are part of the interface:
     2   domain or unsupported-formula error (including a family
         formula with an integer too long for the file format, and an
         eval formula of degree above formula.MAX_DEGREE = 128)
-    64  usage error (bad flags or flag values, including --bits above
-        MAX_BITS and a family -o path that cannot be written)
+    64  usage error: a bad flag or flag value, a value above one of the
+        cost caps below, a value the library rejects as outside its
+        domain (its ValidationError: digits --count below 1 or --pos
+        below 0, eval --bits below 64), or a family -o path that cannot
+        be written
     65  malformed or invalid input file
 
 stdout carries machine-parseable results; stderr carries diagnostics.
 Identical flags produce byte-identical stdout for digits, family, and
 eval; verify lines include wall-clock milliseconds by design.
+
+Each argument rule has one home.  The library checks the domain of its
+own arguments; this module holds the cost caps and one unit rule: digits
+prints --radix 16 as groups of four bits, so there --count must be a
+multiple of 4 and --pos counts four bits per hex digit.  The library sees
+a value only once the formula is loaded, so with a bad formula file as
+well the file's error (65, or 2 if unsupported) is the one reported.
 
 verify prints each REPORT line as soon as its check finishes: first every
 theorem check, then the corollary, then every decomposition check.  The
@@ -21,14 +31,28 @@ theorem check, then the corollary, then every decomposition check.  The
 rejected only when its check is reached, so verify exits 2 after the
 lines of the checks before it.
 
-eval and verify reject --bits above MAX_BITS = 300 000 before any work
-starts.  At the cap (2 vCPU Xeon, Python 3.11.7, one run each) eval
-takes 3.2 s for golden and 2.7 s for log2, and one verify check 5.5 s
-(corollary), 4.3-5.8 s (theorem, t = -50 and 1) or 8.4-9.1 s
-(decomposition, t = -50 and 1) by its ms= field; the time grows about
-quadratically in --bits.  A --t range is lazy and has no cap: verify
-runs one check per t in turn, printing as it goes, for as long as the
-range asks.
+Cost caps, each checked before any work starts (2 vCPU Xeon, Python
+3.11.7, one run each unless noted):
+
+- eval and verify: --bits at most MAX_BITS = 300 000.  At the cap eval
+  takes 3.2 s for golden and 2.7 s for log2, and one verify check 5.5 s
+  (corollary), 4.3-5.8 s (theorem, t = -50 and 1) or 8.4-9.1 s
+  (decomposition, t = -50 and 1) by its ms= field; the time grows about
+  quadratically in --bits.
+- digits: --count at most MAX_WINDOW_BITS = 4096 bits.  Golden at bit
+  position 2*10**5 on one CPU (best of 5) took 163, 151, 141, 209 and
+  399 ms for 64, 256, 1024, 4096 and 16 384 bits: up to the cap a window
+  costs at most about a third more than 64 bits, above it the time grows
+  about linearly in the count.
+- digits: --pos at most MAX_POS_BITS = 3*10**7 bits, so 7.5*10**6 hex
+  digits with --radix 16.  Golden is the slowest of the presets and the
+  family files per position (at 10**6 on one CPU: golden 0.84 s, log2
+  0.75 s, t = 2 0.33 s, best of 3).  At the cap it took 49 s for 64 bits
+  and 65 s for 4096 on one CPU, and 28 s for 4096 on both; the time
+  grows a little faster than the position.  A formula file's time also
+  grows with its number of nonzero terms, which no cap bounds.
+- A --t range is lazy and has no cap: verify runs one check per t in
+  turn, printing as it goes, for as long as the range asks.
 """
 
 from __future__ import annotations
@@ -43,7 +67,7 @@ from .errors import DomainError, ParseError, UnsupportedFormulaError, Validation
 from .family import family_coeffs, golden_formula
 from .formula import BbpFormula, emit_formula, eval_P, parse_formula
 from .presets import PRESETS, load_preset
-from .spigot import MAX_WINDOW_BITS, build_plan, extract_bits, extract_hex
+from .spigot import build_plan, extract_bits
 from .verify import verify_corollary, verify_decomposition, verify_theorem
 
 __all__ = ["main"]
@@ -54,8 +78,11 @@ EX_DOMAIN = 2
 EX_USAGE = 64
 EX_DATA = 65
 
-# --bits cap for eval and verify, from the times in the module docstring
+# cost caps, from the times in the module docstring: --bits for eval and
+# verify, and the width and bit position of a digits window
 MAX_BITS = 300_000
+MAX_WINDOW_BITS = 4096
+MAX_POS_BITS = 30_000_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -81,7 +108,7 @@ def _build_parser() -> _Parser:
     p_digits = sub.add_parser(
         "digits", help="extract digits at an arbitrary position"
     )
-    p_digits.add_argument("--pos", type=int, default=0, help="digit position (0-based, in units of the chosen radix's digits; bits for radix 2, hex digits for radix 16)")
+    p_digits.add_argument("--pos", type=int, default=0, help=f"digit position (0-based, in units of the chosen radix's digits; bits for radix 2, hex digits for radix 16; at most {MAX_POS_BITS} bits)")
     p_digits.add_argument("--count", type=int, default=32, help=f"number of bits to extract (1..{MAX_WINDOW_BITS}; for radix 16 a multiple of 4)")
     p_digits.add_argument("--radix", type=int, choices=(2, 16), default=2)
     _add_formula_source(p_digits)
@@ -152,20 +179,22 @@ def _parse_t_list(text: str) -> list[range]:
 
 
 def _cmd_digits(args: argparse.Namespace, parser: _Parser) -> int:
-    if not 1 <= args.count <= MAX_WINDOW_BITS:
-        parser.error(f"--count must be in 1..{MAX_WINDOW_BITS}")
-    if args.pos < 0:
-        parser.error("--pos must be nonnegative")
-    if args.radix == 16 and args.count % 4:
+    # a hex digit is four bits; extract_bits checks count >= 1 and pos >= 0
+    unit = 4 if args.radix == 16 else 1
+    if args.count % unit:
         parser.error("--count must be a multiple of 4 when --radix 16")
+    if args.count > MAX_WINDOW_BITS:
+        parser.error(f"--count must be at most {MAX_WINDOW_BITS}")
+    if unit * args.pos > MAX_POS_BITS:
+        parser.error(f"--pos must be at most {MAX_POS_BITS // unit} for --radix {args.radix}")
     plan = build_plan(_load_formula(args))
-    if args.radix == 16:
-        window = extract_hex(plan, args.pos, args.count // 4)
-    else:
-        window = extract_bits(plan, args.pos, args.count)
+    window = extract_bits(plan, unit * args.pos, args.count)
+    digits = window.bits
+    if unit == 4:
+        digits = format(int(digits, 2), f"0{args.count // 4}x")
     print(
-        f"pos={window.position} radix={window.radix}"
-        f" digits={window.bits} certified={window.certified}"
+        f"pos={args.pos} radix={args.radix}"
+        f" digits={digits} certified={window.certified // unit}"
     )
     return EX_OK
 
@@ -219,7 +248,7 @@ def _cmd_verify(args: argparse.Namespace, parser: _Parser) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace, parser: _Parser) -> int:
-    if not 64 <= args.bits <= MAX_BITS:
+    if args.bits > MAX_BITS:  # eval_P checks the lower end
         parser.error(f"--bits must be in 64..{MAX_BITS}")
     if args.digits is not None and args.digits < 1:
         parser.error("--digits must be positive")
@@ -244,9 +273,12 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args, parser)
-    except (_DataError, ValidationError) as exc:
+    except _DataError as exc:
         print(f"bbplog: error: {exc}", file=sys.stderr)
         return EX_DATA
+    except ValidationError as exc:  # a flag value outside the library's domain
+        print(f"bbplog: error: {exc}", file=sys.stderr)
+        return EX_USAGE
     except (DomainError, UnsupportedFormulaError) as exc:
         print(f"bbplog: error: {exc}", file=sys.stderr)
         return EX_DOMAIN

@@ -19,9 +19,11 @@ class PrecisionError(BbpError, ArithmeticError):
 
 
 class ValidationError(BbpError, ValueError):
-    """A formula object violates one of its structural invariants.
+    """A formula object violates one of its structural invariants, or an
+    argument is outside the range a function accepts (a window of no
+    bits, a negative position, too few fraction bits).
 
-    The message names the offending field.
+    The message names the offending field or argument.
     """
 
 

@@ -78,17 +78,14 @@ from dataclasses import dataclass
 from .errors import UnsupportedFormulaError, ValidationError
 from .formula import BbpFormula, _fold_levels
 
-__all__ = ["SpigotPlan", "DigitWindow", "build_plan", "extract_bits", "extract_hex"]
-
-MAX_WINDOW_BITS = 64
+__all__ = ["SpigotPlan", "DigitWindow", "build_plan", "extract_bits"]
 
 
 @dataclass(frozen=True, slots=True)
 class DigitWindow:
-    """A run of extracted digits starting after the given position."""
+    """A run of extracted bits starting after the given bit position."""
 
     position: int
-    radix: int
     bits: str
     certified: int
 
@@ -146,12 +143,17 @@ def build_plan(f: BbpFormula) -> SpigotPlan:
 
 def _certified_prefix(acc: int, width: int, count: int, budget: int) -> int:
     """Leading bits of the width-bit fraction acc that no true value in
-    (acc - 1, acc + budget] can change: no borrow below, no carry above."""
-    for c in range(count, 0, -1):
-        low = acc & ((1 << (width - c)) - 1)
-        if low >= 1 and low + budget < 1 << (width - c):
-            return c
-    return 0
+    (acc - 1, acc + budget] can change: no borrow below, no carry above.
+
+    A true value's floor lies in [acc - 1, acc + budget], and its leading
+    c bits, which only grow with the floor, are the same all across that
+    range exactly when its two ends agree on them: when their xor has bit
+    length at most width - c (a carry out of the top makes it width + 1).
+    With acc = 0 a true value just below it borrows from every bit.
+    """
+    if acc == 0:
+        return 0
+    return max(0, min(count, width - ((acc - 1) ^ (acc + budget)).bit_length()))
 
 
 # T, the terms folded into one fraction: enough for the interpreter's cost
@@ -251,10 +253,14 @@ def _block_fractions(plan: SpigotPlan, k0: int, k1: int) -> Iterator[tuple[int, 
         yield _folded(plan, end, k1)
 
 
-def _sum_blocks(plan: SpigotPlan, e0: int, width: int, k0: int, k1: int) -> tuple[int, int]:
+def _sum_blocks(
+    plan: SpigotPlan, e0: int, width: int, k0: int, k1: int, parent: int | None = None
+) -> tuple[int, int]:
     """Levels k0 .. k1-1 in blocks of ``plan.levels``, the last one cut at
     k1: the unmasked sum of their floored width-bit fractional parts, and
-    the number of blocks whose floor left a remainder.
+    the number of blocks whose floor left a remainder.  A forked part
+    passes its parent's pid and gives up, by ProcessLookupError, at the
+    first block after that process is gone.
 
     A term at level k has exponent e0 - beta*k + (s_j - s_min), every
     s_j - s_min >= 0, so a block's smallest, e = e0 - beta*(its last
@@ -263,6 +269,8 @@ def _sum_blocks(plan: SpigotPlan, e0: int, width: int, k0: int, k1: int) -> tupl
     """
     acc = budget = 0
     for k, (num, den) in zip(range(k0, k1, plan.levels), _block_fractions(plan, k0, k1)):
+        if parent is not None and os.getppid() != parent:
+            raise ProcessLookupError("the parent process is gone")
         e = e0 - plan.beta * (min(k + plan.levels, k1) - 1)
         if e >= 0:  # 2**e * num/den mod 1, exactly
             contrib, rem = divmod(num * pow(2, e, den) % den << width, den)
@@ -284,11 +292,14 @@ def _forked_sum(plan: SpigotPlan, e0: int, width: int, head_end: int, parts: int
     The first range is summed here; every other one in a forked child that
     writes its (acc, budget) in hex to a pipe.  A range whose child could
     not start, failed or wrote a short result is summed here instead, so
-    the result never depends on the children.
+    the result never depends on the children.  If this process leaves by
+    an exception, the children not yet read are killed before they are
+    reaped, so none is left to finish its range.
     """
     blocks = head_end // plan.levels
     bounds = [blocks * i // parts * plan.levels for i in range(parts + 1)]
     ranges = list(zip(bounds[1:-1], bounds[2:]))
+    parent = os.getpid()
     children = {}  # range index -> (pid, read end of its pipe)
     try:
         for i, (k0, k1) in enumerate(ranges):
@@ -303,7 +314,7 @@ def _forked_sum(plan: SpigotPlan, e0: int, width: int, head_end: int, parts: int
                 code = 1
                 try:
                     os.close(r)
-                    os.write(w, b"%x %x\n" % _sum_blocks(plan, e0, width, k0, k1))
+                    os.write(w, b"%x %x\n" % _sum_blocks(plan, e0, width, k0, k1, parent))
                     code = 0
                 finally:
                     # skips exit handlers and stdio flushes, which would
@@ -319,6 +330,8 @@ def _forked_sum(plan: SpigotPlan, e0: int, width: int, head_end: int, parts: int
             budget += b
     finally:
         for pid, r in children.values():
+            # SIGKILL is 9 on POSIX; importing signal takes 0.7-1.1 ms
+            os.kill(pid, 9)
             _reap(pid, r)
     return acc, budget
 
@@ -340,9 +353,11 @@ def _reap(pid: int, r: int) -> tuple[int, int] | None:
 
 def extract_bits(plan: SpigotPlan, n: int, count: int) -> DigitWindow:
     """Binary digits of the constant at positions n+1 .. n+count, with
-    ``certified`` as in the module docstring's Bound paragraph."""
-    if count < 1 or count > MAX_WINDOW_BITS:
-        raise ValidationError(f"count: must be in 1..{MAX_WINDOW_BITS} bits")
+    ``certified`` as in the module docstring's Bound paragraph.  Neither
+    n nor count has a cap here: the time grows with both (``bbplog.cli``
+    gives timings)."""
+    if count < 1:
+        raise ValidationError("count: must be at least 1 bit")
     if n < 0:
         raise ValidationError("position: must be nonnegative")
     beta = plan.beta
@@ -369,21 +384,5 @@ def extract_bits(plan: SpigotPlan, n: int, count: int) -> DigitWindow:
 
     certified = _certified_prefix(acc, width, count, budget)
     bits = format(acc >> (width - count), f"0{count}b")
-    return DigitWindow(position=n, radix=2, bits=bits, certified=certified)
+    return DigitWindow(position=n, bits=bits, certified=certified)
 
-
-def extract_hex(plan: SpigotPlan, hex_position: int, count: int) -> DigitWindow:
-    """Hexadecimal digits starting after the given hex position.
-
-    A wrapper over :func:`extract_bits` at bit position 4*hex_position,
-    regrouping each four bits into one hex character; that function
-    checks the position and the count.
-    """
-    window = extract_bits(plan, 4 * hex_position, 4 * count)
-    value = int(window.bits, 2)
-    return DigitWindow(
-        position=hex_position,
-        radix=16,
-        bits=format(value, f"0{count}x"),
-        certified=window.certified // 4,
-    )

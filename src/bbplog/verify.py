@@ -12,7 +12,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .errors import DomainError
 from .family import (
     family_coeffs,
     golden_constant,
@@ -75,8 +74,6 @@ def _report(
 
 def verify_theorem(t: int, target_bits: int) -> VerificationReport:
     """Closed-form left side vs the evaluated series for parameter t."""
-    if t == 0:
-        raise DomainError("t must be a nonzero integer")
     started = time.perf_counter()
     work = target_bits + GUARD_BITS
     inst = family_coeffs(t)

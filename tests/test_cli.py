@@ -16,6 +16,7 @@ from bbplog.errors import DomainError
 from bbplog.family import family_coeffs, golden_constant
 from bbplog.formula import emit_formula
 from bbplog.presets import GOLDEN_TEXT, LOG2_TEXT
+from bbplog.spigot import DigitWindow
 from bbplog.verify import verify_theorem
 
 from _oracles import fixedreal_bits
@@ -45,18 +46,30 @@ def test_digits_default_golden(capsys):
 
 
 def test_digits_hex_output(capsys):
-    code, out, _ = run(
-        capsys, "digits", "--pos", "100", "--count", "32", "--radix", "16"
-    )
-    assert code == 0
-    expected = format(int(fixedreal_bits(golden_constant(1024), 400, 32), 2), "08x")
-    assert out == f"pos=100 radix=16 digits={expected} certified=8\n"
+    # the bits after 4 * pos, regrouped four to a hex digit
+    for pos in (100, 10_000):
+        code, out, _ = run(
+            capsys, "digits", "--pos", str(pos), "--count", "32", "--radix", "16"
+        )
+        assert code == 0
+        bits = fixedreal_bits(golden_constant(4 * pos + 256), 4 * pos, 32)
+        assert out == f"pos={pos} radix=16 digits={int(bits, 2):08x} certified=8\n"
 
 
 def test_digits_count_zero_is_usage_error(capsys):
-    code, err = run_usage_error(capsys, "digits", "--count", "0")
+    # extract_bits rejects the count; main maps its ValidationError to 64
+    code, out, err = run(capsys, "digits", "--count", "0")
     assert code == 64
-    assert "count" in err
+    assert out == ""
+    assert err == "bbplog: error: count: must be at least 1 bit\n"
+
+
+@pytest.mark.parametrize("radix", ["2", "16"])
+def test_digits_negative_pos_is_usage_error(capsys, radix):
+    code, out, err = run(capsys, "digits", "--pos", "-1", "--count", "32", "--radix", radix)
+    assert code == 64
+    assert out == ""
+    assert err == "bbplog: error: position: must be nonnegative\n"
 
 
 def test_digits_hex_count_must_be_multiple_of_4(capsys):
@@ -64,6 +77,27 @@ def test_digits_hex_count_must_be_multiple_of_4(capsys):
         capsys, "digits", "--count", "31", "--radix", "16"
     )
     assert code == 64
+
+
+@pytest.mark.parametrize("radix, unit", [("2", 1), ("16", 4)])
+def test_digits_caps_exit_64_before_any_extraction(capsys, monkeypatch, radix, unit):
+    windows = []
+
+    def record(plan, n, count):
+        windows.append((n, count))
+        return DigitWindow(position=n, bits="0" * count, certified=count)
+
+    monkeypatch.setattr(cli, "extract_bits", record)
+    top = str(cli.MAX_POS_BITS // unit)
+    code, out, _ = run(capsys, "digits", "--pos", top, "--count", str(cli.MAX_WINDOW_BITS), "--radix", radix)
+    assert code == 0
+    assert out.startswith(f"pos={top} radix={radix} digits=")
+    assert windows == [(cli.MAX_POS_BITS // unit * unit, cli.MAX_WINDOW_BITS)]
+    for flag, value in (("--pos", cli.MAX_POS_BITS // unit + 1), ("--count", cli.MAX_WINDOW_BITS + 4)):
+        code, err = run_usage_error(capsys, "digits", flag, str(value), "--radix", radix)
+        assert code == 64
+        assert f"{flag} must be at most" in err
+    assert len(windows) == 1
 
 
 def test_digits_unsupported_formula_exits_2(capsys, tmp_path):
@@ -234,6 +268,14 @@ def test_bits_above_the_cap_exit_64_before_any_work(capsys, monkeypatch, argv):
 
 
 # -- eval ---------------------------------------------------------------------
+
+
+def test_eval_bits_below_64_is_usage_error(capsys):
+    # eval_P rejects the width; main maps its ValidationError to 64
+    code, out, err = run(capsys, "eval", "--preset", "log2", "--bits", "63")
+    assert code == 64
+    assert out == ""
+    assert err == "bbplog: error: frac_bits: must be >= 64\n"
 
 
 def test_eval_log2_preset(capsys):

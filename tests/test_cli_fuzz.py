@@ -2,9 +2,9 @@
 
 Every run is derandomized, so a failure reproduces on every machine.
 Sizes stay small (--pos <= 10**4, --bits <= 2000, short --t ranges) so
-that each run finishes: --pos and --t ranges have no cap and run for as
-long as they ask, and --bits is capped at cli.MAX_BITS, where one request
-still takes minutes.
+that each run finishes: --t ranges have no cap and run for as long as
+they ask, and at the caps on --pos (cli.MAX_POS_BITS) and --bits
+(cli.MAX_BITS) one request still takes seconds to a minute.
 """
 
 from __future__ import annotations

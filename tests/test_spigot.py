@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from bbplog.errors import UnsupportedFormulaError, ValidationError
 from bbplog.family import family_coeffs, golden_constant, golden_formula
 from bbplog.formula import BbpFormula, _fold_levels
 from bbplog.numerics import FixedReal, fx_log
-from bbplog.spigot import build_plan, extract_bits, extract_hex
+from bbplog.spigot import build_plan, extract_bits
 
 from _oracles import bbp_sum_exact, fixedreal_bits
 
@@ -265,8 +266,9 @@ def test_windows_match_the_per_term_head_sum():
             for count in (1, 17, 64):
                 w = extract_bits(plan, n, count)
                 lines.append(f"{n} 2 {w.bits} {w.certified}\n")
-            w = extract_hex(plan, n, 16)
-            lines.append(f"{n} 16 {w.bits} {w.certified}\n")
+            # 16 hex digits at hex position n, as `digits --radix 16` prints them
+            w = extract_bits(plan, 4 * n, 64)
+            lines.append(f"{n} 16 {int(w.bits, 2):016x} {w.certified // 4}\n")
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == PINNED_WINDOWS
 
 
@@ -344,6 +346,33 @@ def test_no_fork_while_another_thread_runs(golden_plan, monkeypatch):
     assert not thread.is_alive()
 
 
+def test_parent_failure_kills_the_children_before_reaping(golden_plan, monkeypatch):
+    parent = os.getpid()
+    real_sum = spigot_mod._sum_blocks
+
+    def sum_blocks(*args):
+        if os.getpid() == parent:
+            raise RuntimeError("parent failed")
+        time.sleep(60)  # a child still summing its range
+        return real_sum(*args)
+
+    monkeypatch.setattr(spigot_mod, "_sum_blocks", sum_blocks)
+    monkeypatch.setattr(spigot_mod, "_usable_cpus", lambda: 3)
+    started = time.monotonic()
+    with pytest.raises(RuntimeError, match="parent failed"):
+        extract_bits(golden_plan, 41_000, 64)
+    assert time.monotonic() - started < 20
+    _no_child_left()
+
+
+def test_a_forked_part_stops_once_its_parent_is_gone(golden_plan):
+    args = (golden_plan, 1000 + golden_plan.s_min, 128, 0, 8)
+    assert spigot_mod._sum_blocks(*args, os.getppid()) == spigot_mod._sum_blocks(*args)
+    # this process's own pid is never its parent's
+    with pytest.raises(ProcessLookupError):
+        spigot_mod._sum_blocks(*args, os.getpid())
+
+
 def test_children_leave_the_parents_stdout_buffer_alone():
     src = os.path.dirname(os.path.dirname(spigot_mod.__file__))
     script = (
@@ -376,34 +405,51 @@ def test_certified_prefix_checks_borrow_and_carry():
     assert spigot_mod._certified_prefix(top | (1 << 56) - 3, 64, 8, 5) < 8
 
 
-# -- hex windows --------------------------------------------------------------
+def _certified_prefix_by_loop(acc, width, count, budget):
+    """The prefix rule bit by bit: the longest c <= count whose low
+    width - c bits neither borrow (are zero) nor carry (overflow by the
+    budget)."""
+    for c in range(count, 0, -1):
+        low = acc & ((1 << (width - c)) - 1)
+        if low >= 1 and low + budget < 1 << (width - c):
+            return c
+    return 0
 
 
-def test_hex_regroups_bits(golden_plan):
-    bits = extract_bits(golden_plan, 0, 32)
-    hexw = extract_hex(golden_plan, 0, 8)
-    assert hexw.radix == 16
-    assert int(hexw.bits, 16) == int(bits.bits, 2)
-    assert hexw.certified == 8
+def test_certified_prefix_equals_the_bit_by_bit_rule():
+    rng = random.Random(20261018)
+    cases = []
+    for width, count in ((8, 1), (8, 8), (70, 6), (128, 64), (4200, 4096)):
+        edges = range(count + 1) if count <= 64 else {0, 1, 2, 63, 64, 65, count - 1, count}
+        for c in edges:
+            step = 1 << (width - c)
+            for budget in (0, 1, 2, 5, step - 1, 1 << (width - count)):
+                # acc at the borrow edge (low width - c bits 0 or 1) and at
+                # the carry edge (within the budget of the next multiple)
+                for base in (0, step, rng.randrange(1 << width) // step * step, (1 << width) - step):
+                    for d in (0, 1, 2, step - budget - 1, step - budget, step - 1):
+                        if 0 <= d < step:
+                            cases.append((base + d, width, count, budget))
+        for _ in range(200):
+            budget = rng.choice((0, 1, rng.randrange(1 << 12), rng.randrange(1 << width)))
+            cases.append((rng.randrange(1 << width), width, count, budget))
+    for case in cases:
+        assert spigot_mod._certified_prefix(*case) == _certified_prefix_by_loop(*case), case
 
 
-def test_hex_window_matches_oracle_at_10k(golden_plan):
-    hexw = extract_hex(golden_plan, 10_000, 8)
-    oracle = golden_constant(4 * 10_000 + 256)
-    expected_bits = fixedreal_bits(oracle, 4 * 10_000, 32)
-    assert hexw.bits == format(int(expected_bits, 2), "08x")
+def test_wide_window_equals_four_joined_64_bit_windows(golden_plan):
+    n = 100_000
+    wide = extract_bits(golden_plan, n, 256)
+    parts = [extract_bits(golden_plan, n + 64 * i, 64) for i in range(4)]
+    assert wide.certified == 256
+    assert all(w.certified == 64 for w in parts)
+    assert wide.bits == "".join(w.bits for w in parts)
 
 
 def test_window_validation(golden_plan):
     with pytest.raises(ValidationError, match="count"):
         extract_bits(golden_plan, 0, 0)
     with pytest.raises(ValidationError, match="count"):
-        extract_bits(golden_plan, 0, 65)
-    with pytest.raises(ValidationError, match="count"):
-        extract_hex(golden_plan, 0, 0)
-    with pytest.raises(ValidationError, match="count"):
-        extract_hex(golden_plan, 0, 17)
+        extract_bits(golden_plan, 0, -1)
     with pytest.raises(ValidationError, match="position"):
         extract_bits(golden_plan, -1, 8)
-    with pytest.raises(ValidationError, match="position"):
-        extract_hex(golden_plan, -1, 4)
