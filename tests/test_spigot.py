@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 import bbplog.spigot as spigot_mod
+from bbplog.cli import main
 from bbplog.errors import UnsupportedFormulaError, ValidationError
 from bbplog.family import family_coeffs, golden_constant, golden_formula
 from bbplog.formula import BbpFormula, _fold_levels
@@ -444,6 +445,25 @@ def test_wide_window_equals_four_joined_64_bit_windows(golden_plan):
     assert wide.certified == 256
     assert all(w.certified == 64 for w in parts)
     assert wide.bits == "".join(w.bits for w in parts)
+
+
+def _hex_digits(capsys, pos: int, count: int) -> str:
+    # hex is a print format: `digits --radix 16` prints the bits at 4 * pos
+    assert main(["digits", "--pos", str(pos), "--count", str(count), "--radix", "16"]) == 0
+    return capsys.readouterr().out
+
+
+def test_hex_regroups_bits(golden_plan, capsys):
+    bits = extract_bits(golden_plan, 0, 32)
+    out = _hex_digits(capsys, 0, 8 * 4)
+    assert out == f"pos=0 radix=16 digits={int(bits.bits, 2):08x} certified=8\n"
+
+
+def test_hex_window_matches_oracle_at_10k(capsys):
+    out = _hex_digits(capsys, 10_000, 32)
+    oracle = golden_constant(4 * 10_000 + 256)
+    expected_bits = fixedreal_bits(oracle, 4 * 10_000, 32)
+    assert f" digits={int(expected_bits, 2):08x} " in out
 
 
 def test_window_validation(golden_plan):
