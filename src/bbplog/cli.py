@@ -7,11 +7,11 @@ Exit codes are part of the interface:
     2   domain or unsupported-formula error (including a family
         formula with an integer too long for the file format, and an
         eval formula of degree above formula.MAX_DEGREE = 128)
-    64  usage error: a bad flag or flag value, a value above one of the
-        cost caps below, a value the library rejects as outside its
-        domain (its ValidationError: digits --count below 1 or --pos
-        below 0, eval --bits below 64), or a family -o path that cannot
-        be written
+    64  usage error: a bad flag or flag value, a value or a formula
+        above one of the cost caps below, a value the library rejects as
+        outside its domain (its ValidationError: digits --count below 1
+        or --pos below 0, eval --bits below 64, verify --bits below 1),
+        or a family -o path that cannot be written
     65  malformed or invalid input file
 
 stdout carries machine-parseable results; stderr carries diagnostics.
@@ -24,6 +24,9 @@ prints --radix 16 as groups of four bits, so there --count must be a
 multiple of 4 and --pos counts four bits per hex digit.  The library sees
 a value only once the formula is loaded, so with a bad formula file as
 well the file's error (65, or 2 if unsupported) is the one reported.
+The formula caps are checked once the formula is loaded, and for digits
+once its plan is built, before any extraction or evaluation; so eval
+reports a degree above MAX_DEGREE (2) only for a formula within them.
 
 verify prints each REPORT line as soon as its check finishes: first every
 theorem check, then the corollary, then every decomposition check.  The
@@ -49,8 +52,20 @@ Cost caps, each checked before any work starts (2 vCPU Xeon, Python
   family files per position (at 10**6 on one CPU: golden 0.84 s, log2
   0.75 s, t = 2 0.33 s, best of 3).  At the cap it took 49 s for 64 bits
   and 65 s for 4096 on one CPU, and 28 s for 4096 on both; the time
-  grows a little faster than the position.  A formula file's time also
-  grows with its number of nonzero terms, which no cap bounds.
+  grows a little faster than the position.
+- digits and eval with any formula: at most MAX_NONZERO = 128 nonzero
+  coefficients, and at most golden's term count at the caps above: for
+  digits (pos // beta + 1) * nonzero <= MAX_HEAD_TERMS = 36 000 024 head
+  terms (pos in bits, base 2**beta), for eval (bits // c + 1) * nonzero
+  <= MAX_EVAL_TERMS = 360 024 terms (c = floor(log2 base)).  The time per
+  term grows with the nonzero count: at the head-term cap, base-2 files
+  of N ones took 41 s (N = 24, position 1.5*10**6), 56 s (N = 64), 88 s
+  (N = 128) and 116 s (N = 256) for 64 bits on one CPU, against 51 s
+  for golden at the --pos cap in the same session (extract_bits alone,
+  one run each).  At the eval term
+  cap those files took 0.16-0.28 s for N = 24..256, 0.98 s for N = 1024
+  and 2.6 s for N = 4000, against 2.5 s for golden and 2.1 s for log2
+  at --bits 300 000 (eval_P alone, one run each).
 - A --t range is lazy and has no cap: verify runs one check per t in
   turn, printing as it goes, for as long as the range asks.
 """
@@ -79,10 +94,16 @@ EX_USAGE = 64
 EX_DATA = 65
 
 # cost caps, from the times in the module docstring: --bits for eval and
-# verify, and the width and bit position of a digits window
+# verify, the width and bit position of a digits window, and for a
+# formula its nonzero coefficients and the terms eval sums or the digits
+# head reduces, at golden's values at the --bits and --pos caps (golden:
+# 24 nonzero coefficients, base 2**20)
 MAX_BITS = 300_000
 MAX_WINDOW_BITS = 4096
 MAX_POS_BITS = 30_000_000
+MAX_NONZERO = 128
+MAX_EVAL_TERMS = (MAX_BITS // 20 + 1) * 24
+MAX_HEAD_TERMS = (MAX_POS_BITS // 20 + 1) * 24
 
 
 class _Parser(argparse.ArgumentParser):
@@ -165,6 +186,16 @@ class _DataError(Exception):
     pass
 
 
+def _check_terms(parser: _Parser, f: BbpFormula, levels: int, cap: int, what: str) -> None:
+    """The formula caps: its nonzero coefficients, and the terms that
+    ``levels`` levels of them make for ``what``, a flag and its value."""
+    nonzero = sum(1 for a in f.coeffs if a)
+    if nonzero > MAX_NONZERO:
+        parser.error(f"the formula has {nonzero} nonzero coefficients; at most {MAX_NONZERO} are allowed")
+    if levels * nonzero > cap:
+        parser.error(f"{what} takes {levels * nonzero} terms with this formula; at most {cap} are allowed")
+
+
 def _parse_t_list(text: str) -> list[range]:
     """Parse '2', '1..3' or '1,2,-2' into lazy ranges, checking every token."""
     ranges: list[range] = []
@@ -188,6 +219,8 @@ def _cmd_digits(args: argparse.Namespace, parser: _Parser) -> int:
     if unit * args.pos > MAX_POS_BITS:
         parser.error(f"--pos must be at most {MAX_POS_BITS // unit} for --radix {args.radix}")
     plan = build_plan(_load_formula(args))
+    head_levels = unit * args.pos // plan.beta + 1
+    _check_terms(parser, plan.formula, head_levels, MAX_HEAD_TERMS, f"--pos {args.pos}")
     window = extract_bits(plan, unit * args.pos, args.count)
     digits = window.bits
     if unit == 4:
@@ -223,7 +256,7 @@ def _cmd_family(args: argparse.Namespace, parser: _Parser) -> int:
 def _cmd_verify(args: argparse.Namespace, parser: _Parser) -> int:
     if not (args.theorem or args.corollary or args.decomposition):
         parser.error("choose at least one of --theorem, --corollary, --decomposition")
-    if not 1 <= args.bits <= MAX_BITS:
+    if args.bits > MAX_BITS:  # the verify_* functions check the lower end
         parser.error(f"--bits must be in 1..{MAX_BITS}")
     try:
         t_ranges = _parse_t_list(args.t)
@@ -252,7 +285,10 @@ def _cmd_eval(args: argparse.Namespace, parser: _Parser) -> int:
         parser.error(f"--bits must be in 64..{MAX_BITS}")
     if args.digits is not None and args.digits < 1:
         parser.error("--digits must be positive")
-    result = eval_P(_load_formula(args), args.bits)
+    f = _load_formula(args)
+    levels = args.bits // (f.base.bit_length() - 1) + 1
+    _check_terms(parser, f, levels, MAX_EVAL_TERMS, f"--bits {args.bits}")
+    result = eval_P(f, args.bits)
     value = result.value
     print(
         f"value={value.decimal(args.digits)}"

@@ -23,7 +23,7 @@ square roots of 5.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import Decimal
 from fractions import Fraction
 
@@ -108,14 +108,7 @@ def golden_formula() -> BbpFormula:
     factor 1/3.
     """
     base = family_coeffs(1).formula
-    return BbpFormula(
-        degree=base.degree,
-        base=base.base,
-        length=base.length,
-        coeffs=base.coeffs,
-        prefactor=base.prefactor / 3,
-        label="sqrt(5)*log(phi)",
-    )
+    return replace(base, prefactor=base.prefactor / 3, label="sqrt(5)*log(phi)")
 
 
 def lhs_value(inst: FamilyInstance, frac_bits: int) -> FixedReal:

@@ -4,19 +4,21 @@ A formula stands for the constant
 
     prefactor * sum_{k>=0} b**-k * sum_{j=1..l} a_j / (k*l + j)**s
 
-Bound of eval_P at F bits.  The K levels are summed in blocks of
-L = ceil(T / nonzero terms) levels (T = ``_BLOCK_TERMS``), deepest block
-first.  c = floor(log2 b), G = bitlen(2K) + 2 is the guard and
-W_k = F + G - k*c.  The block of levels k0 .. k1-1 is folded into one
-exact fraction b**(k1-1-k0) * sum_k b**(k0-k) * S_k (``_fold_levels``,
-S_k the level's sum over j) and floored once at width W_k0, dividing by
-b**(k1-1-k0).  Horner carries the deeper blocks to width W_k0 as
-floor(acc * 2**(c*L) / b**L).  Each floor costs under one ulp of its
-width, and 2**(cL)/b**L <= 1 never grows an earlier error, so each block
-costs under 2 ulp at F + G, or 1 when b = 2**c (its Horner step is exact
-and skipped, and the division a shift).  That charge is at most
-2K < 2**(G-2) ulp.  FixedReal charges the prefactor and the rescale to
-F, and the tail majorant of _truncation is added once.
+Bound of eval_P at F bits.  Write b = 2**v * o with o odd, and let
+c = floor(log2 b) >= v, G = bitlen(2K) + 2 the guard and W_k = F + G - k*c.
+The K levels are summed in blocks of L = ceil(T / nonzero terms) levels
+(T = ``_BLOCK_TERMS``), deepest block first.  The block of levels
+k0 .. k1-1, n = k1-1-k0, is folded into one exact fraction
+num/den = sum_k b**(k1-1-k) * S_k (``_fold_levels``, S_k the level's sum
+over j) and floored once at width W_k0 as floor(num * 2**w / (den * o**n))
+with w = W_k0 - v*n, which is floor(num * 2**W_k0 / (den * b**n)).
+Horner carries the deeper blocks to width W_k0 as
+floor(acc * 2**((c-v)*L) / o**L) = floor(acc * 2**(c*L) / b**L), a step
+skipped when o = 1, where it is exact.  Each floor costs under one ulp of
+its width, and 2**(cL)/b**L <= 1 never grows an earlier error, so each
+block costs under 1 ulp at F + G when o = 1 and under 2 otherwise.  That
+charge is at most 2K < 2**(G-2) ulp.  FixedReal charges the prefactor and
+the rescale to F, and the tail majorant of _truncation is added once.
 """
 
 from __future__ import annotations
@@ -110,6 +112,15 @@ def _fold_levels(
     return num, den
 
 
+def _floor_at(num: int, den: int, w: int) -> tuple[int, int]:
+    """divmod(num * 2**w, den) for den > 0 and w of either sign: the floor
+    of num * 2**w / den, and a remainder that is 0 exactly when that floor
+    is exact (in units of 2**w when w < 0)."""
+    if w >= 0:
+        return divmod(num << w, den)
+    return divmod(num, den << -w)
+
+
 def _truncation(f: BbpFormula, frac_bits: int) -> tuple[int, int]:
     """Terms K to sum and the tail majorant, in ulps, of what is left out.
 
@@ -149,24 +160,21 @@ def eval_P(f: BbpFormula, frac_bits: int) -> EvalResult:
     W0 = frac_bits + (2 * K).bit_length() + 2  # F + G
     b = f.base
     c = b.bit_length() - 1
-    exact_step = b == 1 << c
+    v = (b & -b).bit_length() - 1
+    o = b >> v
     terms = tuple((j, a) for j, a in enumerate(f.coeffs, start=1) if a)
     L = -(-_BLOCK_TERMS // len(terms))
     blocks = range(0, K, L)
-    carry = b**L
+    carry = o**L
     acc = 0
     for k0 in reversed(blocks):
         k1 = min(k0 + L, K)
+        if o > 1:
+            acc = _floor_at(acc, carry, (c - v) * L)[0]
         num, den = _fold_levels(b, f.degree, f.length, terms, k0, k1)
-        if exact_step:  # dividing by b**(k1-1-k0) narrows the width
-            w = W0 - (k1 - 1) * c
-        else:
-            acc = (acc << c * L) // carry
-            w = W0 - k0 * c
-            den *= b ** (k1 - 1 - k0)
-        # floor(num * 2**w / den); deep blocks may have w < 0
-        acc += (num << max(w, 0)) // (den << max(-w, 0))
-    total = FixedReal(acc, W0, len(blocks) if exact_step else 2 * len(blocks))
+        n = k1 - 1 - k0
+        acc += _floor_at(num, den * o**n, W0 - k0 * c - v * n)[0]
+    total = FixedReal(acc, W0, len(blocks) if o == 1 else 2 * len(blocks))
     total = total.mul_fraction(f.prefactor).rescale(frac_bits)
     value = FixedReal(total.mantissa, frac_bits, total.err_ulp + tail_ulp)
     return EvalResult(value=value, terms_used=K, tail_bound_ulp=tail_ulp)

@@ -174,13 +174,8 @@ class FixedReal:
         return FixedReal(m, F, e)
 
     def div_int(self, d: int) -> "FixedReal":
-        if d == 0:
-            raise ZeroDivisionError("division by zero")
-        m = _tdiv(self.mantissa, d)
-        e = _ceil_div(self.err_ulp, abs(d)) if self.err_ulp else 0
-        if m * d != self.mantissa:
-            e += 1
-        return FixedReal(m, self.frac_bits, e)
+        """Divide by a nonzero integer: :meth:`mul_fraction` by 1/d."""
+        return self.mul_fraction(Fraction(1, d))
 
     def mul_fraction(self, fr: Fraction | int) -> "FixedReal":
         """Multiply by an exact rational (err <= e*|p|/q + 1 ulp)."""

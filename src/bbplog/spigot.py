@@ -22,7 +22,9 @@ the multi-digit modulus M.  The odd part q' stays in the modulus
 because frac(x/q') is not a function of frac(x).  The levels past the
 last whole head block, where some exponent may be negative, form the
 tail, down to a cutoff: the head and the tail go through one block
-sum, and a tail block with e < 0 is floored directly in fixed point.
+sum, which floors every block at the accumulator's width through
+``formula._floor_at``, the floor ``eval_P`` uses too: a head block after
+its reduction mod 1, a tail block with e < 0 directly.
 None of q', s_min, the pairs, L or the cutoff depends on n, so
 :func:`build_plan` computes them once per formula.
 
@@ -76,7 +78,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import UnsupportedFormulaError, ValidationError
-from .formula import BbpFormula, _fold_levels
+from .formula import BbpFormula, _floor_at, _fold_levels
 
 __all__ = ["SpigotPlan", "DigitWindow", "build_plan", "extract_bits"]
 
@@ -273,11 +275,8 @@ def _sum_blocks(
             raise ProcessLookupError("the parent process is gone")
         e = e0 - plan.beta * (min(k + plan.levels, k1) - 1)
         if e >= 0:  # 2**e * num/den mod 1, exactly
-            contrib, rem = divmod(num * pow(2, e, den) % den << width, den)
-        elif e + width >= 0:
-            contrib, rem = divmod(num << e + width, den)
-        else:
-            contrib, rem = divmod(num, den << -e - width)
+            num, e = num * pow(2, e, den) % den, 0
+        contrib, rem = _floor_at(num, den, e + width)
         acc += contrib
         if rem:
             budget += 1

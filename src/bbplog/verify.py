@@ -12,6 +12,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+from .errors import ValidationError
 from .family import (
     family_coeffs,
     golden_constant,
@@ -72,10 +73,17 @@ def _report(
     )
 
 
+def _work_bits(target_bits: int) -> int:
+    """The working precision for a target of at least one bit."""
+    if target_bits < 1:
+        raise ValidationError("target_bits: must be at least 1")
+    return target_bits + GUARD_BITS
+
+
 def verify_theorem(t: int, target_bits: int) -> VerificationReport:
     """Closed-form left side vs the evaluated series for parameter t."""
     started = time.perf_counter()
-    work = target_bits + GUARD_BITS
+    work = _work_bits(target_bits)
     inst = family_coeffs(t)
     lhs = lhs_value(inst, work)
     rhs = eval_P(inst.formula, work).value
@@ -90,7 +98,7 @@ def verify_corollary(target_bits: int) -> VerificationReport:
     or ends that disagree, fails the report outright.
     """
     started = time.perf_counter()
-    work = target_bits + GUARD_BITS
+    work = _work_bits(target_bits)
     oracle = golden_constant(work)
     formula = golden_formula()
     evaluated = eval_P(formula, work).value
@@ -111,5 +119,5 @@ def verify_corollary(target_bits: int) -> VerificationReport:
 def verify_decomposition(t: int, target_bits: int) -> VerificationReport:
     """atanh closed form vs the four-term polylogarithm decomposition."""
     started = time.perf_counter()
-    lhs, rhs = verify_li1_decomposition(t, target_bits + GUARD_BITS)
+    lhs, rhs = verify_li1_decomposition(t, _work_bits(target_bits))
     return _report(f"decomposition(t={t})", lhs, rhs, target_bits, started)

@@ -100,6 +100,54 @@ def test_digits_caps_exit_64_before_any_extraction(capsys, monkeypatch, radix, u
     assert len(windows) == 1
 
 
+def test_formula_caps_exit_64_before_any_work(capsys, monkeypatch, tmp_path):
+    # base-2 files of ones: without the caps, 4000 of them take 26 s at
+    # --pos 1000, and 24 near the --pos cap make twenty times golden's
+    # head terms there
+    calls = []
+
+    def extract(plan, n, count):
+        calls.append(n)
+        return DigitWindow(position=n, bits="0" * count, certified=count)
+
+    def evaluate(f, bits):
+        calls.append(bits)
+        return formula.eval_P(f, 64)
+
+    monkeypatch.setattr(cli, "extract_bits", extract)
+    monkeypatch.setattr(cli, "eval_P", evaluate)
+    files = {}
+    for ones in (4000, 24):
+        path = tmp_path / f"ones{ones}.bbp"
+        path.write_text(f"bbp 1\ns 1\nb 2\nl {ones}\npre 1/1\nA{' 1' * ones}\n", encoding="utf-8")
+        files[ones] = ("--formula", str(path))
+    last_pos = cli.MAX_HEAD_TERMS // 24 - 1
+    last_bits = cli.MAX_EVAL_TERMS // 24 - 1
+    for argv, message in (
+        (["digits", "--pos", "1000", *files[4000]], "4000 nonzero coefficients"),
+        (["eval", "--bits", "64", *files[4000]], "4000 nonzero coefficients"),
+        (["digits", "--pos", "29000000", *files[24]], "--pos 29000000 takes 696000024 terms"),
+        (["digits", "--pos", str(last_pos + 1), *files[24]], "terms with this formula"),
+        (["eval", "--bits", str(last_bits + 1), *files[24]], "terms with this formula"),
+    ):
+        code, err = run_usage_error(capsys, *argv)
+        assert code == 64
+        assert message in err
+    assert calls == []
+    # log2 at the --pos cap, golden and log2 at the --bits cap, and the
+    # 24-term file at its last position and precision are within the caps
+    within = (
+        ["digits", "--pos", str(cli.MAX_POS_BITS), "--preset", "log2"],
+        ["digits", "--pos", str(last_pos), *files[24]],
+        ["eval", "--bits", str(cli.MAX_BITS)],
+        ["eval", "--bits", str(cli.MAX_BITS), "--preset", "log2"],
+        ["eval", "--bits", str(last_bits), *files[24]],
+    )
+    for argv in within:
+        assert run(capsys, *argv)[0] == 0, argv
+    assert calls == [int(argv[2]) for argv in within]
+
+
 def test_digits_unsupported_formula_exits_2(capsys, tmp_path):
     path = tmp_path / "base5.bbp"
     path.write_text("bbp 1\ns 1\nb 5\nl 1\npre 1/1\nA 1\n", encoding="utf-8")
@@ -204,6 +252,16 @@ def test_verify_bad_t_range(capsys):
 def test_verify_t_zero_exits_2(capsys):
     code, _, err = run(capsys, "verify", "--theorem", "--t", "0", "--bits", "64")
     assert code == 2
+
+
+@pytest.mark.parametrize("check", ["--theorem", "--corollary", "--decomposition"])
+def test_verify_bits_below_1_is_usage_error(capsys, check):
+    # the verify_* functions reject the target; main maps their
+    # ValidationError to 64
+    code, out, err = run(capsys, "verify", check, "--bits", "0")
+    assert code == 64
+    assert out == ""
+    assert err == "bbplog: error: target_bits: must be at least 1\n"
 
 
 def test_verify_theorem_with_huge_t(capsys):

@@ -128,9 +128,11 @@ def test_fold_levels_is_the_exact_block_sum(base):
 @pytest.mark.parametrize("levels", [1, 2, 3, 5])
 def test_eval_blocks_match_exact_sum(monkeypatch, levels):
     # three nonzero terms, so T = 3 * levels gives blocks of that many
-    # levels; the bases are not powers of two, so the Horner step runs
+    # levels; b = 2**v * o with o = 1 (16: no Horner step), v = 0 (3) and
+    # both factors (12, 2**20 * 3**40), at widths where K is no multiple
+    # of the block
     monkeypatch.setattr(formula_mod, "_BLOCK_TERMS", 3 * levels)
-    for base, F in ((3, 103), (2**20 * 3**40, 1344)):
+    for base, F in ((3, 103), (16, 97), (12, 110), (2**20 * 3**40, 1344)):
         f = BbpFormula(2, base, 4, (2, -1, 0, 5), Fraction(-3, 7))
         res = eval_P(f, F)
         K = res.terms_used

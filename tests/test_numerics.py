@@ -603,6 +603,7 @@ def check_ring_ops_sound(cases: int, seed: int = 20260809, frac_bits: int = 96) 
             (a * b, fa * fb),
             (a.mul_fraction(fb), fa * fb),
             (a.div_int(7), fa / 7),
+            (a.div_int(-7), fa / -7),
             (a.rescale(frac_bits - 17).rescale(frac_bits), fa),
         ]
         if abs(b.mantissa) > b.err_ulp:
@@ -653,6 +654,8 @@ def check_log_atanh_sound(cases: int, seed: int = 20260811, frac_bits: int = 96)
 
 def test_ring_ops_interval_soundness():
     assert check_ring_ops_sound(1000) == 0
+    with pytest.raises(ZeroDivisionError):
+        FixedReal.from_int(1, 96).div_int(0)
 
 
 def test_sqrt_interval_soundness():

@@ -7,7 +7,7 @@ import re
 import pytest
 
 import bbplog.verify as verify_mod
-from bbplog.errors import DomainError
+from bbplog.errors import DomainError, ValidationError
 from bbplog.numerics import FixedReal
 from bbplog.verify import (
     GUARD_BITS,
@@ -83,6 +83,18 @@ def test_theorem_t2():
 def test_theorem_rejects_t_zero():
     with pytest.raises(DomainError):
         verify_theorem(0, 100)
+
+
+@pytest.mark.parametrize("bits", [0, -5, -100])
+def test_checks_reject_targets_below_one_bit(bits):
+    checks = (
+        lambda: verify_theorem(1, bits),
+        lambda: verify_corollary(bits),
+        lambda: verify_decomposition(1, bits),
+    )
+    for check in checks:
+        with pytest.raises(ValidationError, match="target_bits"):
+            check()
 
 
 def test_corollary_small():
