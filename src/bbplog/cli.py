@@ -38,7 +38,8 @@ Cost caps, each checked before any work starts (2 vCPU Xeon, Python
 3.11.7, one run each unless noted):
 
 - eval and verify: --bits at most MAX_BITS = 300 000.  At the cap eval
-  takes 3.2 s for golden and 2.7 s for log2, and one verify check 5.5 s
+  takes 2.9 s for golden and 2.3 s for log2 end to end, the full decimal
+  print 0.17 s of it (best of 3), and one verify check 5.5 s
   (corollary), 4.3-5.8 s (theorem, t = -50 and 1) or 8.4-9.1 s
   (decomposition, t = -50 and 1) by its ms= field; the time grows about
   quadratically in --bits.
@@ -54,18 +55,25 @@ Cost caps, each checked before any work starts (2 vCPU Xeon, Python
   and 65 s for 4096 on one CPU, and 28 s for 4096 on both; the time
   grows a little faster than the position.
 - digits and eval with any formula: at most MAX_NONZERO = 128 nonzero
-  coefficients, and at most golden's term count at the caps above: for
-  digits (pos // beta + 1) * nonzero <= MAX_HEAD_TERMS = 36 000 024 head
-  terms (pos in bits, base 2**beta), for eval (bits // c + 1) * nonzero
-  <= MAX_EVAL_TERMS = 360 024 terms (c = floor(log2 base)).  The time per
-  term grows with the nonzero count: at the head-term cap, base-2 files
-  of N ones took 41 s (N = 24, position 1.5*10**6), 56 s (N = 64), 88 s
-  (N = 128) and 116 s (N = 256) for 64 bits on one CPU, against 51 s
-  for golden at the --pos cap in the same session (extract_bits alone,
-  one run each).  At the eval term
-  cap those files took 0.16-0.28 s for N = 24..256, 0.98 s for N = 1024
-  and 2.6 s for N = 4000, against 2.5 s for golden and 2.1 s for log2
-  at --bits 300 000 (eval_P alone, one run each).
+  coefficients, and at most golden's term count at the caps above, each
+  term counted once per degree s (up to MAX_DEGREE, above which eval
+  refuses the formula before any work): for digits
+  (pos // beta + 1) * nonzero <= MAX_HEAD_TERMS = 36 000 024 head terms
+  (pos in bits, base 2**beta, s = 1), for eval
+  (bits // c + 1) * nonzero * s <= MAX_EVAL_TERMS = 360 024 terms
+  (c = floor(log2 base)).  The time per term grows with the nonzero
+  count: at the head-term cap, base-2 files of N ones took 41 s
+  (N = 24, position 1.5*10**6), 56 s (N = 64), 88 s (N = 128) and 116 s
+  (N = 256) for 64 bits on one CPU, against 51 s for golden at the
+  --pos cap in the same session (extract_bits alone, one run each).  At
+  the eval term cap those files took 0.16-0.28 s for N = 24..256, 0.98 s
+  for N = 1024 and 2.6 s for N = 4000, against 2.5 s for golden and
+  2.1 s for log2 at --bits 300 000 (eval_P alone, one run each).  The
+  time per term grows with the degree too: a copy of golden of degree
+  128 took 6.4 s at --bits 20 000 (golden: 17 ms); the cap allows it
+  at most 2 339 bits.  At the cap, copies of golden, log2 and the t = 2
+  and 9 files with s = 2, 3, 8, 32 and 128 took 0.09-1.7 s (eval_P
+  alone, one run each), the slowest t = 2 at s = 3 and t = 9 at s = 8.
 - A --t range is lazy and has no cap: verify runs one check per t in
   turn, printing as it goes, for as long as the range asks.
 """
@@ -80,7 +88,7 @@ from itertools import chain
 
 from .errors import DomainError, ParseError, UnsupportedFormulaError, ValidationError
 from .family import family_coeffs, golden_formula
-from .formula import BbpFormula, emit_formula, eval_P, parse_formula
+from .formula import MAX_DEGREE, BbpFormula, emit_formula, eval_P, parse_formula
 from .presets import PRESETS, load_preset
 from .spigot import build_plan, extract_bits
 from .verify import verify_corollary, verify_decomposition, verify_theorem
@@ -133,6 +141,7 @@ def _build_parser() -> _Parser:
     p_digits.add_argument("--count", type=int, default=32, help=f"number of bits to extract (1..{MAX_WINDOW_BITS}; for radix 16 a multiple of 4)")
     p_digits.add_argument("--radix", type=int, choices=(2, 16), default=2)
     _add_formula_source(p_digits)
+    p_digits.set_defaults(handler=_cmd_digits, parser=p_digits)
 
     p_family = sub.add_parser(
         "family", help="write the formula file for a parameter t"
@@ -144,6 +153,7 @@ def _build_parser() -> _Parser:
         help="normalize the t=1 instance to sqrt(5)*log(phi) (prefactor /3)",
     )
     p_family.add_argument("-o", "--output", help="destination path (default stdout)")
+    p_family.set_defaults(handler=_cmd_family, parser=p_family)
 
     p_verify = sub.add_parser("verify", help="run identity checks")
     p_verify.add_argument("--theorem", action="store_true")
@@ -151,11 +161,13 @@ def _build_parser() -> _Parser:
     p_verify.add_argument("--decomposition", action="store_true")
     p_verify.add_argument("--t", default="1", help="parameters: '2', '1..3', or '1,2,-2'")
     p_verify.add_argument("--bits", type=int, default=256, help=f"agreement threshold in bits (1..{MAX_BITS})")
+    p_verify.set_defaults(handler=_cmd_verify, parser=p_verify)
 
     p_eval = sub.add_parser("eval", help="evaluate a formula to high precision")
     p_eval.add_argument("--bits", type=int, default=256, help=f"working precision in bits (64..{MAX_BITS})")
     p_eval.add_argument("--digits", type=int, default=None, help="decimal digits to print (default: all certified)")
     _add_formula_source(p_eval)
+    p_eval.set_defaults(handler=_cmd_eval, parser=p_eval)
 
     return parser
 
@@ -188,12 +200,15 @@ class _DataError(Exception):
 
 def _check_terms(parser: _Parser, f: BbpFormula, levels: int, cap: int, what: str) -> None:
     """The formula caps: its nonzero coefficients, and the terms that
-    ``levels`` levels of them make for ``what``, a flag and its value."""
+    ``levels`` levels of them make for ``what``, a flag and its value,
+    each weighted by the degree up to MAX_DEGREE (a formula of higher
+    degree is refused before any work)."""
     nonzero = sum(1 for a in f.coeffs if a)
     if nonzero > MAX_NONZERO:
         parser.error(f"the formula has {nonzero} nonzero coefficients; at most {MAX_NONZERO} are allowed")
-    if levels * nonzero > cap:
-        parser.error(f"{what} takes {levels * nonzero} terms with this formula; at most {cap} are allowed")
+    terms = levels * nonzero * min(f.degree, MAX_DEGREE)
+    if terms > cap:
+        parser.error(f"{what} takes {terms} terms with this formula (each counted once per degree); at most {cap} are allowed")
 
 
 def _parse_t_list(text: str) -> list[range]:
@@ -299,16 +314,10 @@ def _cmd_eval(args: argparse.Namespace, parser: _Parser) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "digits": _cmd_digits,
-        "family": _cmd_family,
-        "verify": _cmd_verify,
-        "eval": _cmd_eval,
-    }
+    args = _build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args, parser)
+        # each handler reports a usage error through its subcommand's parser
+        return args.handler(args, args.parser)
     except _DataError as exc:
         print(f"bbplog: error: {exc}", file=sys.stderr)
         return EX_DATA

@@ -8,10 +8,15 @@ Bound of eval_P at F bits.  Write b = 2**v * o with o odd, and let
 c = floor(log2 b) >= v, G = bitlen(2K) + 2 the guard and W_k = F + G - k*c.
 The K levels are summed in blocks of L = ceil(T / nonzero terms) levels
 (T = ``_BLOCK_TERMS``), deepest block first.  The block of levels
-k0 .. k1-1, n = k1-1-k0, is folded into one exact fraction
-num/den = sum_k b**(k1-1-k) * S_k (``_fold_levels``, S_k the level's sum
-over j) and floored once at width W_k0 as floor(num * 2**w / (den * o**n))
-with w = W_k0 - v*n, which is floor(num * 2**W_k0 / (den * b**n)).
+k0 .. k1-1, n = k1-1-k0, is one exact fraction
+num/den = sum_k b**(k1-1-k) * S_k, S_k the level's sum over j: the pair
+``_fold_levels`` gives.  It is built from groups of g levels, whose
+fractions come from Stepping, joined by Horner as
+(N, M) <- (N * b**len * M_i + N_i * M, M * M_i): g is the largest divisor
+of L with g * nonzero <= ``_FOLD_TERMS``, or 1 if there is none, or L
+when the K levels make too few groups to step.  The block is floored
+once at width W_k0 as floor(num * 2**w / (den * o**n)) with
+w = W_k0 - v*n, which is floor(num * 2**W_k0 / (den * b**n)).
 Horner carries the deeper blocks to width W_k0 as
 floor(acc * 2**((c-v)*L) / o**L) = floor(acc * 2**(c*L) / b**L), a step
 skipped when o = 1, where it is exact.  Each floor costs under one ulp of
@@ -19,12 +24,41 @@ its width, and 2**(cL)/b**L <= 1 never grows an earlier error, so each
 block costs under 1 ulp at F + G when o = 1 and under 2 otherwise.  That
 charge is at most 2K < 2**(G-2) ulp.  FixedReal charges the prefactor and
 the rescale to F, and the tail majorant of _truncation is added once.
+
+Stepping.  ``_block_fractions`` gives the exact fractions of a range of
+blocks of g levels, for eval_P's groups and the spigot's blocks alike.
+From level k0, block x holds levels k0 + x*g + i, i < g, and a fold
+callable gives its fraction as N(x)/M(x), with
+M(x) = m * prod ((k0 + x*g + i)*l + j)**s over its levels and nonzero
+terms (m >= 1 a constant: 1 for eval_P, q' for the spigot) and N(x) the
+matching Horner numerator.  Both are integer polynomials in x of degree
+at most D = g * (nonzero terms) * s.  Each factor of M is a polynomial in
+x with nonnegative coefficients, so M has degree D and nonnegative
+coefficients, and each Newton register Delta**i M(0), i <= D, is
+positive.  The first D+1 blocks are folded, and their forward
+differences are the registers of M and of N' = N + C*M at x = 0, where
+C >= 0 is the smallest integer that makes every register of N'
+nonnegative.  One step adds register i+1 to register i for every i < D
+at once and moves all of them from x to x+1; registers are only ever
+added to, so they stay nonnegative and nondecreasing.  With every
+register at x nonnegative, P(x+i) = sum_m binomial(i, m) * Delta**m P(x)
+>= Delta**i P(x), so no register of P = N' or M exceeds P(X + D) while
+x <= X, the range's last whole block.  A register pair therefore fits one
+S-bit slot, N' in the low G = bitlen N'(X + D) bits and M in the
+H = bitlen M(X + D) bits above them, S = G + H; with the D+1 slots packed
+into one int, a step is ``regs += regs >> S`` and no field carries into
+the next.  A block reads N' and M from the low slot and yields
+N = N' - C*M, the fold's exact numerator.  A range of fewer than
+``_STEP_MIN`` * (D+1) whole blocks, such as the spigot's tail, and a
+partial last block are only folded.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .errors import ParseError, UnsupportedFormulaError, ValidationError
 from .numerics import FixedReal
@@ -112,6 +146,98 @@ def _fold_levels(
     return num, den
 
 
+# T, the terms in one stepped block: a spigot block, and a group of
+# eval_P's levels (a division block joins several, _BLOCK_TERMS).  For
+# the spigot: enough for the interpreter's cost per modular power to stop
+# dominating, few enough that the fraction's size does not.  Summing
+# log2's head serially at position 2*10**5 took 451, 299, 202, 175, 188
+# and 202 ms at T = 1, 4, 8, 16, 32 and 64, and golden's 169 ms in blocks
+# of one level (24 terms) against 186 ms in blocks of two (best of 7;
+# 2 vCPU Xeon, Python 3.11.7).  With stepped fractions only the modular
+# power is left, and T = 16 stays.  Serial, medians of 9-11 interleaved
+# runs in each of two sessions, T = 16 / 24 / 32 took for log2 5.6-9.2 /
+# 5.2-8.5 / 5.2-8.5 ms at position 2*10**4, 84-132 / 84-127 / 87-129 ms
+# at 2*10**5 and 668-849 / 635-833 / 677-878 ms at 10**6: T = 24 led by
+# 1-8%, within the host's drift.  Golden is one level per block at T = 16
+# and 24 and took 7-12 / 108-143 / 742-921 ms at those positions, against
+# 8-15 / 126-172 / 925-1215 ms in blocks of two levels at T = 32.
+_FOLD_TERMS = 16
+
+# A range is stepped only from _STEP_MIN * (D+1) whole blocks: setting up
+# the registers takes D+1 folds, one more at the far end, O(D**2)
+# subtractions and D steps, which fewer blocks do not repay.  Stepping
+# every range of more than D+1 blocks against folding every block, at
+# 1.5 / 2 / 2.5 / 3 times D+1 blocks, took (medians of 7 best-of-5 runs;
+# 2 vCPU Xeon, Python 3.11.7):
+#   eval_P golden, D = 24       1.34  1.05  1.14  0.96  times as long
+#   eval_P log2, D = 16         1.21  1.00  0.82  0.82
+#   eval_P t = 2 and 9, D = 24  1.19-1.25  1.05-1.08  0.72-0.95  0.92-0.99
+#   extract_bits golden / t = 2 1.27  1.09-1.10  0.99-1.00  0.93
+#   extract_bits log2           1.16  0.98  0.89  0.81
+_STEP_MIN = 3
+
+
+def _steps(blocks: int, degree: int) -> bool:
+    """Whether a range of this many whole blocks, their fractions of
+    degree D = ``degree`` in the block index, is stepped (Stepping)."""
+    return blocks >= _STEP_MIN * (degree + 1)
+
+
+def _differences(values: list[int]) -> list[int]:
+    """Newton registers at the first sample: Delta**i values[0] for
+    i = 0 .. len(values)-1."""
+    regs = []
+    while values:
+        regs.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    return regs
+
+
+Fold = Callable[[int, int], tuple[int, int]]
+
+
+def _stepper(fold: Fold, levels: int, table: list[tuple[int, int]], last: int) -> tuple[int, int, int, int]:
+    """The packed registers of N' = N + C*M and M, and S, G and C, from
+    ``table``, the D+1 fractions of a range's first blocks; ``last`` is
+    the first level of the range's last whole block (Stepping)."""
+    dn = _differences([n for n, _ in table])
+    dm = _differences([m for _, m in table])
+    c = max(0, *(-(n // m) for n, m in zip(dn, dm)))
+    far = last + (len(table) - 1) * levels  # block last + D
+    n, m = fold(far, far + levels)
+    low = (n + c * m).bit_length()
+    slot = low + m.bit_length()
+    regs = 0
+    for n, m in zip(reversed(dn), reversed(dm)):
+        regs = regs << slot | m << low | n + c * m
+    return regs, slot, low, c
+
+
+def _block_fractions(fold: Fold, levels: int, degree: int, k0: int, k1: int) -> Iterator[tuple[int, int]]:
+    """fold(k, min(k + levels, k1)) for each block k = k0, k0 + levels, ...
+    below k1, where ``degree`` is D, the degree in the block index of the
+    fold's numerator and denominator: a range of at least _STEP_MIN * (D+1)
+    whole blocks folds its first D+1 and steps every other whole block by
+    packed finite differences (Stepping); any other block is folded."""
+    whole = (k1 - k0) // levels
+    end = k0 + whole * levels
+    first = degree + 1 if _steps(whole, degree) else whole
+    table = [fold(k, k + levels) for k in range(k0, k0 + first * levels, levels)]
+    yield from table
+    if whole > first:
+        regs, slot, low, c = _stepper(fold, levels, table, end - levels)
+        for _ in range(degree):  # on to the block of table[-1]
+            regs += regs >> slot
+        slot_mask, low_mask = (1 << slot) - 1, (1 << low) - 1
+        for _ in range(whole - degree - 1):
+            regs += regs >> slot
+            n = regs & slot_mask
+            m = n >> low
+            yield (n & low_mask) - c * m, m
+    if end < k1:
+        yield fold(end, k1)
+
+
 def _floor_at(num: int, den: int, w: int) -> tuple[int, int]:
     """divmod(num * 2**w, den) for den > 0 and w of either sign: the floor
     of num * 2**w / den, and a remainder that is 0 exactly when that floor
@@ -164,17 +290,36 @@ def eval_P(f: BbpFormula, frac_bits: int) -> EvalResult:
     o = b >> v
     terms = tuple((j, a) for j, a in enumerate(f.coeffs, start=1) if a)
     L = -(-_BLOCK_TERMS // len(terms))
-    blocks = range(0, K, L)
+    # groups of g levels, or whole blocks if too few groups to step
+    g = next(d for d in range(max(1, min(L, _FOLD_TERMS // len(terms))), 0, -1) if L % d == 0)
+    if not _steps(K // g, g * len(terms) * f.degree):
+        g = L
+    fold = partial(_fold_levels, b, f.degree, f.length, terms)
+    groups = _block_fractions(fold, g, g * len(terms) * f.degree, 0, K)
+    bg = b**g
+    starts = range(0, K, L)
+
+    def blocks() -> Iterator[tuple[int, int, int, int]]:
+        for k0 in starts:
+            k1 = min(k0 + L, K)
+            num, den = next(groups)
+            for k in range(k0 + g, k1, g):
+                n_i, m_i = next(groups)
+                shift = bg if k + g <= k1 else b ** (k1 - k)
+                num, den = num * shift * m_i + n_i * den, den * m_i
+            yield k0, k1, num, den
+
+    # with o = 1 every block is floored on its own, in any order; the
+    # carry for o > 1 needs the deepest first
+    order = blocks() if o == 1 else reversed(list(blocks()))
     carry = o**L
     acc = 0
-    for k0 in reversed(blocks):
-        k1 = min(k0 + L, K)
+    for k0, k1, num, den in order:
         if o > 1:
             acc = _floor_at(acc, carry, (c - v) * L)[0]
-        num, den = _fold_levels(b, f.degree, f.length, terms, k0, k1)
         n = k1 - 1 - k0
         acc += _floor_at(num, den * o**n, W0 - k0 * c - v * n)[0]
-    total = FixedReal(acc, W0, len(blocks) if o == 1 else 2 * len(blocks))
+    total = FixedReal(acc, W0, len(starts) if o == 1 else 2 * len(starts))
     total = total.mul_fraction(f.prefactor).rescale(frac_bits)
     value = FixedReal(total.mantissa, frac_bits, total.err_ulp + tail_ulp)
     return EvalResult(value=value, terms_used=K, tail_bound_ulp=tail_ulp)

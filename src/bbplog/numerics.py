@@ -251,16 +251,26 @@ class FixedReal:
             sign = "-"
             lo, hi = -hi, -lo
         scale = 10**digits
-        lo10 = (lo * scale) >> F
-        hi10 = (hi * scale) >> F
+        lo_scaled = lo * scale
+        lo10 = lo_scaled >> F
+        hi10 = (lo_scaled + 2 * self.err_ulp * scale) >> F
         # Decimal converts ints of any size; str(int) stops at 4300 digits
-        s_lo, s_hi = str(Decimal(lo10)), str(Decimal(hi10))
-        width = max(len(s_lo), len(s_hi), digits + 1)
+        s_lo = str(Decimal(lo10))
+        width = max(len(s_lo), digits + 1)
         s_lo = s_lo.zfill(width)
-        s_hi = s_hi.zfill(width)
-        common = 0
-        while common < width and s_lo[common] == s_hi[common]:
-            common += 1
+        # the common prefix is width - k digits long for the least k with
+        # lo10 // 10**k == hi10 // 10**k.  k starts below the digit length
+        # of hi10 - lo10, where they cannot agree, and rises while they
+        # differ by two or more; once they differ by one, they first agree
+        # past the nines that end lo10 // 10**k.  common < 0 when no digit
+        # is shared, as when the carry gives hi10 more digits than width.
+        diff = hi10 - lo10
+        k = (diff.bit_length() - 1) * 30102 // 100000 if diff else 0
+        while (gap := hi10 // 10**k - lo10 // 10**k) > 1:
+            k += 1
+        common = width - k
+        if gap:
+            common = len(s_lo[: max(common, 0)].rstrip("9")) - 1
         if common < width - digits:
             return "~"
         int_part = s_lo[: width - digits]

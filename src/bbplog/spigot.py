@@ -9,13 +9,15 @@ b = 2**beta, the bits after position n are the fractional part of
 Write q = 2**w * q' and p*a_j = 2**x_j * c_j with q' and c_j odd, and
 s_j = x_j - w.  Each term is then c_j * 2**(n - beta*k + s_j) / (q'*(k*l + j)).
 The levels are cut into blocks of L = ceil(T / nonzero terms) whole
-levels (T = ``_FOLD_TERMS``), so that each block has about T terms.  A
-block is one exact fraction N/M, with M = q' * prod (k*l + j) over its
+levels (T = ``formula._FOLD_TERMS``), so that each block has about T
+terms.  A block is one exact fraction N/M, with M = q' * prod (k*l + j) over its
 terms, times 2**e, where e is the block's smallest exponent.  N/M is
 what the fold that ``eval_P`` uses too, ``formula._fold_levels``, gives
 with base 2**beta, degree 1 and the pairs (j, c_j * 2**(s_j - s_min)),
-s_min the smallest s_j, M also taking q'; only a range's first blocks
-are folded (Stepping).  On a head block every exponent is nonnegative,
+s_min the smallest s_j, M also taking q'; a long range steps its blocks
+by packed finite differences instead, ``formula._block_fractions``,
+whose exact fractions and bound argument are the Stepping paragraph of
+``bbplog.formula``.  On a head block every exponent is nonnegative,
 so e >= 0 and the block's fractional part is the exact rational
 (N * 2**e mod M) / M, reduced by one builtin three-argument ``pow`` on
 the multi-digit modulus M.  The odd part q' stays in the modulus
@@ -27,27 +29,6 @@ sum, which floors every block at the accumulator's width through
 its reduction mod 1, a tail block with e < 0 directly.
 None of q', s_min, the pairs, L or the cutoff depends on n, so
 :func:`build_plan` computes them once per formula.
-
-Stepping.  In a range of blocks from level k0, block x holds levels
-k0 + x*L + i, i < L, so M(x) = q' * prod ((k0 + x*L + i)*l + j) over
-them and N(x) are integer polynomials in x of degree at most
-D = L * (nonzero terms).  M has degree D and nonnegative coefficients,
-so each Newton register Delta**i M(0), i <= D, is positive.  The first
-D+1 blocks are folded, and their forward differences are the registers
-of M and of N' = N + C*M at x = 0, where C >= 0 is the smallest integer
-that makes every register of N' nonnegative.  One step adds register
-i+1 to register i for every i < D at once and moves all of them from x
-to x+1; registers are only ever added to, so they stay nonnegative and
-nondecreasing.  With every register at x nonnegative,
-P(x+i) = sum_m binomial(i, m) * Delta**m P(x) >= Delta**i P(x), so no
-register of P = N' or M exceeds P(X + D) while x <= X, the range's
-last whole block.  A register pair therefore fits one S-bit slot, N' in
-the low G = bitlen N'(X + D) bits and M in the H = bitlen M(X + D) bits
-above them, S = G + H; with the D+1 slots packed into one int, a step is
-``regs += regs >> S`` and no field carries into the next.  A block reads
-N' and M from the low slot and yields N = N' - C*M, the fold's exact
-numerator.  A range of at most D+1 whole blocks, such as the tail, and a
-partial last block are only folded.
 
 Bound.  Every block enters a W-bit accumulator mod 1 through one floor
 division, so the true value exceeds the accumulated one by less than one
@@ -74,11 +55,11 @@ from __future__ import annotations
 
 import os
 import threading
-from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import UnsupportedFormulaError, ValidationError
-from .formula import BbpFormula, _floor_at, _fold_levels
+from .formula import _FOLD_TERMS, BbpFormula, _block_fractions, _floor_at, _fold_levels
 
 __all__ = ["SpigotPlan", "DigitWindow", "build_plan", "extract_bits"]
 
@@ -158,22 +139,6 @@ def _certified_prefix(acc: int, width: int, count: int, budget: int) -> int:
     return max(0, min(count, width - ((acc - 1) ^ (acc + budget)).bit_length()))
 
 
-# T, the terms folded into one fraction: enough for the interpreter's cost
-# per modular power to stop dominating, few enough that the fraction's
-# size does not.  Summing log2's head serially at position 2*10**5 took
-# 451, 299, 202, 175, 188 and 202 ms at T = 1, 4, 8, 16, 32 and 64, and
-# golden's 169 ms in blocks of one level (24 terms) against 186 ms in
-# blocks of two (best of 7; 2 vCPU Xeon, Python 3.11.7).  With stepped
-# fractions only the modular power is left, and T = 16 stays.  Serial,
-# medians of 9-11 interleaved runs in each of two sessions, T = 16 / 24 /
-# 32 took for log2 5.6-9.2 / 5.2-8.5 / 5.2-8.5 ms at position 2*10**4,
-# 84-132 / 84-127 / 87-129 ms at 2*10**5 and 668-849 / 635-833 /
-# 677-878 ms at 10**6: T = 24 led by 1-8%, within the host's drift.
-# Golden is one level per block at T = 16 and 24 and took 7-12 /
-# 108-143 / 742-921 ms at those positions, against 8-15 / 126-172 /
-# 925-1215 ms in blocks of two levels at T = 32.
-_FOLD_TERMS = 16
-
 # A forked part has to pay for its process.  Fork, pipe and waitpid take
 # about 1.5-1.9 ms together and one stepped head term 0.38-0.70 us
 # (medians of two sessions; same machine, bbplog.cli imported, positions
@@ -202,59 +167,6 @@ def _folded(plan: SpigotPlan, k0: int, k1: int) -> tuple[int, int]:
     return num, den * plan.q_odd
 
 
-def _differences(values: list[int]) -> list[int]:
-    """Newton registers at the first sample: Delta**i values[0] for
-    i = 0 .. len(values)-1."""
-    regs = []
-    while values:
-        regs.append(values[0])
-        values = [b - a for a, b in zip(values, values[1:])]
-    return regs
-
-
-def _stepper(plan: SpigotPlan, table: list[tuple[int, int]], last: int) -> tuple[int, int, int, int]:
-    """The packed registers of N' = N + C*M and M, and S, G and C, from
-    ``table``, the D+1 fractions of a range's first blocks; ``last`` is
-    the first level of the range's last whole block (module docstring)."""
-    dn = _differences([n for n, _ in table])
-    dm = _differences([m for _, m in table])
-    c = max(0, *(-(n // m) for n, m in zip(dn, dm)))
-    far = last + (len(table) - 1) * plan.levels  # block last + D
-    n, m = _folded(plan, far, far + plan.levels)
-    low = (n + c * m).bit_length()
-    slot = low + m.bit_length()
-    regs = 0
-    for n, m in zip(reversed(dn), reversed(dm)):
-        regs = regs << slot | m << low | n + c * m
-    return regs, slot, low, c
-
-
-def _block_fractions(plan: SpigotPlan, k0: int, k1: int) -> Iterator[tuple[int, int]]:
-    """(N, M) of each block of levels k0 .. k1-1, the last one cut at k1,
-    exactly as ``_folded`` gives them: the first D+1 whole blocks and a
-    partial last one are folded, every other block is one step of the
-    packed finite differences (module docstring)."""
-    levels = plan.levels
-    degree = levels * len(plan.terms)
-    whole = (k1 - k0) // levels
-    end = k0 + whole * levels
-    first = min(whole, degree + 1)
-    table = [_folded(plan, k, k + levels) for k in range(k0, k0 + first * levels, levels)]
-    yield from table
-    if whole > first:
-        regs, slot, low, c = _stepper(plan, table, end - levels)
-        for _ in range(degree):  # on to the block of table[-1]
-            regs += regs >> slot
-        slot_mask, low_mask = (1 << slot) - 1, (1 << low) - 1
-        for _ in range(whole - degree - 1):
-            regs += regs >> slot
-            n = regs & slot_mask
-            m = n >> low
-            yield (n & low_mask) - c * m, m
-    if end < k1:
-        yield _folded(plan, end, k1)
-
-
 def _sum_blocks(
     plan: SpigotPlan, e0: int, width: int, k0: int, k1: int, parent: int | None = None
 ) -> tuple[int, int]:
@@ -269,8 +181,11 @@ def _sum_blocks(
     level), is factored out: what is left of level k is base**(last - k)
     times its plan terms, the fold's Horner form.
     """
+    fractions = _block_fractions(
+        partial(_folded, plan), plan.levels, plan.levels * len(plan.terms), k0, k1
+    )
     acc = budget = 0
-    for k, (num, den) in zip(range(k0, k1, plan.levels), _block_fractions(plan, k0, k1)):
+    for k, (num, den) in zip(range(k0, k1, plan.levels), fractions):
         if parent is not None and os.getppid() != parent:
             raise ProcessLookupError("the parent process is gone")
         e = e0 - plan.beta * (min(k + plan.levels, k1) - 1)

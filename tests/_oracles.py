@@ -172,3 +172,42 @@ def fixedreal_bits(fx, position: int, count: int, margin: int = 8) -> str:
     assert slack < (1 << (F - count - margin)), "oracle error too large"
     assert slack <= low < (1 << (F - count)) - slack, "window on a carry boundary"
     return format(w >> (F - count), f"0{count}b")
+
+
+def eval_P_folded(f, frac_bits: int) -> tuple[int, int]:
+    """(mantissa, err_ulp) of ``formula.eval_P`` with no stepped fractions:
+    each block of L = ceil(T / nonzero) levels (T = ``_BLOCK_TERMS``) is
+    folded term by term into one exact fraction and floored once, and for
+    a base b = 2**v * o with o > 1 the deeper blocks are carried by
+    Horner, as the bound paragraph of ``bbplog.formula`` states.  Only the
+    level count and the tail bound come from ``formula._truncation``."""
+    from bbplog.formula import _BLOCK_TERMS, _truncation
+    from bbplog.numerics import FixedReal
+
+    K, tail_ulp = _truncation(f, frac_bits)
+    W0 = frac_bits + (2 * K).bit_length() + 2
+    b = f.base
+    c = b.bit_length() - 1
+    v = (b & -b).bit_length() - 1
+    o = b >> v
+    terms = [(j, a) for j, a in enumerate(f.coeffs, start=1) if a]
+    L = -(-_BLOCK_TERMS // len(terms))
+    starts = range(0, K, L)
+    acc = 0
+    for k0 in reversed(starts):
+        k1 = min(k0 + L, K)
+        if o > 1:
+            acc = (acc << (c - v) * L) // o**L
+        num, den = 0, 1
+        for k in range(k0, k1):
+            num *= b
+            for j, a in terms:
+                d = (k * f.length + j) ** f.degree
+                num, den = num * d + a * den, den * d
+        n = k1 - 1 - k0
+        w = W0 - k0 * c - v * n
+        den *= o**n
+        acc += (num << w) // den if w >= 0 else num // (den << -w)
+    total = FixedReal(acc, W0, len(starts) if o == 1 else 2 * len(starts))
+    total = total.mul_fraction(f.prefactor).rescale(frac_bits)
+    return total.mantissa, total.err_ulp + tail_ulp

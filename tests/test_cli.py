@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 import re
 import subprocess
@@ -146,6 +147,43 @@ def test_formula_caps_exit_64_before_any_work(capsys, monkeypatch, tmp_path):
     for argv in within:
         assert run(capsys, *argv)[0] == 0, argv
     assert calls == [int(argv[2]) for argv in within]
+
+
+def test_eval_term_cap_weights_the_degree(capsys, monkeypatch, tmp_path):
+    # a term's cost grows with the degree: a degree-128 copy of golden took
+    # 6.4 s at --bits 20 000 (golden: 17 ms) before the cap counted it
+    calls = []
+
+    def evaluate(f, bits):
+        calls.append(bits)
+        return formula.eval_P(f, 64)
+
+    monkeypatch.setattr(cli, "eval_P", evaluate)
+    deep = tmp_path / "golden128.bbp"
+    deep.write_text(GOLDEN_TEXT.replace("\ns 1\n", "\ns 128\n"), encoding="utf-8")
+    code, err = run_usage_error(capsys, "eval", "--bits", "300000", "--formula", str(deep))
+    assert code == 64
+    assert "--bits 300000 takes 46083072 terms with this formula (each counted once per degree)" in err
+    assert calls == []
+    # degree 1 at the cap: golden, log2 and family files
+    within = [["--preset", "golden"], ["--preset", "log2"]]
+    for t in (2, -3, 9):
+        path = tmp_path / f"t{t}.bbp"
+        path.write_text(emit_formula(family_coeffs(t).formula), encoding="utf-8")
+        within.append(["--formula", str(path)])
+    for flags in within:
+        assert run(capsys, "eval", "--bits", str(cli.MAX_BITS), *flags)[0] == 0, flags
+    assert calls == [cli.MAX_BITS] * len(within)
+
+
+def test_handler_usage_error_shows_its_subcommand(capsys, tmp_path):
+    # a cap a handler checks is reported with the subcommand's usage line
+    path = tmp_path / "wide.bbp"
+    path.write_text(f"bbp 1\ns 1\nb 2\nl 4000\npre 1/1\nA{' 1' * 4000}\n", encoding="utf-8")
+    code, err = run_usage_error(capsys, "digits", "--formula", str(path), "--pos", "1000")
+    assert code == 64
+    assert err.startswith("usage: bbplog digits ")
+    assert "bbplog digits: error: the formula has 4000 nonzero coefficients" in err
 
 
 def test_digits_unsupported_formula_exits_2(capsys, tmp_path):
@@ -326,6 +364,34 @@ def test_bits_above_the_cap_exit_64_before_any_work(capsys, monkeypatch, argv):
 
 
 # -- eval ---------------------------------------------------------------------
+
+
+# SHA-256 of eval's stdout, every certified digit printed, before eval_P
+# stepped its block fractions; (formula, --bits) -> digest
+EVAL_DIGESTS = {
+    ("golden", 4000): "39ad9abf747d5a5a9b17c234fb586c8d7d8d3ef388c8b5b241dc311624473bc2",
+    ("golden", 20000): "5a0d8d18dafadd54f29ef951183b09197f90eef68a873f1a7f1d8c938760772c",
+    ("log2", 4000): "d96e0274f85d040ff5bbf90d6bf3f42e67248841773a63c32cc460d0db373934",
+    ("log2", 20000): "1b4e0efebf929aac3b42783328e410c7a8825b76e0a7e3c1d65e9861ff3cb012",
+    ("t=2", 4000): "28187eedd646396c26475b0b23e85f094232e8340aa8bbd2eb02727009278fcc",
+    ("t=2", 20000): "cc616196cd528ac5c4e135afb770dc45fd44af8f5c74b7ad6464af059153a2fb",
+    ("t=-3", 4000): "1ae0f659a00049a30fc944c4f3b534343dd0b8485df259f9d117e569325b3f04",
+    ("t=-3", 20000): "2055d35e1bd1db373ade35f719e390f932a3d6815de66ede5fa9565767712f1b",
+    ("t=9", 4000): "835944ff5ea8015a3471d6cfd199028284e175acb33c39e1c7d1236f264b5ae0",
+    ("t=9", 20000): "d3bb60252e1f5be514a7acc4cf7bccc628bec12cac7e71f38f0ed45821d4b3bf",
+}
+
+
+def test_eval_stdout_matches_pinned_digests(capsys, tmp_path):
+    flags = {"golden": ["--preset", "golden"], "log2": ["--preset", "log2"]}
+    for t in (2, -3, 9):
+        path = tmp_path / f"t{t}.bbp"
+        path.write_text(emit_formula(family_coeffs(t).formula), encoding="utf-8")
+        flags[f"t={t}"] = ["--formula", str(path)]
+    for (name, bits), digest in EVAL_DIGESTS.items():
+        code, out, _ = run(capsys, "eval", "--bits", str(bits), *flags[name])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (name, bits)
 
 
 def test_eval_bits_below_64_is_usage_error(capsys):

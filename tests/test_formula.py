@@ -16,7 +16,7 @@ from bbplog.formula import _fold_levels, _truncation
 from bbplog.numerics import FixedReal, agreement_bits, fx_log
 from bbplog.presets import load_preset
 
-from _oracles import bbp_sum_exact, log2_series, truncation_walk
+from _oracles import bbp_sum_exact, eval_P_folded, log2_series, truncation_walk
 
 LOG2_FORMULA = BbpFormula(
     degree=1, base=2, length=1, coeffs=(1,), prefactor=Fraction(1), label="2*log(2)"
@@ -187,6 +187,21 @@ def test_eval_log2_at_100000_bits_meets_fx_log():
     ref = fx_log(FixedReal.from_int(2, F)).mul_int(2)
     assert abs(res.mantissa - ref.mantissa) <= res.err_ulp + ref.err_ulp
     assert agreement_bits(res, ref) >= F - 10
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", ["golden", "log2", "t=3"])
+def test_stepped_eval_equals_the_folded_loop_at_100000_bits(name):
+    # the widest registers eval_P steps in the tier-1 range and beyond it:
+    # golden and t = 3 step single levels (t = 3 carries by Horner, o = 3),
+    # log2 groups of 16 levels joined four to a block
+    f = {
+        "golden": golden_formula,
+        "log2": lambda: load_preset("log2"),
+        "t=3": lambda: family_coeffs(3).formula,
+    }[name]()
+    value = eval_P(f, 100_000).value
+    assert (value.mantissa, value.err_ulp) == eval_P_folded(f, 100_000)
 
 
 def test_linearity_in_coefficients():

@@ -1,0 +1,107 @@
+"""Property-based check of FixedReal.decimal against its two-conversion form.
+
+``decimal`` converts only the low end of the interval to a decimal
+string and finds the common prefix with the high end by integer
+division.  The oracle below is the earlier form, which converts both
+ends and compares the strings.  Every run is derandomized, so a failure
+reproduces on every machine.
+"""
+
+from __future__ import annotations
+
+from decimal import Decimal
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
+
+from bbplog.numerics import FixedReal  # noqa: E402
+
+
+def _decimal_two_conversions(x: FixedReal, digits: int | None = None) -> str:
+    """FixedReal.decimal as it was with one Decimal conversion per end."""
+    F = x.frac_bits
+    if digits is None:
+        digits = F * 30103 // 100000
+    pad = 0
+    if x.err_ulp:
+        digits = min(digits, F + 1)
+    elif digits > F:
+        digits, pad = F, digits - F
+    lo = x.mantissa - x.err_ulp
+    hi = x.mantissa + x.err_ulp
+    if lo < 0 <= hi:
+        return "0~" if max(-lo, hi) < 1 << F else "~"
+    sign = ""
+    if hi < 0:
+        sign = "-"
+        lo, hi = -hi, -lo
+    scale = 10**digits
+    lo10 = (lo * scale) >> F
+    hi10 = (hi * scale) >> F
+    s_lo, s_hi = str(Decimal(lo10)), str(Decimal(hi10))
+    width = max(len(s_lo), len(s_hi), digits + 1)
+    s_lo = s_lo.zfill(width)
+    s_hi = s_hi.zfill(width)
+    common = 0
+    while common < width and s_lo[common] == s_hi[common]:
+        common += 1
+    if common < width - digits:
+        return "~"
+    int_part = s_lo[: width - digits]
+    frac_part = s_lo[width - digits : common]
+    out = f"{sign}{int_part.lstrip('0') or '0'}"
+    if frac_part:
+        out += "." + frac_part + "0" * pad
+    if common < width:
+        out += "~"
+    return out
+
+
+@st.composite
+def _fixed_reals(draw) -> FixedReal:
+    """Values at or near a decimal boundary c * 10**-j, so that a carry
+    runs through nines (and, at an integer power of ten, adds a digit),
+    with either sign, and errors from none to wider than the value."""
+    F = draw(st.integers(1, 200))
+    j = draw(st.integers(0, F * 3 // 10 + 1))
+    c = draw(st.sampled_from((0, 1, 5, 9, 10, 99, 100, 10**6))) * 10**j + draw(st.integers(-3, 3))
+    offset = draw(st.integers(-(1 << 8), 1 << 8))
+    m = draw(st.sampled_from((1, -1))) * (((c << F) // 10**j) + offset)
+    err = draw(
+        st.one_of(
+            st.just(0),
+            st.integers(1, 1 << 8),
+            st.integers(1, 1 << F),
+            st.integers(1, 1 << (F + 12)),
+        )
+    )
+    return FixedReal(m, F, err)
+
+
+_digits = st.one_of(st.none(), st.integers(0, 80), st.integers(100, 700))
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(x=_fixed_reals(), digits=_digits)
+# a carry that adds a digit: [9.99.., 10.00..]
+@example(x=FixedReal(10 << 64, 64, 1 << 10), digits=6)
+@example(x=FixedReal(-(10 << 64), 64, 1 << 10), digits=6)
+# across zero, inside and outside (-1, 1)
+@example(x=FixedReal(3, 64, 7), digits=None)
+@example(x=FixedReal(1 << 63, 64, 3 << 63), digits=5)
+# digits past F, exact and not
+@example(x=FixedReal(12345, 16, 0), digits=40)
+@example(x=FixedReal(-12345, 16, 1), digits=40)
+# a long run of nines: 1/10 - 2**-200 against 1/10 + 2**-200
+@example(x=FixedReal((1 << 200) // 10, 200, 2), digits=None)
+def test_decimal_matches_two_conversions(x, digits):
+    assert x.decimal(digits) == _decimal_two_conversions(x, digits)
+
+
+def test_decimal_matches_two_conversions_past_the_int_str_limit():
+    for m, err in ((1 << 20000) // 3, 1), ((10 << 20000) - 5, 7), (-(1 << 20000) // 7, 3):
+        x = FixedReal(m, 20000, err)
+        for digits in (None, 6020, 20001):
+            assert x.decimal(digits) == _decimal_two_conversions(x, digits)

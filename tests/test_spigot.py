@@ -11,6 +11,7 @@ import sys
 import threading
 import time
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -18,7 +19,7 @@ import bbplog.spigot as spigot_mod
 from bbplog.cli import main
 from bbplog.errors import UnsupportedFormulaError, ValidationError
 from bbplog.family import family_coeffs, golden_constant, golden_formula
-from bbplog.formula import BbpFormula, _fold_levels
+from bbplog.formula import BbpFormula, _block_fractions, _differences, _fold_levels, _stepper
 from bbplog.numerics import FixedReal, fx_log
 from bbplog.spigot import build_plan, extract_bits
 
@@ -225,7 +226,7 @@ def test_block_fractions_equal_the_fold(name):
                     cut = min(k + levels, k1)
                     num, den = _fold_levels(formula.base, 1, formula.length, plan.terms, k, cut)
                     expected.append((num, den * plan.q_odd))
-                got = list(spigot_mod._block_fractions(plan, k0, k1))
+                got = list(_block_fractions(partial(spigot_mod._folded, plan), levels, degree, k0, k1))
                 assert got == expected, (name, k0, blocks, k1 - k0)
 
 
@@ -239,14 +240,15 @@ def test_packed_fields_never_carry_at_position_10_7(golden_plan):
     head_end = (e0 // plan.beta + 1) // levels * levels
     k0 = head_end // levels // 2 * levels
     last = head_end - levels
-    table = [spigot_mod._folded(plan, k, k + levels) for k in range(k0, k0 + (degree + 1) * levels, levels)]
-    regs, slot, low, c = spigot_mod._stepper(plan, table, last)
+    fold = partial(spigot_mod._folded, plan)
+    table = [fold(k, k + levels) for k in range(k0, k0 + (degree + 1) * levels, levels)]
+    regs, slot, low, c = _stepper(fold, levels, table, last)
     for _ in range((last - k0) // levels):
         regs += regs >> slot
     # the exact registers at the last block, from its fractions and the next D
-    far = [spigot_mod._folded(plan, k, k + levels) for k in range(last, last + (degree + 1) * levels, levels)]
-    dn = spigot_mod._differences([n + c * m for n, m in far])
-    dm = spigot_mod._differences([m for _, m in far])
+    far = [fold(k, k + levels) for k in range(last, last + (degree + 1) * levels, levels)]
+    dn = _differences([n + c * m for n, m in far])
+    dm = _differences([m for _, m in far])
     assert regs >> (degree + 1) * slot == 0
     for i in range(degree + 1):
         field = regs >> i * slot & (1 << slot) - 1
