@@ -49,8 +49,8 @@ H = bitlen M(X + D) bits above them, S = G + H; with the D+1 slots packed
 into one int, a step is ``regs += regs >> S`` and no field carries into
 the next.  A block reads N' and M from the low slot and yields
 N = N' - C*M, the fold's exact numerator.  A range of fewer than
-``_STEP_MIN`` * (D+1) whole blocks, such as the spigot's tail, and a
-partial last block are only folded.
+``_STEP_MIN`` * (D+1) whole blocks, such as the spigot's range near
+position 0, and a partial last block are only folded.
 """
 
 from __future__ import annotations

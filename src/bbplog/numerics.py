@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
-from .errors import DomainError, PrecisionError
+from .errors import DomainError, PrecisionError, ValidationError
 
 __all__ = [
     "FixedReal",
@@ -223,7 +223,8 @@ class FixedReal:
 
         The printed string is the longest common prefix of the decimal
         expansions of the interval endpoints, truncated to ``digits``
-        fractional places (default: the full capacity of the precision).
+        fractional places (default: the full capacity of the precision;
+        a negative count raises :class:`ValidationError`).
         A trailing ``~`` marks a request for digits that could not be
         certified.  When the two ends have different integer parts, not
         even the integer part is defended and the print is ``~`` alone;
@@ -237,6 +238,8 @@ class FixedReal:
         F = self.frac_bits
         if digits is None:
             digits = F * 30103 // 100000
+        elif digits < 0:
+            raise ValidationError("digits: must be nonnegative")
         pad = 0
         if self.err_ulp:
             digits = min(digits, F + 1)

@@ -17,16 +17,15 @@ with base 2**beta, degree 1 and the pairs (j, c_j * 2**(s_j - s_min)),
 s_min the smallest s_j, M also taking q'; a long range steps its blocks
 by packed finite differences instead, ``formula._block_fractions``,
 whose exact fractions and bound argument are the Stepping paragraph of
-``bbplog.formula``.  On a head block every exponent is nonnegative,
-so e >= 0 and the block's fractional part is the exact rational
+``bbplog.formula``.  The levels run from 0 to a cutoff as one range of
+blocks, the last one cut at the cutoff, and every block is floored at
+the accumulator's width through ``formula._floor_at``, the floor
+``eval_P`` uses too.  When a block's e >= 0, every exponent in it is
+nonnegative and its fractional part is the exact rational
 (N * 2**e mod M) / M, reduced by one builtin three-argument ``pow`` on
-the multi-digit modulus M.  The odd part q' stays in the modulus
-because frac(x/q') is not a function of frac(x).  The levels past the
-last whole head block, where some exponent may be negative, form the
-tail, down to a cutoff: the head and the tail go through one block
-sum, which floors every block at the accumulator's width through
-``formula._floor_at``, the floor ``eval_P`` uses too: a head block after
-its reduction mod 1, a tail block with e < 0 directly.
+the multi-digit modulus M before the floor; when e < 0, N/M * 2**e is
+floored directly.  The odd part q' stays in the modulus because
+frac(x/q') is not a function of frac(x).
 None of q', s_min, the pairs, L or the cutoff depends on n, so
 :func:`build_plan` computes them once per formula.
 
@@ -42,9 +41,9 @@ per block and so per term, always fits in the guard bits.
 ``certified`` is the longest prefix that no value in the interval
 changes: it is computed, never assumed.
 
-Partition.  The head's accumulator and budget are integer sums over its
-blocks, taken before the mask, so cutting its block range into contiguous
-parts and adding the parts' sums gives them exactly.  A long head is
+Partition.  The accumulator and the budget are integer sums over the
+blocks, taken before the mask, so cutting the block range into contiguous
+parts and adding the parts' sums gives them exactly.  A long range is
 summed that way, one part per CPU the process may use, the parts after
 the first in forked child processes; the digits, the budget and
 ``certified`` do not depend on the partition, and the bound above is
@@ -91,7 +90,7 @@ class SpigotPlan:
     terms: tuple[tuple[int, int], ...]  # (j, c_j * 2**(s_j - s_min))
     s_min: int
     levels: int  # per block
-    cutoff: int  # the tail's last level k has W + n - beta*k >= cutoff
+    cutoff: int  # the last level k summed has W + n - beta*k >= cutoff
 
 
 def build_plan(f: BbpFormula) -> SpigotPlan:
@@ -140,9 +139,9 @@ def _certified_prefix(acc: int, width: int, count: int, budget: int) -> int:
 
 
 # A forked part has to pay for its process.  Fork, pipe and waitpid take
-# about 1.5-1.9 ms together and one stepped head term 0.38-0.70 us
+# about 1.5-1.9 ms together and one stepped term 0.38-0.70 us
 # (medians of two sessions; same machine, bbplog.cli imported, positions
-# 10**4 .. 2*10**5).  A part of 16384 terms at the deep end of a head
+# 10**4 .. 2*10**5).  A part of 16384 terms at the deep end of a range
 # ran 5.1-9.4 ms, its stepper's D+1 folds included: three to five times
 # its overhead, where it was five to seven with every block folded.  Two
 # parts against one at golden positions 28 000 .. 41 000 (33 600 .. 49 200
@@ -198,20 +197,20 @@ def _sum_blocks(
     return acc, budget
 
 
-def _forked_sum(plan: SpigotPlan, e0: int, width: int, head_end: int, parts: int) -> tuple[int, int]:
-    """``_sum_blocks(plan, e0, width, 0, head_end)``, head_end a whole
-    number of blocks, cut at block boundaries into ``parts`` contiguous
-    level ranges.
+def _partitioned_sum(plan: SpigotPlan, e0: int, width: int, k_end: int, parts: int) -> tuple[int, int]:
+    """``_sum_blocks(plan, e0, width, 0, k_end)``, cut at block boundaries
+    into ``parts`` contiguous level ranges, the last one ending in the block
+    cut at k_end.
 
     The first range is summed here; every other one in a forked child that
-    writes its (acc, budget) in hex to a pipe.  A range whose child could
-    not start, failed or wrote a short result is summed here instead, so
-    the result never depends on the children.  If this process leaves by
-    an exception, the children not yet read are killed before they are
-    reaped, so none is left to finish its range.
+    writes its (acc, budget) in hex to a pipe, so one part forks nothing.
+    A range whose child could not start, failed or wrote a short result is
+    summed here instead, so the result never depends on the children.  If
+    this process leaves by an exception, the children not yet read are
+    killed before they are reaped, so none is left to finish its range.
     """
-    blocks = head_end // plan.levels
-    bounds = [blocks * i // parts * plan.levels for i in range(parts + 1)]
+    blocks = -(-k_end // plan.levels)
+    bounds = [min(blocks * i // parts * plan.levels, k_end) for i in range(parts + 1)]
     ranges = list(zip(bounds[1:-1], bounds[2:]))
     parent = os.getpid()
     children = {}  # range index -> (pid, read end of its pipe)
@@ -274,27 +273,20 @@ def extract_bits(plan: SpigotPlan, n: int, count: int) -> DigitWindow:
         raise ValidationError("count: must be at least 1 bit")
     if n < 0:
         raise ValidationError("position: must be nonnegative")
-    beta = plan.beta
-    e0 = n + plan.s_min
-    head_k = max(0, e0 // beta + 1)
-    head_end = head_k - head_k % plan.levels  # whole blocks only
-
-    # the head, the levels moved to the tail and the tail itself
-    est_terms = (max(head_k, n // beta + 1) + 2) * len(plan.nonzero) + 128
+    # the terms to level n // beta (more when s_min > 0) and some slack: past
+    # 2**32 of them, W widens by their bit length, so the budget fits
+    est_terms = ((n + max(0, plan.s_min)) // plan.beta + 3) * len(plan.terms) + 128
     width = count + 64 + max(0, est_terms.bit_length() - 32)
+    # up to the last level k with W + n - beta*k >= cutoff
+    k_end = (width + n - plan.cutoff) // plan.beta + 1
 
-    parts = min(_usable_cpus(), head_end * len(plan.nonzero) // _MIN_PART_TERMS)
+    parts = 1
     # forking a process that runs other threads can copy a held lock
-    if parts > 1 and hasattr(os, "fork") and threading.active_count() == 1:
-        acc, budget = _forked_sum(plan, e0, width, head_end, parts)
-    else:
-        acc, budget = _sum_blocks(plan, e0, width, 0, head_end)
-
-    # tail: up to the last level k with W + n - beta*k >= cutoff
-    k_end = (width + n - plan.cutoff) // beta + 1
-    tail_acc, tail_budget = _sum_blocks(plan, e0, width, head_end, k_end)
-    acc = (acc + tail_acc) & ((1 << width) - 1)
-    budget += tail_budget + 1  # the discarded tail: in (-1, 1) ulp
+    if hasattr(os, "fork") and threading.active_count() == 1:
+        parts = max(1, min(_usable_cpus(), k_end * len(plan.terms) // _MIN_PART_TERMS))
+    acc, budget = _partitioned_sum(plan, n + plan.s_min, width, k_end, parts)
+    acc &= (1 << width) - 1
+    budget += 1  # the discarded terms: in (-1, 1) ulp
 
     certified = _certified_prefix(acc, width, count, budget)
     bits = format(acc >> (width - count), f"0{count}b")

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from bbplog.errors import DomainError, PrecisionError
+from bbplog.errors import DomainError, PrecisionError, ValidationError
 from bbplog.family import golden_constant
 from bbplog.numerics import (
     FixedReal,
@@ -727,6 +727,13 @@ def test_decimal_certified_digits():
     assert x0.decimal(4) == "1.0000"
     neg = FixedReal.from_fraction(Fraction(-7, 4), 64)
     assert neg.decimal(4) == "-1.7500"
+
+
+def test_decimal_rejects_a_negative_digit_count():
+    x = FixedReal.from_fraction(Fraction(7, 4), 64)
+    assert x.decimal(0) == "1"
+    with pytest.raises(ValidationError, match="digits: must be nonnegative"):
+        x.decimal(-1)
 
 
 def test_decimal_marks_uncertified_request():

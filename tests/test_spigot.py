@@ -109,12 +109,12 @@ def test_overlap_coherence(golden_plan):
         assert w1.bits[20:] == w2.bits[:28]
 
 
-# (beta, coeffs, prefactor), each a branch of the head's power-of-two split
+# (beta, coeffs, prefactor), each a branch of the spigot's power-of-two split
 # q = 2**w * q_odd, p*a_j = 2**x_j * c_j
 SPLIT_CASES = {
-    # odd q, even p*a_j: x_j - w >= 2, so the head reaches past n // beta
+    # odd q, even p*a_j: x_j - w >= 2, so nonnegative exponents reach past n // beta
     "odd-q-even-pa-beta1": (1, (4, -6, 0, 12), Fraction(2, 3)),
-    # q = 2**9 > b = 2**4: empty head for n < 9, then two or three levels move
+    # q = 2**9 > b = 2**4: for n < 9 every block is floored directly
     "q-pow2-beta4": (4, (1, -3, 0, 5), Fraction(7, 1 << 9)),
     # golden-like q = 3 * 2**25, b = 2**20, a_j = +-2**x, negative constant
     "golden-like-beta20": (20, (8, 0, -1, 2, 0, -16), Fraction(-5, 3 << 25)),
@@ -145,17 +145,26 @@ def test_power_of_two_split_matches_exact_sum(case):
 
 
 def _serial_block_sums(monkeypatch, plan, n):
-    """One serial extraction and the arguments it passed to _sum_blocks:
-    first the head's, then the tail's, which starts where the head ends."""
+    """One serial extraction and the arguments of its one _sum_blocks call,
+    which sums every level from 0 to the cutoff."""
     calls = []
     real = spigot_mod._sum_blocks
     with monkeypatch.context() as m:
         m.setattr(spigot_mod, "_usable_cpus", lambda: 1)
         m.setattr(spigot_mod, "_sum_blocks", lambda *a: calls.append(a) or real(*a))
         window = extract_bits(plan, n, 64)
-    head, tail = calls
-    assert head[4] == tail[3]
-    return window, head, tail
+    (args,) = calls
+    assert args[3] == 0
+    return window, args
+
+
+def _floor_switch(plan, n):
+    """The first level of the first block whose exponent e is negative: the
+    blocks before it are reduced mod 1 before their floor, the ones from it
+    on are floored directly."""
+    # the first level with a negative exponent
+    first = max(0, (n + plan.s_min) // plan.beta + 1)
+    return first - first % plan.levels
 
 
 def test_determinism_and_partition_independence(monkeypatch):
@@ -163,43 +172,50 @@ def test_determinism_and_partition_independence(monkeypatch):
     for formula in (golden_formula(), LOG2_FORMULA, family_coeffs(2).formula):
         plan = build_plan(formula)
         for n in (0, 59, 5000, 41_000):
-            window, args, _ = _serial_block_sums(monkeypatch, plan, n)
+            window, args = _serial_block_sums(monkeypatch, plan, n)
             assert window == extract_bits(plan, n, 64)
-            *head, k0, head_end = args
-            assert k0 == 0
-            assert head_end % plan.levels == 0
+            *fixed, k0, k_end = args
             whole = spigot_mod._sum_blocks(*args)
-            blocks = head_end // plan.levels
+            blocks = -(-k_end // plan.levels)  # the last one cut at k_end
+            switch = _floor_switch(plan, n) // plan.levels
             cuts = [[blocks * i // p for i in range(p + 1)] for p in (1, 2, 3, 7)]
-            cuts.append([0, *sorted(rng.randrange(blocks + 1) for _ in range(4)), blocks])
+            cuts.append([0, switch, blocks])
+            cuts.append([0, *sorted([switch, *(rng.randrange(blocks + 1) for _ in range(4))]), blocks])
             for bounds in cuts:
-                levels = [b * plan.levels for b in bounds]  # cut on block boundaries
-                sums = [spigot_mod._sum_blocks(*head, a, b) for a, b in zip(levels, levels[1:])]
+                # cut on block boundaries, the last part ending in the partial block
+                levels = [min(b * plan.levels, k_end) for b in bounds]
+                sums = [spigot_mod._sum_blocks(*fixed, a, b) for a, b in zip(levels, levels[1:])]
                 assert (sum(a for a, _ in sums), sum(b for _, b in sums)) == whole, (n, bounds)
 
 
 def test_head_sum_brackets_the_exact_head(monkeypatch):
     # golden and t = +-2**s fold one level per block, log2 several; the
-    # tail's last blocks have negative exponents, floored in fixed point
+    # range's last blocks have negative exponents, floored in fixed point
     for formula in (golden_formula(), LOG2_FORMULA, *(family_coeffs(t).formula for t in (2, -4))):
         plan = build_plan(formula)
         beta, length = plan.beta, formula.length
         for n in (0, 1, 59, 60, 61, 500, 2000):
-            _, head, tail = _serial_block_sums(monkeypatch, plan, n)
-            assert head[3] == 0
-            for args in (head, tail):
-                *_, width, k0, k1 = args
-                acc, budget = spigot_mod._sum_blocks(*args)
-                exact = Fraction(0)
-                for k in range(k0, k1):
-                    for j, a in plan.nonzero:
-                        term = formula.prefactor * a / (k * length + j) * Fraction(2) ** (n - beta * k)
-                        exact += term - math.floor(term)
-                # acc is unmasked: compare its W-bit fraction with the exact one
-                excess = (exact * 2**width - acc) % 2**width
-                assert 0 <= excess <= budget, (formula.label, n, k0)
-                assert budget or excess == 0, (formula.label, n, k0)
-                assert budget <= -(-(k1 - k0) // plan.levels), (formula.label, n, k0)
+            _, args = _serial_block_sums(monkeypatch, plan, n)
+            *_, width, k0, k1 = args
+            assert k1 > _floor_switch(plan, n)
+            acc, budget = spigot_mod._sum_blocks(*args)
+
+            def level(k):
+                return [
+                    formula.prefactor * a / (k * length + j) * Fraction(2) ** (n - beta * k)
+                    for j, a in plan.nonzero
+                ]
+
+            exact = sum(t - math.floor(t) for k in range(k0, k1) for t in level(k))
+            # acc is unmasked: compare its W-bit fraction with the exact one
+            excess = (exact * 2**width - acc) % 2**width
+            assert 0 <= excess <= budget, (formula.label, n)
+            assert budget or excess == 0, (formula.label, n)
+            assert budget <= -(-(k1 - k0) // plan.levels), (formula.label, n)
+            # the levels left out past k1 add up to less than one ulp (summed
+            # over 40 bits' worth of levels; the ones after are 2**-40 smaller)
+            rest = sum(t for k in range(k1, k1 + 40 // beta + 1) for t in level(k))
+            assert abs(rest) * 2**width < 1, (formula.label, n)
 
 
 # the fold's formulas: golden and t = +-2**s fold one level per block
@@ -230,16 +246,19 @@ def test_block_fractions_equal_the_fold(name):
                 assert got == expected, (name, k0, blocks, k1 - k0)
 
 
-def test_packed_fields_never_carry_at_position_10_7(golden_plan):
-    # the deepest range of a golden head at position 10**7 cut in two:
-    # the widest registers a forked part steps
+def test_packed_fields_never_carry_at_position_10_7(golden_plan, monkeypatch):
+    # the deeper part of golden's range at position 10**7 cut in two: the
+    # widest registers a forked part steps
     plan = golden_plan
     levels = plan.levels
     degree = levels * len(plan.nonzero)
-    e0 = 10**7 + plan.s_min
-    head_end = (e0 // plan.beta + 1) // levels * levels
-    k0 = head_end // levels // 2 * levels
-    last = head_end - levels
+    calls = []  # the one serial _sum_blocks call, recorded and not run
+    monkeypatch.setattr(spigot_mod, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(spigot_mod, "_sum_blocks", lambda *a: calls.append(a) or (0, 0))
+    extract_bits(plan, 10**7, 64)
+    [(*_, k_end)] = calls
+    k0 = k_end // levels // 2 * levels
+    last = k_end // levels * levels - levels  # the last whole block
     fold = partial(spigot_mod._folded, plan)
     table = [fold(k, k + levels) for k in range(k0, k0 + (degree + 1) * levels, levels)]
     regs, slot, low, c = _stepper(fold, levels, table, last)
@@ -281,7 +300,7 @@ def _no_child_left():
 
 
 def test_forked_head_equals_serial(golden_plan, monkeypatch):
-    n = 41_000  # 49 224 head terms, enough for six parts
+    n = 41_000  # 49 392 terms to the cutoff, enough for three parts
     default = extract_bits(golden_plan, n, 64)
     forks = []
     real_fork = os.fork
@@ -298,16 +317,14 @@ def test_forked_head_equals_serial(golden_plan, monkeypatch):
 @pytest.mark.parametrize("fault", ["raise", "short", "exit", "fork"])
 def test_parent_resums_the_range_of_a_failed_child(golden_plan, monkeypatch, fault):
     n = 41_000
-    expected, head, _ = _serial_block_sums(monkeypatch, golden_plan, n)
-    head_end = head[4]
+    expected, _ = _serial_block_sums(monkeypatch, golden_plan, n)
     parent = os.getpid()
     real_sum, real_write, real_exit = spigot_mod._sum_blocks, os.write, os._exit
     parent_ranges = []
 
     def sum_blocks(*args):
         if os.getpid() == parent:
-            if args[3] < head_end:  # not the tail
-                parent_ranges.append(args[-2:])
+            parent_ranges.append(args[-2:])
         elif fault == "raise":
             raise RuntimeError("child failed")
         return real_sum(*args)
@@ -335,7 +352,7 @@ def test_parent_resums_the_range_of_a_failed_child(golden_plan, monkeypatch, fau
 
 
 def test_no_fork_while_another_thread_runs(golden_plan, monkeypatch):
-    expected, _, _ = _serial_block_sums(monkeypatch, golden_plan, 41_000)
+    expected, _ = _serial_block_sums(monkeypatch, golden_plan, 41_000)
     monkeypatch.setattr(spigot_mod, "_usable_cpus", lambda: 3)
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked a threaded process"))
     release = threading.Event()
