@@ -21,8 +21,8 @@ class PrecisionError(BbpError, ArithmeticError):
 class ValidationError(BbpError, ValueError):
     """A formula object violates one of its structural invariants, or an
     argument is outside the range a function accepts (a window of no
-    bits, a negative position, too few fraction bits, a negative count of
-    decimal digits).
+    bits, a negative position, too few fraction bits, a negative error
+    bound, a negative count of decimal digits).
 
     The message names the offending field or argument.
     """

@@ -23,10 +23,10 @@ square roots of 5.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from decimal import Decimal
 from fractions import Fraction
 
+from ._record import Record
 from .errors import DomainError
 from .formula import BbpFormula
 from .numerics import FixedReal, fx_atanh, fx_log, fx_sqrt
@@ -63,23 +63,21 @@ def _lhs_argument(t: int) -> Fraction:
     return Fraction(num, den)
 
 
-@dataclass(frozen=True, slots=True)
-class FamilyInstance:
+class FamilyInstance(Record):
     """Parameter t together with its formula and closed-form left side."""
 
-    t: int
-    formula: BbpFormula
-    lhs_arg: Fraction
+    __slots__ = ("t", "formula", "lhs_arg")
 
-    def __post_init__(self) -> None:
+    def __init__(self, t: int, formula: BbpFormula, lhs_arg: Fraction) -> None:
         # atanh needs |u*sqrt(5)| < 1, i.e. 5*num^2 < den^2; this holds
         # for every nonzero integer t and is enforced, not assumed.
-        num, den = self.lhs_arg.numerator, self.lhs_arg.denominator
+        num, den = lhs_arg.numerator, lhs_arg.denominator
         if 5 * num * num >= den * den:
             raise DomainError(
-                f"atanh argument leaves (-1, 1) for t={self.t}; "
+                f"atanh argument leaves (-1, 1) for t={t}; "
                 "the family construction does not apply"
             )
+        self._fill(t, formula, lhs_arg)
 
 
 def family_coeffs(t: int) -> FamilyInstance:
@@ -107,8 +105,10 @@ def golden_formula() -> BbpFormula:
     atanh(2/sqrt(5)) = 3*log(phi), so the theorem prefactor gains a
     factor 1/3.
     """
-    base = family_coeffs(1).formula
-    return replace(base, prefactor=base.prefactor / 3, label="sqrt(5)*log(phi)")
+    f = family_coeffs(1).formula
+    return BbpFormula(
+        f.degree, f.base, f.length, f.coeffs, f.prefactor / 3, "sqrt(5)*log(phi)"
+    )
 
 
 def lhs_value(inst: FamilyInstance, frac_bits: int) -> FixedReal:

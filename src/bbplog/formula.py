@@ -55,11 +55,12 @@ position 0, and a partial last block are only folded.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
+from ._record import Record
 from .errors import ParseError, UnsupportedFormulaError, ValidationError
 from .numerics import FixedReal
 
@@ -69,20 +70,21 @@ __all__ = ["BbpFormula", "EvalResult", "eval_P", "parse_formula", "emit_formula"
 MAX_DEGREE = 128
 
 
-@dataclass(frozen=True, slots=True)
-class BbpFormula:
+class BbpFormula(Record):
     """Degree, base, length, coefficient vector, and rational prefactor."""
 
-    degree: int
-    base: int
-    length: int
-    coeffs: tuple[int, ...]
-    prefactor: Fraction
-    label: str = ""
+    __slots__ = ("degree", "base", "length", "coeffs", "prefactor", "label")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        object.__setattr__(self, "prefactor", Fraction(self.prefactor))
+    def __init__(
+        self,
+        degree: int,
+        base: int,
+        length: int,
+        coeffs: tuple[int, ...],
+        prefactor: Fraction,
+        label: str = "",
+    ) -> None:
+        self._fill(degree, base, length, tuple(coeffs), Fraction(prefactor), label)
         self.validate()
 
     def validate(self) -> None:
@@ -104,13 +106,13 @@ class BbpFormula:
             raise ValidationError("label: must be a single line")
 
 
-@dataclass(frozen=True, slots=True)
-class EvalResult:
+class EvalResult(Record):
     """Evaluated constant plus how the truncation was accounted."""
 
-    value: FixedReal
-    terms_used: int
-    tail_bound_ulp: int
+    __slots__ = ("value", "terms_used", "tail_bound_ulp")
+
+    def __init__(self, value: FixedReal, terms_used: int, tail_bound_ulp: int) -> None:
+        self._fill(value, terms_used, tail_bound_ulp)
 
 
 # T, the terms folded into one block fraction.  A block pays one long
@@ -254,24 +256,30 @@ def _truncation(f: BbpFormula, frac_bits: int) -> tuple[int, int]:
     using (k*l+1) >= (K*l+1) and the geometric sum of b**-k.  K is the
     first level whose unscaled majorant drops below one ulp:
     top = max|a_j| * l * b * 2**frac_bits < den(K) = (K*l+1)**s * b**K * (b-1).
-    den is strictly increasing and den(K) >= 2**(c*K) > top for
-    K = bitlen(top)//c + 1, c = floor(log2 b), so K is found by bisection.
+    den is strictly increasing; let r solve log2 den(r) = log2 top.
+    Dropping the factor (K*l+1)**s gives y = log2(top/(b-1)) / log2 b >= r,
+    and putting y into that factor gives x = y - s*log2(y*l+1) / log2 b
+    <= r, close below r when K is large against s.  From K = ceil(x), in
+    floats, b**K is computed once; exact comparisons then step K down
+    while den(K-1) > top and up while den(K) <= top, dividing or
+    multiplying that power by b, so K is exact whatever the rounding.
     """
     length, degree, b = f.length, f.degree, f.base
     top = max(abs(a) for a in f.coeffs) * length * b << frac_bits
 
-    def den(K: int) -> int:
-        return (K * length + 1) ** degree * b**K * (b - 1)
+    def den(K: int, bK: int) -> int:
+        return (K * length + 1) ** degree * bK * (b - 1)
 
-    lo, hi = 0, top.bit_length() // (b.bit_length() - 1) + 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if top < den(mid):
-            hi = mid
-        else:
-            lo = mid + 1
+    lb = math.log2(b)
+    y = (math.log2(top) - math.log2(b - 1)) / lb
+    K = max(0, math.ceil(y - degree * math.log2(max(0.0, y) * length + 1) / lb))
+    bK = b**K
+    while K and top < den(K - 1, bK // b):
+        K, bK = K - 1, bK // b
+    while top >= den(K, bK):
+        K, bK = K + 1, bK * b
     p, q = f.prefactor.numerator, f.prefactor.denominator
-    return lo, -(-top * abs(p) // (den(lo) * q))
+    return K, -(-top * abs(p) // (den(K, bK) * q))
 
 
 def eval_P(f: BbpFormula, frac_bits: int) -> EvalResult:

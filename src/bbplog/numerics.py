@@ -25,10 +25,10 @@ function here is pure and thread-safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
+from ._record import Record, _set
 from .errors import DomainError, PrecisionError, ValidationError
 
 __all__ = [
@@ -65,8 +65,7 @@ def _isqrt_ceil(n: int) -> int:
     return s if s * s == n else s + 1
 
 
-@dataclass(frozen=True, slots=True)
-class FixedReal:
+class FixedReal(Record):
     """A real number as ``mantissa * 2**-frac_bits`` with a tracked error.
 
     ``err_ulp`` bounds the absolute distance to the true quantity the
@@ -75,15 +74,16 @@ class FixedReal:
     via :meth:`rescale`.
     """
 
-    mantissa: int
-    frac_bits: int
-    err_ulp: int = 0
+    __slots__ = ("mantissa", "frac_bits", "err_ulp")
 
-    def __post_init__(self) -> None:
-        if self.frac_bits < 1:
-            raise ValueError("frac_bits must be positive")
-        if self.err_ulp < 0:
-            raise ValueError("err_ulp must be nonnegative")
+    def __init__(self, mantissa: int, frac_bits: int, err_ulp: int = 0) -> None:
+        if frac_bits < 1:
+            raise ValidationError("frac_bits: must be positive")
+        if err_ulp < 0:
+            raise ValidationError("err_ulp: must be nonnegative")
+        _set(self, "mantissa", mantissa)
+        _set(self, "frac_bits", frac_bits)
+        _set(self, "err_ulp", err_ulp)
 
     # -- constructors -------------------------------------------------
 

@@ -54,43 +54,55 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass
 from functools import partial
 
+from ._record import Record
 from .errors import UnsupportedFormulaError, ValidationError
 from .formula import _FOLD_TERMS, BbpFormula, _block_fractions, _floor_at, _fold_levels
 
 __all__ = ["SpigotPlan", "DigitWindow", "build_plan", "extract_bits"]
 
 
-@dataclass(frozen=True, slots=True)
-class DigitWindow:
+class DigitWindow(Record):
     """A run of extracted bits starting after the given bit position."""
 
-    position: int
-    bits: str
-    certified: int
+    __slots__ = ("position", "bits", "certified")
 
-    def __post_init__(self) -> None:
-        if not self.bits:
+    def __init__(self, position: int, bits: str, certified: int) -> None:
+        if not bits:
             raise ValidationError("bits: must be nonempty")
-        if not 0 <= self.certified <= len(self.bits):
+        if not 0 <= certified <= len(bits):
             raise ValidationError("certified: out of range")
+        self._fill(position, bits, certified)
 
 
-@dataclass(frozen=True, slots=True)
-class SpigotPlan:
+class SpigotPlan(Record):
     """A formula prepared for extraction: everything that does not depend
     on the position (module docstring)."""
 
-    formula: BbpFormula
-    beta: int
-    nonzero: tuple[tuple[int, int], ...]  # (j, a_j), 1-based j
-    q_odd: int
-    terms: tuple[tuple[int, int], ...]  # (j, c_j * 2**(s_j - s_min))
-    s_min: int
-    levels: int  # per block
-    cutoff: int  # the last level k summed has W + n - beta*k >= cutoff
+    __slots__ = (
+        "formula",
+        "beta",
+        "nonzero",  # (j, a_j), 1-based j
+        "q_odd",
+        "terms",  # (j, c_j * 2**(s_j - s_min))
+        "s_min",
+        "levels",  # per block
+        "cutoff",  # the last level k summed has W + n - beta*k >= cutoff
+    )
+
+    def __init__(
+        self,
+        formula: BbpFormula,
+        beta: int,
+        nonzero: tuple[tuple[int, int], ...],
+        q_odd: int,
+        terms: tuple[tuple[int, int], ...],
+        s_min: int,
+        levels: int,
+        cutoff: int,
+    ) -> None:
+        self._fill(formula, beta, nonzero, q_odd, terms, s_min, levels, cutoff)
 
 
 def build_plan(f: BbpFormula) -> SpigotPlan:

@@ -10,8 +10,8 @@ leading bits provably agree.  Reports serialize one per line as
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import ValidationError
 from .family import (
     family_coeffs,
@@ -37,15 +37,15 @@ __all__ = [
 GUARD_BITS = 88
 
 
-@dataclass(frozen=True, slots=True)
-class VerificationReport:
+class VerificationReport(Record):
     """One identity check: the two sides, their agreement, the verdict."""
 
-    subject: str
-    agreement_bits: int
-    threshold: int
-    passed: bool
-    elapsed_ms: int
+    __slots__ = ("subject", "agreement_bits", "threshold", "passed", "elapsed_ms")
+
+    def __init__(
+        self, subject: str, agreement_bits: int, threshold: int, passed: bool, elapsed_ms: int
+    ) -> None:
+        self._fill(subject, agreement_bits, threshold, passed, elapsed_ms)
 
     def line(self) -> str:
         flag = "true" if self.passed else "false"

@@ -144,7 +144,7 @@ def test_eval_blocks_match_exact_sum(monkeypatch, levels):
         assert abs(res.value.value - partial) <= Fraction(rounding, 1 << F), (base, levels)
 
 
-def test_truncation_bisection_matches_walk():
+def test_truncation_matches_walk():
     rng = random.Random(20261018)
     formulas = []
     for F in (64, 65, 300, 1000, 4096):

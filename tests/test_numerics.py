@@ -65,6 +65,16 @@ def test_exact_add_sub_scale():
     assert fr(a.mul_int(-7)) == -21
 
 
+def test_construction_rejects_no_fraction_bits_naming_the_field():
+    with pytest.raises(ValidationError, match="^frac_bits: must be positive$"):
+        FixedReal(1, 0)
+
+
+def test_construction_rejects_a_negative_error_naming_the_field():
+    with pytest.raises(ValidationError, match="^err_ulp: must be nonnegative$"):
+        FixedReal(1, 64, -1)
+
+
 def test_mixed_precision_rejected():
     with pytest.raises(ValueError):
         FixedReal.from_int(1, 32) + FixedReal.from_int(1, 64)
