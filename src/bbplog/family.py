@@ -159,6 +159,25 @@ def _decomposition_radicands(t: int, s5: FixedReal) -> tuple[FixedReal, ...]:
     return tuple(one - (q * c).mul_int(2) + q2 for c in _decomposition_cosines(s5))
 
 
+def _li1_quotients(
+    t: int, work: int
+) -> tuple[FixedReal, FixedReal, FixedReal, FixedReal]:
+    """``(a, X, R_0 R_2, R_1 R_3)`` at ``work`` bits for nonzero t.
+
+    a = u(t)*sqrt(5) and X = (1+|a|)/(1-|a|), so atanh(a) is
+    sign(a) * log(X)/2, as :func:`fx_atanh` computes it; the products
+    are of the radicands R_i of :func:`_decomposition_radicands`.
+    """
+    if t == 0:
+        raise DomainError("t must be a nonzero integer")
+    s5 = fx_sqrt(FixedReal.from_int(5, work))
+    a = s5.mul_fraction(_lhs_argument(t))
+    one = FixedReal.from_int(1, work)
+    x = (one + abs(a)) / (one - abs(a))
+    r0, r1, r2, r3 = _decomposition_radicands(t, s5)
+    return a, x, r0 * r2, r1 * r3
+
+
 def verify_li1_decomposition(t: int, work: int) -> tuple[FixedReal, FixedReal]:
     """Both sides of the alternating four-term log identity at ``work`` bits.
 
@@ -175,13 +194,15 @@ def verify_li1_decomposition(t: int, work: int) -> tuple[FixedReal, FixedReal]:
     :func:`fx_atanh` does.  No divisor can reach zero: R_i = |1 - q
     e^{i x_i}|**2 >= (1 - |q|)**2 > 0.08, because |q| <= 1/sqrt(2).
     Returns ``(lhs, rhs)``; the caller judges their agreement.
+
+    This is the value-level API, and the reference the tests hold
+    ``verify.verify_decomposition`` to: that check compares the two
+    logs' arguments and takes no log.
     """
-    if t == 0:
-        raise DomainError("t must be a nonzero integer")
-    s5 = fx_sqrt(FixedReal.from_int(5, work))
-    lhs = fx_atanh(s5.mul_fraction(_lhs_argument(t)))
-    r0, r1, r2, r3 = _decomposition_radicands(t, s5)
-    num, den = r0 * r2, r1 * r3
+    a, x, num, den = _li1_quotients(t, work)
+    lhs = fx_log(x).div_int(2)
+    if a.mantissa < 0:
+        lhs = -lhs
     if num.mantissa >= den.mantissa:
         return lhs, fx_log(num / den).div_int(-2)
     return lhs, fx_log(den / num).div_int(2)

@@ -8,6 +8,7 @@ multiplication.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 
 
@@ -104,6 +105,33 @@ def li1_decomposition_decimal(t: int, ctx):
         log = ctx.ln(radicand)
         total = ctx.add(total, log) if i % 2 == 0 else ctx.subtract(total, log)
     return ctx.divide(total, -2), ctx.scaleb(1, 4 - ctx.prec)
+
+
+def atanh_sqrt5_gap_decimal(u0: Fraction, u1: Fraction, ctx):
+    """(value, error bound) of atanh(u1*sqrt5) - atanh(u0*sqrt5) as
+    Decimals in ``ctx``, for |u_i*sqrt5| <= 0.9 and u0, u1 close.
+
+    The gap is ln(W)/2 with W = (1+z1)(1-z0) / ((1-z1)(1+z0)), z_i =
+    u_i*sqrt5: one log, of a number near 1.  Decimal(int) is exact, so
+    each u_i rounds once.  Every intermediate value is below 10 in
+    magnitude, so each operation rounds by at most u/2, u = 10**(1 -
+    prec).  Then each z_i is off by under 2u, each factor (in [0.1, 1.9])
+    by under 2.5u, each product (in [0.01, 3.61]) by under 10u, W by
+    under 10u * 7.22 / 0.0099**2 < 7.4e5 u, and, with W in [1/2, 2]
+    (asserted), ln W by under 1.6e6 u; 10**6 u bounds the halved result.
+    """
+    s5 = ctx.sqrt(ctx.create_decimal(5))
+    z0, z1 = (
+        ctx.multiply(s5, ctx.divide(Decimal(u.numerator), Decimal(u.denominator)))
+        for u in (u0, u1)
+    )
+    assert max(abs(z0), abs(z1)) < Decimal("0.9")
+    w = ctx.divide(
+        ctx.multiply(ctx.add(1, z1), ctx.subtract(1, z0)),
+        ctx.multiply(ctx.subtract(1, z1), ctx.add(1, z0)),
+    )
+    assert Decimal("0.6") < w < Decimal("1.6")
+    return ctx.divide(ctx.ln(w), 2), ctx.scaleb(1, 7 - ctx.prec)
 
 
 def modpow_bruteforce(base: int, exp: int, m: int) -> int:

@@ -2,19 +2,26 @@
 
 from __future__ import annotations
 
+import decimal
 import re
+from fractions import Fraction
 
 import pytest
 
+import bbplog.family as family_mod
+import bbplog.numerics as numerics_mod
 import bbplog.verify as verify_mod
 from bbplog.errors import DomainError, ValidationError
-from bbplog.numerics import FixedReal
+from bbplog.family import verify_li1_decomposition
+from bbplog.numerics import FixedReal, agreement_bits
 from bbplog.verify import (
     GUARD_BITS,
     verify_corollary,
     verify_decomposition,
     verify_theorem,
 )
+
+from _oracles import atanh_sqrt5_gap_decimal
 
 REPORT_RE = re.compile(r"^REPORT \S+ passed=(true|false) bits=-?\d+ ms=\d+$")
 
@@ -47,13 +54,12 @@ def test_decomposition_at_100000_bits(t):
     assert report.agreement_bits >= 100_000
 
 
-# agreement bits of verify_theorem and verify_decomposition at 1000 bits,
-# recorded when fx_log still split off n*ln 2 with a cached ln 2; every
-# check passed, theorem read 1085 throughout and decomposition 1083 for
-# every t not listed here.  t = -4, 6, 10 and 12 read 1082 until the right
-# side took one log of a quotient instead of four logs, and gained a bit.
+# agreement bits of verify_theorem and verify_decomposition at 1000 bits;
+# every check passes, theorem reads 1085 throughout and decomposition 1083
+# for every t not listed here.  The decomposition's bits come from the
+# mean-value bound on its two log arguments.
 DECOMPOSITION_BITS_AT_1000 = {
-    **dict.fromkeys((-3, -2, 2, 3, 4, 5), 1082),
+    **dict.fromkeys((-2, 2, 3), 1082),
     -1: 1081,
     1: 1081,
 }
@@ -123,6 +129,94 @@ def test_decomposition_report():
     report = verify_decomposition(2, 128)
     assert report.passed
     assert report.subject == "decomposition(t=2)"
+
+
+def test_decomposition_check_takes_no_log(monkeypatch):
+    # the check compares the arguments of the two sides' logs
+    calls = []
+
+    def counting(real):
+        def wrapper(x):
+            calls.append(real)
+            return real(x)
+
+        return wrapper
+
+    for mod in (numerics_mod, family_mod):
+        for name in ("fx_log", "fx_atanh"):
+            monkeypatch.setattr(mod, name, counting(getattr(mod, name)))
+    for t in (1, -1, 7):
+        assert verify_decomposition(t, 1000).passed
+    assert calls == []
+
+
+@pytest.mark.parametrize("bits", [200, 1000])
+def test_decomposition_reads_no_lower_than_its_two_logs(bits):
+    # the value-level API takes both logs; their agreement_bits is the
+    # reference the check's bound on the log arguments must reach
+    for t in [*range(-50, 0), *range(1, 51)]:
+        lhs, rhs = verify_li1_decomposition(t, bits + GUARD_BITS)
+        assert verify_decomposition(t, bits).agreement_bits >= agreement_bits(lhs, rhs), t
+
+
+def _move_lhs_argument(monkeypatch, t, k):
+    """Move u(t) by 2**-k; return the exact gap this opens between the
+    two sides, atanh(u'sqrt5) - atanh(u sqrt5), as Fractions
+    (magnitude, error bound) from the decimal oracle."""
+    real = family_mod._lhs_argument
+    u = real(t)
+    moved = u + Fraction(1, 1 << k)
+    monkeypatch.setattr(family_mod, "_lhs_argument", lambda s: moved if s == t else real(s))
+    ctx = decimal.Context(prec=(k + 60) * 30103 // 100000 + 10)
+    gap, gap_err = atanh_sqrt5_gap_decimal(u, moved, ctx)
+    gap, gap_err = abs(Fraction(gap)), Fraction(gap_err)
+    assert gap_err < gap / (1 << 40)
+    return gap, gap_err
+
+
+def _assert_bits_bracket_the_gap(report, gap, gap_err):
+    # the reported bits lie within 3 below -log2 of the true gap
+    bits = report.agreement_bits
+    assert gap + gap_err <= Fraction(1, 1 << bits), report.line()
+    assert gap - gap_err >= Fraction(1, 1 << (bits + 3)), report.line()
+
+
+@pytest.mark.parametrize("k", [150, 300, 600])
+@pytest.mark.parametrize("t", [1, -2, 50])
+def test_decomposition_bound_is_sound_and_tight(monkeypatch, t, k):
+    # the check passes a few bits below k and fails once the target passes k
+    gap, gap_err = _move_lhs_argument(monkeypatch, t, k)
+    for target, passed in ((k - 8, True), (k + 1, False)):
+        report = verify_decomposition(t, target)
+        _assert_bits_bracket_the_gap(report, gap, gap_err)
+        assert report.passed is passed, report.line()
+
+
+def test_decomposition_bound_holds_far_from_the_identity(monkeypatch):
+    # a gap of about 2**-2.8: X and Y differ by a quarter, so the mean
+    # value theorem's xi must be bounded by the smaller of the two (the
+    # larger would report 3 bits)
+    gap, gap_err = _move_lhs_argument(monkeypatch, 50, 4)
+    report = verify_decomposition(50, 10)
+    _assert_bits_bracket_the_gap(report, gap, gap_err)
+    assert not report.passed
+
+
+def test_decomposition_fails_with_a_wrong_cosine(monkeypatch):
+    # cos(pi/20) off by 2**-500 moves the right side by q/R_0 * 2**-500,
+    # between 2**-507 and 2**-497 for these t: far above a 1000-bit target
+    real = family_mod._decomposition_cosines
+
+    def wrong(s5):
+        c0, *rest = real(s5)
+        nudge = FixedReal.from_fraction(Fraction(1, 1 << 500), s5.frac_bits)
+        return (c0 + nudge, *rest)
+
+    monkeypatch.setattr(family_mod, "_decomposition_cosines", wrong)
+    for t in (1, -2, 50):
+        report = verify_decomposition(t, 1000)
+        assert not report.passed, t
+        assert 480 < report.agreement_bits < 520, (t, report.agreement_bits)
 
 
 @pytest.mark.parametrize("t", [1, -2, 50])
