@@ -14,6 +14,19 @@ truncation toward zero, and every truncation charges at most one ulp to
 the error bound.  The bounds are proved by the per-operation ulp algebra
 documented inline, never estimated.
 
+A truncation charges that ulp only when it drops something, and it
+learns so from the remainder of its own division (``divmod``) or from
+the bits its own shift drops, never by multiplying the quotient back.
+Every ceiling of a division by a power of two is a shift.  Division's
+error ceiling, ceil(c * 2**F / (|m2| * (|m2| - e2))), is first bounded
+from both sides with the leading 64 bits of |m2| and |m2| - e2: the
+product of the truncated factors bounds the full product from below and
+that of the factors rounded up bounds it from above, so the true ceiling
+lies between the two ceilings they give.  When those agree, that is the
+ceiling; only when they differ is the full product formed.  Either way
+it is the exact integer, so err_ulp does not depend on which path found
+it.
+
 The logarithm reduces x itself by repeated square roots; it splits off
 no power of two, so no ln 2 constant is needed.  It then sums the atanh
 series by rectangular splitting, each block at a width that shrinks
@@ -41,22 +54,61 @@ __all__ = [
 ]
 
 
-def _tdiv(a: int, b: int) -> int:
-    """Quotient of a/b truncated toward zero (b != 0)."""
-    q = a // b
-    if q < 0 and q * b != a:
+_LOW64 = (1 << 64) - 1
+
+
+def _tdivmod(a: int, b: int) -> tuple[int, bool]:
+    """(a/b truncated toward zero, whether it left a remainder), b != 0."""
+    q, r = divmod(a, b)
+    if q < 0 and r:
         q += 1
-    return q
+    return q, r != 0
 
 
-def _tshift(a: int, k: int) -> int:
-    """a // 2**k truncated toward zero; shifts beat big-int division."""
-    return a >> k if a >= 0 else -((-a) >> k)
+def _tshift(a: int, k: int) -> tuple[int, bool]:
+    """(a / 2**k truncated toward zero, whether the shift dropped a set
+    bit), k >= 0.  The low 64 bits settle the second part unless they
+    are all zero."""
+    if a < 0:
+        q, dropped = _tshift(-a, k)
+        return -q, dropped
+    low = a & _LOW64
+    if k < 64:
+        low &= (1 << k) - 1
+    elif not low:
+        low = a & ((1 << k) - 1)
+    return a >> k, low != 0
 
 
 def _ceil_div(a: int, b: int) -> int:
     """Ceiling of a/b for a >= 0, b > 0."""
     return -(-a // b)
+
+
+def _ceil_scaled_ratio(c: int, F: int, a: int, b: int) -> int:
+    """ceil(c * 2**F / (a*b)) for c >= 0 and a, b > 0.
+
+    With s_a = max(0, bitlen(a) - 64) and h_a = a >> s_a, h_a * 2**s_a
+    <= a < (h_a + 1) * 2**s_a, and a = h_a * 2**s_a when s_a = 0; b
+    likewise.  So a*b lies in [lo, hi] * 2**s, s = s_a + s_b, with lo =
+    h_a * h_b and hi the product of h_a and h_b, each plus one when its
+    shift is positive, and the result lies between ceil(c * 2**(F-s) /
+    hi) and ceil(c * 2**(F-s) / lo).  For s > F both are taken of ceil(c
+    / 2**(s-F)) instead, as ceil(ceil(x) / n) = ceil(x / n) for positive
+    integers n.  When the two agree, that is the result; only when they
+    differ is a*b formed.
+    """
+    if not c:
+        return 0
+    sa = max(a.bit_length() - 64, 0)
+    sb = max(b.bit_length() - 64, 0)
+    ha, hb = a >> sa, b >> sb
+    d = F - sa - sb
+    n = c << d if d >= 0 else -(-c >> -d)
+    up = -(-n // (ha * hb))
+    if up == -(-n // ((ha + (sa > 0)) * (hb + (sb > 0)))):
+        return up
+    return -(-(c << F) // (a * b))
 
 
 def _isqrt_ceil(n: int) -> int:
@@ -95,10 +147,8 @@ class FixedReal(Record):
     def from_fraction(cls, value: Fraction | int, frac_bits: int) -> "FixedReal":
         """Truncate an exact rational into fixed point (err <= 1 ulp)."""
         value = Fraction(value)
-        num = value.numerator << frac_bits
-        den = value.denominator
-        m = _tdiv(num, den)
-        return cls(m, frac_bits, 0 if m * den == num else 1)
+        m, inexact = _tdivmod(value.numerator << frac_bits, value.denominator)
+        return cls(m, frac_bits, int(inexact))
 
     # -- inspection ---------------------------------------------------
 
@@ -124,10 +174,10 @@ class FixedReal(Record):
     # -- exact operations ----------------------------------------------
 
     def __neg__(self) -> "FixedReal":
-        return FixedReal(-self.mantissa, self.frac_bits, self.err_ulp)
+        return _fixed(-self.mantissa, self.frac_bits, self.err_ulp)
 
     def __abs__(self) -> "FixedReal":
-        return FixedReal(abs(self.mantissa), self.frac_bits, self.err_ulp)
+        return _fixed(abs(self.mantissa), self.frac_bits, self.err_ulp)
 
     def _check_compatible(self, other: "FixedReal") -> None:
         if self.frac_bits != other.frac_bits:
@@ -137,7 +187,7 @@ class FixedReal(Record):
 
     def __add__(self, other: "FixedReal") -> "FixedReal":
         self._check_compatible(other)
-        return FixedReal(
+        return _fixed(
             self.mantissa + other.mantissa,
             self.frac_bits,
             self.err_ulp + other.err_ulp,
@@ -145,14 +195,14 @@ class FixedReal(Record):
 
     def __sub__(self, other: "FixedReal") -> "FixedReal":
         self._check_compatible(other)
-        return FixedReal(
+        return _fixed(
             self.mantissa - other.mantissa,
             self.frac_bits,
             self.err_ulp + other.err_ulp,
         )
 
     def mul_int(self, c: int) -> "FixedReal":
-        return FixedReal(self.mantissa * c, self.frac_bits, self.err_ulp * abs(c))
+        return _fixed(self.mantissa * c, self.frac_bits, self.err_ulp * abs(c))
 
     # -- truncating operations -----------------------------------------
 
@@ -161,32 +211,25 @@ class FixedReal(Record):
         # |xy - trunc(m1*m2/2**F)*u| <= (|m1|e2 + |m2|e1 + e1*e2)*u**2/u + u
         self._check_compatible(other)
         F = self.frac_bits
-        prod = self.mantissa * other.mantissa
-        m = _tshift(prod, F)
+        m, dropped = _tshift(self.mantissa * other.mantissa, F)
         cross = (
             abs(self.mantissa) * other.err_ulp
             + abs(other.mantissa) * self.err_ulp
             + self.err_ulp * other.err_ulp
         )
-        e = _ceil_div(cross, 1 << F) if cross else 0
-        if m << F != prod:
-            e += 1
-        return FixedReal(m, F, e)
+        return _fixed(m, F, -(-cross >> F) + dropped)
 
     def div_int(self, d: int) -> "FixedReal":
-        """Divide by a nonzero integer: :meth:`mul_fraction` by 1/d."""
-        return self.mul_fraction(Fraction(1, d))
+        """Divide by a nonzero integer (err <= ceil(e/|d|) + 1 ulp)."""
+        m, inexact = _tdivmod(self.mantissa, d)
+        return _fixed(m, self.frac_bits, -(-self.err_ulp // abs(d)) + inexact)
 
     def mul_fraction(self, fr: Fraction | int) -> "FixedReal":
         """Multiply by an exact rational (err <= e*|p|/q + 1 ulp)."""
         fr = Fraction(fr)
         p, q = fr.numerator, fr.denominator
-        num = self.mantissa * p
-        m = _tdiv(num, q)
-        e = _ceil_div(self.err_ulp * abs(p), q) if self.err_ulp else 0
-        if m * q != num:
-            e += 1
-        return FixedReal(m, self.frac_bits, e)
+        m, inexact = _tdivmod(self.mantissa * p, q)
+        return _fixed(m, self.frac_bits, _ceil_div(self.err_ulp * abs(p), q) + inexact)
 
     def __truediv__(self, other: "FixedReal") -> "FixedReal":
         # |a/b - m1/m2| = |d1*m2 - d2*m1| / (|b|*|m2|)
@@ -195,26 +238,22 @@ class FixedReal(Record):
         self._check_compatible(other)
         F = self.frac_bits
         m2, e2 = other.mantissa, other.err_ulp
-        if abs(m2) <= e2:
+        a2 = abs(m2)
+        if a2 <= e2:
             raise PrecisionError("divisor interval contains zero")
-        num = self.mantissa << F
-        m = _tdiv(num, m2)
-        cross = self.err_ulp * abs(m2) + e2 * abs(self.mantissa)
-        e = _ceil_div(cross << F, abs(m2) * (abs(m2) - e2)) if cross else 0
-        if m * m2 != num:
-            e += 1
-        return FixedReal(m, F, e)
+        m, inexact = _tdivmod(self.mantissa << F, m2)
+        cross = self.err_ulp * a2 + e2 * abs(self.mantissa)
+        return _fixed(m, F, _ceil_scaled_ratio(cross, F, a2, a2 - e2) + inexact)
 
     def rescale(self, frac_bits: int) -> "FixedReal":
         """Convert to another precision (exact when widening)."""
         shift = frac_bits - self.frac_bits
         if shift >= 0:
-            return FixedReal(self.mantissa << shift, frac_bits, self.err_ulp << shift)
-        m = _tshift(self.mantissa, -shift)
-        e = _ceil_div(self.err_ulp, 1 << -shift) if self.err_ulp else 0
-        if m << -shift != self.mantissa:
-            e += 1
-        return FixedReal(m, frac_bits, e)
+            return _fixed(self.mantissa << shift, frac_bits, self.err_ulp << shift)
+        if frac_bits < 1:
+            raise ValidationError("frac_bits: must be positive")
+        m, dropped = _tshift(self.mantissa, -shift)
+        return _fixed(m, frac_bits, -(-self.err_ulp >> -shift) + dropped)
 
     # -- output ---------------------------------------------------------
 
@@ -286,6 +325,20 @@ class FixedReal(Record):
         return out
 
 
+_new = object.__new__
+
+
+def _fixed(mantissa: int, frac_bits: int, err_ulp: int) -> FixedReal:
+    """A FixedReal from fields an operation has just computed: frac_bits
+    taken from a valid value and err_ulp >= 0 by construction, so stored
+    without the public constructor's checks."""
+    x = _new(FixedReal)
+    _set(x, "mantissa", mantissa)
+    _set(x, "frac_bits", frac_bits)
+    _set(x, "err_ulp", err_ulp)
+    return x
+
+
 def agreement_bits(a: FixedReal, b: FixedReal) -> int:
     """Certified count of leading fractional bits on which a and b agree.
 
@@ -301,8 +354,6 @@ def agreement_bits(a: FixedReal, b: FixedReal) -> int:
 
 
 # -- square root -------------------------------------------------------
-
-_LOW64 = (1 << 64) - 1
 
 
 def fx_sqrt(x: FixedReal) -> FixedReal:
@@ -335,7 +386,7 @@ def fx_sqrt(x: FixedReal) -> FixedReal:
             e += _ceil_div(d, s)
         else:
             e += _isqrt_ceil(d)
-    return FixedReal(s, F, e)
+    return _fixed(s, F, e)
 
 
 # -- logarithm ----------------------------------------------------------
@@ -397,14 +448,14 @@ def _atanh_small(z: FixedReal) -> FixedReal:
     n = _atanh_terms(zb, F)
     s = math.isqrt(n)
     y = z * z
-    powers = [FixedReal(one, F, 0), y]
+    powers = [_fixed(one, F, 0), y]
     for _ in range(s - 1):
         powers.append(powers[-1] * y)
     acc, err = _atanh_horner(
         [p.mantissa for p in powers], [p.err_ulp for p in powers], n, F
     )
-    out = z * FixedReal(acc, F, err)
-    return FixedReal(out.mantissa, F, out.err_ulp + 1)
+    out = z * _fixed(acc, F, err)
+    return _fixed(out.mantissa, F, out.err_ulp + 1)
 
 
 def _atanh_horner(pm: list[int], pe: list[int], n: int, F: int) -> tuple[int, int]:
@@ -480,18 +531,18 @@ def fx_log(x: FixedReal) -> FixedReal:
         raise PrecisionError("fx_log input interval reaches zero")
     prop = _ceil_div(e << F, m - e) if e else 0
     if m == (1 << F) and e == 0:
-        return FixedReal(0, F, 0)
+        return _fixed(0, F, 0)
 
     n = m.bit_length() - 1 - F
     r = max(8, math.isqrt(F // 320)) + abs(n).bit_length()
     Fw = F + r + 64 + max(0, -n)
-    y = FixedReal(m << (Fw - F), Fw, 0)
+    y = _fixed(m << (Fw - F), Fw, 0)
     for _ in range(r):
         y = fx_sqrt(y)
     one = FixedReal.from_int(1, Fw)
     z = (y - one) / (y + one)
     out = _atanh_small(z).mul_int(2 << r).rescale(F)
-    return FixedReal(out.mantissa, F, out.err_ulp + prop)
+    return _fixed(out.mantissa, F, out.err_ulp + prop)
 
 
 def fx_atanh(x: FixedReal) -> FixedReal:

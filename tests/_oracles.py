@@ -239,3 +239,83 @@ def eval_P_folded(f, frac_bits: int) -> tuple[int, int]:
     total = FixedReal(acc, W0, len(starts) if o == 1 else 2 * len(starts))
     total = total.mul_fraction(f.prefactor).rescale(frac_bits)
     return total.mantissa, total.err_ulp + tail_ulp
+
+
+# -- FixedReal's truncating operations as first written -------------------
+#
+# Each learns whether its truncation was exact by multiplying the quotient
+# back, div_int goes through Fraction(1, d), and division forms the full
+# product |m2| * (|m2| - e2) for its error ceiling.  Each returns
+# (mantissa, frac_bits, err_ulp).
+
+
+def _tdiv(a: int, b: int) -> int:
+    q = a // b
+    if q < 0 and q * b != a:
+        q += 1
+    return q
+
+
+def _tshift(a: int, k: int) -> int:
+    return a >> k if a >= 0 else -((-a) >> k)
+
+
+def _ceil_div(a: int, b: int) -> int:
+    return -(-a // b)
+
+
+def fixed_from_fraction(value, frac_bits: int) -> tuple[int, int, int]:
+    value = Fraction(value)
+    num = value.numerator << frac_bits
+    den = value.denominator
+    m = _tdiv(num, den)
+    return m, frac_bits, 0 if m * den == num else 1
+
+
+def fixed_mul(m1: int, e1: int, m2: int, e2: int, F: int) -> tuple[int, int, int]:
+    prod = m1 * m2
+    m = _tshift(prod, F)
+    cross = abs(m1) * e2 + abs(m2) * e1 + e1 * e2
+    e = _ceil_div(cross, 1 << F) if cross else 0
+    if m << F != prod:
+        e += 1
+    return m, F, e
+
+
+def fixed_mul_fraction(m1: int, e1: int, F: int, fr) -> tuple[int, int, int]:
+    fr = Fraction(fr)
+    p, q = fr.numerator, fr.denominator
+    num = m1 * p
+    m = _tdiv(num, q)
+    e = _ceil_div(e1 * abs(p), q) if e1 else 0
+    if m * q != num:
+        e += 1
+    return m, F, e
+
+
+def fixed_div_int(m1: int, e1: int, F: int, d: int) -> tuple[int, int, int]:
+    return fixed_mul_fraction(m1, e1, F, Fraction(1, d))
+
+
+def fixed_div(m1: int, e1: int, m2: int, e2: int, F: int) -> tuple[int, int, int]:
+    """Raises ZeroDivisionError where FixedReal raises PrecisionError."""
+    if abs(m2) <= e2:
+        raise ZeroDivisionError("divisor interval contains zero")
+    num = m1 << F
+    m = _tdiv(num, m2)
+    cross = e1 * abs(m2) + e2 * abs(m1)
+    e = _ceil_div(cross << F, abs(m2) * (abs(m2) - e2)) if cross else 0
+    if m * m2 != num:
+        e += 1
+    return m, F, e
+
+
+def fixed_rescale(m1: int, e1: int, F: int, frac_bits: int) -> tuple[int, int, int]:
+    shift = frac_bits - F
+    if shift >= 0:
+        return m1 << shift, frac_bits, e1 << shift
+    m = _tshift(m1, -shift)
+    e = _ceil_div(e1, 1 << -shift) if e1 else 0
+    if m << -shift != m1:
+        e += 1
+    return m, frac_bits, e

@@ -75,6 +75,12 @@ def test_construction_rejects_a_negative_error_naming_the_field():
         FixedReal(1, 64, -1)
 
 
+@pytest.mark.parametrize("frac_bits", [0, -3])
+def test_rescale_rejects_no_fraction_bits_naming_the_field(frac_bits):
+    with pytest.raises(ValidationError, match="^frac_bits: must be positive$"):
+        FixedReal(5, 64, 1).rescale(frac_bits)
+
+
 def test_mixed_precision_rejected():
     with pytest.raises(ValueError):
         FixedReal.from_int(1, 32) + FixedReal.from_int(1, 64)

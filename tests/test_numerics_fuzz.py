@@ -1,21 +1,30 @@
-"""Property-based check of FixedReal.decimal against its two-conversion form.
+"""Property-based checks of FixedReal against earlier forms of its code.
 
 ``decimal`` converts only the low end of the interval to a decimal
 string and finds the common prefix with the high end by integer
 division.  The oracle below is the earlier form, which converts both
-ends and compares the strings.  Every run is derandomized, so a failure
+ends and compares the strings.
+
+The truncating operations learn whether they dropped anything from
+their own remainder or shift, and division bounds its error ceiling
+from leading bits first.  Their first forms, in ``_oracles``, multiply
+back and form every product in full; both must give the same mantissa,
+precision and err_ulp.  Every run is derandomized, so a failure
 reproduces on every machine.
 """
 
 from __future__ import annotations
 
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
+import _oracles as first  # noqa: E402
+from bbplog.errors import PrecisionError  # noqa: E402
 from bbplog.numerics import FixedReal  # noqa: E402
 
 
@@ -105,3 +114,80 @@ def test_decimal_matches_two_conversions_past_the_int_str_limit():
         x = FixedReal(m, 20000, err)
         for digits in (None, 6020, 20001):
             assert x.decimal(digits) == _decimal_two_conversions(x, digits)
+
+
+# -- truncating operations against their first forms ------------------------
+
+
+def _fields(x: FixedReal) -> tuple[int, int, int]:
+    return x.mantissa, x.frac_bits, x.err_ulp
+
+
+@st.composite
+def _operands(draw) -> tuple[int, int, int, int, int]:
+    """(F, m1, e1, m2, e2): mantissas of either sign about one in size,
+    small, or with many trailing zeros (so that a shift or division can
+    drop nothing), and errors from none to one whole unit."""
+    F = draw(st.integers(1, 4096))
+
+    def mantissa() -> int:
+        magnitude = draw(
+            st.one_of(
+                st.integers(0, 1 << (F + 2)),
+                st.integers(0, 1 << 64),
+                st.tuples(st.integers(1, 1 << 64), st.integers(0, F + 2)).map(
+                    lambda p: p[0] << p[1]
+                ),
+            )
+        )
+        return draw(st.sampled_from((1, -1))) * magnitude
+
+    def err() -> int:
+        return draw(st.one_of(st.just(0), st.integers(0, 64), st.integers(0, 1 << F)))
+
+    return F, mantissa(), err(), mantissa(), err()
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    ops=_operands(),
+    d=st.one_of(st.sampled_from((1, -1, 7, -7, 0)), st.integers(-(1 << 70), 1 << 70)),
+    fr=st.fractions(max_denominator=1 << 70).filter(lambda q: abs(q) < 1 << 70),
+    to_bits=st.integers(1, 4200),
+)
+# the division's error ratio is an exact integer, divisor 3*2**k or 2**F
+# with e2 = 0: its ceiling is that integer, not one more
+@example(ops=(200, 5 << 150, 3, 3 << 100, 0), d=1, fr=Fraction(1, 3), to_bits=100)
+@example(ops=(200, -(5 << 150), 6, -(3 << 150), 0), d=-1, fr=Fraction(-2, 3), to_bits=1)
+@example(ops=(4096, 7 << 4000, 9, 3 << 4000, 0), d=7, fr=Fraction(7), to_bits=4096)
+@example(ops=(300, 12345 << 200, 17, 1 << 300, 0), d=-7, fr=Fraction(0), to_bits=364)
+@example(ops=(64, -(1 << 70), 5, 1 << 64, 0), d=0, fr=Fraction(1, 1 << 64), to_bits=63)
+# an exact integer ratio whose divisor has a set bit below its leading 64:
+# the leading bits leave the ceiling open, and the full product settles it
+@example(
+    ops=(200, 1 << 199, (1 << 80) + 1, ((1 << 80) + 1) << 20, 0),
+    d=2,
+    fr=Fraction(5),
+    to_bits=137,
+)
+def test_truncating_ops_match_their_first_forms(ops, d, fr, to_bits):
+    F, m1, e1, m2, e2 = ops
+    x, y = FixedReal(m1, F, e1), FixedReal(m2, F, e2)
+    assert _fields(x * y) == first.fixed_mul(m1, e1, m2, e2, F)
+    try:
+        expected = first.fixed_div(m1, e1, m2, e2, F)
+    except ZeroDivisionError:
+        with pytest.raises(PrecisionError):
+            x / y
+    else:
+        assert _fields(x / y) == expected
+    if d:
+        assert _fields(x.div_int(d)) == first.fixed_div_int(m1, e1, F, d)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            first.fixed_div_int(m1, e1, F, d)
+        with pytest.raises(ZeroDivisionError):
+            x.div_int(d)
+    assert _fields(x.mul_fraction(fr)) == first.fixed_mul_fraction(m1, e1, F, fr)
+    assert _fields(FixedReal.from_fraction(fr, F)) == first.fixed_from_fraction(fr, F)
+    assert _fields(x.rescale(to_bits)) == first.fixed_rescale(m1, e1, F, to_bits)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import decimal
+import hashlib
 import re
 from fractions import Fraction
 
@@ -72,6 +73,24 @@ def test_theorem_and_decomposition_match_recorded_lines():
         assert (theorem.passed, theorem.agreement_bits) == (True, 1085), t
         expected = DECOMPOSITION_BITS_AT_1000.get(t, 1083)
         assert (decomposition.passed, decomposition.agreement_bits) == (True, expected), t
+
+
+# SHA-256 of every REPORT line without its ms= field, one line each, of
+# the corollary and then theorem and decomposition for t = -50..-1, 1..50,
+# at 200, 1000 and 3000 bits in turn.  Any change to the arithmetic that
+# moves one verdict or agreement count changes it.
+REPORT_DIGEST = "28df2a86052dc30d688298a8df75c72b4a62c995c9361e1146f05ee1ccd274cd"
+
+
+def test_report_lines_match_recorded_digest():
+    digest = hashlib.sha256()
+    for bits in (200, 1000, 3000):
+        reports = [verify_corollary(bits)]
+        for t in [*range(-50, 0), *range(1, 51)]:
+            reports += [verify_theorem(t, bits), verify_decomposition(t, bits)]
+        for report in reports:
+            digest.update(re.sub(r" ms=\d+$", "\n", report.line()).encode())
+    assert digest.hexdigest() == REPORT_DIGEST
 
 
 def test_theorem_t1():
