@@ -1,13 +1,16 @@
 """The base of the package's immutable records.
 
-A record lists its fields in ``__slots__``, in constructor order, and
-writes its own ``__init__``: it validates the arguments and stores the
-fields with ``Record._fill``, or with ``_set`` one by one where
-construction is hot, the only way past the guard below.  The base
-gives every record equality with records of its own type, a hash that
-agrees with it, a ``repr`` that lists the fields, pickling and copying
-through the constructor, and an ``AttributeError`` on any assignment or
-deletion.  Records have no instance ``__dict__``.
+A record lists its fields in ``__slots__``, in constructor order.  The
+base's constructor binds positional and keyword arguments to them, every
+one required, and raises ``TypeError`` for a missing, extra or unknown
+argument.  A record that validates or normalises its arguments, or has a
+default, writes its own ``__init__`` and stores the fields with
+``Record._fill``, or with ``_set`` one by one where construction is hot,
+the only way past the guard below.  The base gives every record equality
+with records of its own type, a hash that agrees with it, a ``repr`` that
+lists the fields, pickling and copying through the constructor, and an
+``AttributeError`` on any assignment or deletion.  Records have no
+instance ``__dict__``.
 """
 
 from __future__ import annotations
@@ -19,6 +22,20 @@ class Record:
     """Equality, hash, repr and immutability keyed on ``__slots__``."""
 
     __slots__ = ()
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        fields, name = self.__slots__, self.__class__.__name__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} positional arguments but {len(args)} were given")
+        for field, value in zip(fields, args):
+            _set(self, field, value)
+        for field in fields[len(args) :]:
+            if field not in kwargs:
+                raise TypeError(f"{name}() missing required argument: {field!r}")
+            _set(self, field, kwargs.pop(field))
+        for key in kwargs:
+            why = "multiple values for" if key in fields else "an unexpected keyword"
+            raise TypeError(f"{name}() got {why} argument {key!r}")
 
     def _fill(self, *values: object) -> None:
         """Store the fields in ``__slots__`` order."""

@@ -27,15 +27,14 @@ the rescale to F, and the tail majorant of _truncation is added once.
 
 Stepping.  ``_block_fractions`` gives the exact fractions of a range of
 blocks of g levels, for eval_P's groups and the spigot's blocks alike.
-From level k0, block x holds levels k0 + x*g + i, i < g, and a fold
-callable gives its fraction as N(x)/M(x), with
-M(x) = m * prod ((k0 + x*g + i)*l + j)**s over its levels and nonzero
-terms (m >= 1 a constant: 1 for eval_P, q' for the spigot) and N(x) the
-matching Horner numerator.  Both are integer polynomials in x of degree
-at most D = g * (nonzero terms) * s.  Each factor of M is a polynomial in
-x with nonnegative coefficients, so M has degree D and nonnegative
-coefficients, and each Newton register Delta**i M(0), i <= D, is
-positive.  The first D+1 blocks are folded, and their forward
+From level k0, block x holds levels k0 + x*g + i, i < g, and
+``_fold_levels`` gives its fraction as N(x)/M(x), with
+M(x) = prod ((k0 + x*g + i)*l + j)**s over its levels and nonzero terms
+and N(x) the matching Horner numerator.  Both are integer polynomials in
+x of degree at most D = g * (nonzero terms) * s.  Each factor of M is a
+polynomial in x with nonnegative coefficients, so M has degree D and
+nonnegative coefficients, and each Newton register Delta**i M(0),
+i <= D, is positive.  The first D+1 blocks are folded, and their forward
 differences are the registers of M and of N' = N + C*M at x = 0, where
 C >= 0 is the smallest integer that makes every register of N'
 nonnegative.  One step adds register i+1 to register i for every i < D
@@ -111,9 +110,6 @@ class EvalResult(Record):
 
     __slots__ = ("value", "terms_used", "tail_bound_ulp")
 
-    def __init__(self, value: FixedReal, terms_used: int, tail_bound_ulp: int) -> None:
-        self._fill(value, terms_used, tail_bound_ulp)
-
 
 # T, the terms folded into one block fraction.  A block pays one long
 # division at its width, so eval wants more terms per block than the
@@ -179,10 +175,11 @@ _FOLD_TERMS = 16
 _STEP_MIN = 3
 
 
-def _steps(blocks: int, degree: int) -> bool:
-    """Whether a range of this many whole blocks, their fractions of
-    degree D = ``degree`` in the block index, is stepped (Stepping)."""
-    return blocks >= _STEP_MIN * (degree + 1)
+def _steps(blocks: int, levels: int, terms: tuple[tuple[int, int], ...], degree: int) -> bool:
+    """Whether a range of this many whole blocks of ``levels`` levels is
+    stepped: their fractions have degree D = levels * len(terms) * degree
+    in the block index (Stepping)."""
+    return blocks >= _STEP_MIN * (levels * len(terms) * degree + 1)
 
 
 def _differences(values: list[int]) -> list[int]:
@@ -195,10 +192,9 @@ def _differences(values: list[int]) -> list[int]:
     return regs
 
 
-Fold = Callable[[int, int], tuple[int, int]]
-
-
-def _stepper(fold: Fold, levels: int, table: list[tuple[int, int]], last: int) -> tuple[int, int, int, int]:
+def _stepper(
+    fold: Callable[[int, int], tuple[int, int]], levels: int, table: list[tuple[int, int]], last: int
+) -> tuple[int, int, int, int]:
     """The packed registers of N' = N + C*M and M, and S, G and C, from
     ``table``, the D+1 fractions of a range's first blocks; ``last`` is
     the first level of the range's last whole block (Stepping)."""
@@ -215,23 +211,28 @@ def _stepper(fold: Fold, levels: int, table: list[tuple[int, int]], last: int) -
     return regs, slot, low, c
 
 
-def _block_fractions(fold: Fold, levels: int, degree: int, k0: int, k1: int) -> Iterator[tuple[int, int]]:
-    """fold(k, min(k + levels, k1)) for each block k = k0, k0 + levels, ...
-    below k1, where ``degree`` is D, the degree in the block index of the
-    fold's numerator and denominator: a range of at least _STEP_MIN * (D+1)
-    whole blocks folds its first D+1 and steps every other whole block by
-    packed finite differences (Stepping); any other block is folded."""
+def _block_fractions(
+    base: int, degree: int, length: int, terms: tuple[tuple[int, int], ...], levels: int, k0: int, k1: int
+) -> Iterator[tuple[int, int]]:
+    """``_fold_levels(base, degree, length, terms, k, min(k + levels, k1))``
+    for each block k = k0, k0 + levels, ... below k1.  When ``_steps``
+    accepts the range's whole blocks, its first D+1 are folded, with
+    D = levels * len(terms) * degree, and every later whole block is
+    stepped by packed finite differences (Stepping); any other block is
+    folded."""
+    fold = partial(_fold_levels, base, degree, length, terms)
+    D = levels * len(terms) * degree
     whole = (k1 - k0) // levels
     end = k0 + whole * levels
-    first = degree + 1 if _steps(whole, degree) else whole
+    first = D + 1 if _steps(whole, levels, terms, degree) else whole
     table = [fold(k, k + levels) for k in range(k0, k0 + first * levels, levels)]
     yield from table
     if whole > first:
         regs, slot, low, c = _stepper(fold, levels, table, end - levels)
-        for _ in range(degree):  # on to the block of table[-1]
+        for _ in range(D):  # on to the block of table[-1]
             regs += regs >> slot
         slot_mask, low_mask = (1 << slot) - 1, (1 << low) - 1
-        for _ in range(whole - degree - 1):
+        for _ in range(whole - D - 1):
             regs += regs >> slot
             n = regs & slot_mask
             m = n >> low
@@ -300,10 +301,9 @@ def eval_P(f: BbpFormula, frac_bits: int) -> EvalResult:
     L = -(-_BLOCK_TERMS // len(terms))
     # groups of g levels, or whole blocks if too few groups to step
     g = next(d for d in range(max(1, min(L, _FOLD_TERMS // len(terms))), 0, -1) if L % d == 0)
-    if not _steps(K // g, g * len(terms) * f.degree):
+    if not _steps(K // g, g, terms, f.degree):
         g = L
-    fold = partial(_fold_levels, b, f.degree, f.length, terms)
-    groups = _block_fractions(fold, g, g * len(terms) * f.degree, 0, K)
+    groups = _block_fractions(b, f.degree, f.length, terms, g, 0, K)
     bg = b**g
     starts = range(0, K, L)
 

@@ -10,22 +10,22 @@ Write q = 2**w * q' and p*a_j = 2**x_j * c_j with q' and c_j odd, and
 s_j = x_j - w.  Each term is then c_j * 2**(n - beta*k + s_j) / (q'*(k*l + j)).
 The levels are cut into blocks of L = ceil(T / nonzero terms) whole
 levels (T = ``formula._FOLD_TERMS``), so that each block has about T
-terms.  A block is one exact fraction N/M, with M = q' * prod (k*l + j) over its
-terms, times 2**e, where e is the block's smallest exponent.  N/M is
-what the fold that ``eval_P`` uses too, ``formula._fold_levels``, gives
-with base 2**beta, degree 1 and the pairs (j, c_j * 2**(s_j - s_min)),
-s_min the smallest s_j, M also taking q'; a long range steps its blocks
-by packed finite differences instead, ``formula._block_fractions``,
-whose exact fractions and bound argument are the Stepping paragraph of
-``bbplog.formula``.  The levels run from 0 to a cutoff as one range of
-blocks, the last one cut at the cutoff, and every block is floored at
-the accumulator's width through ``formula._floor_at``, the floor
-``eval_P`` uses too.  When a block's e >= 0, every exponent in it is
-nonnegative and its fractional part is the exact rational
-(N * 2**e mod M) / M, reduced by one builtin three-argument ``pow`` on
-the multi-digit modulus M before the floor; when e < 0, N/M * 2**e is
-floored directly.  The odd part q' stays in the modulus because
-frac(x/q') is not a function of frac(x).
+terms.  A block is one exact fraction N/(q' * M), with M = prod (k*l + j)
+over its terms, times 2**e, where e is the block's smallest exponent.
+N/M is what ``formula._block_fractions`` gives with base 2**beta,
+degree 1 and the pairs (j, c_j * 2**(s_j - s_min)), s_min the smallest
+s_j: the fraction that ``eval_P``'s fold gives too, stepped by packed
+finite differences in a long range, with the exactness argument in the
+Stepping paragraph of ``bbplog.formula``.  The levels run from 0 to a
+cutoff as one range of blocks, the last one cut at the cutoff.  Each
+block's denominator takes q' here, M' = q' * M, and every block is
+floored at the accumulator's width through ``formula._floor_at``, the
+floor ``eval_P`` uses too.  When a block's e >= 0, every exponent in it
+is nonnegative and its fractional part is the exact rational
+(N * 2**e mod M') / M', reduced by one builtin three-argument ``pow`` on
+the multi-digit modulus M' before the floor; when e < 0, N/M' * 2**e is
+floored directly.  The odd part q' joins the modulus, not the exponent,
+because frac(x/q') is not a function of frac(x).
 None of q', s_min, the pairs, L or the cutoff depends on n, so
 :func:`build_plan` computes them once per formula.
 
@@ -54,11 +54,10 @@ from __future__ import annotations
 
 import os
 import threading
-from functools import partial
 
 from ._record import Record
 from .errors import UnsupportedFormulaError, ValidationError
-from .formula import _FOLD_TERMS, BbpFormula, _block_fractions, _floor_at, _fold_levels
+from .formula import _FOLD_TERMS, BbpFormula, _block_fractions, _floor_at
 
 __all__ = ["SpigotPlan", "DigitWindow", "build_plan", "extract_bits"]
 
@@ -90,19 +89,6 @@ class SpigotPlan(Record):
         "levels",  # per block
         "cutoff",  # the last level k summed has W + n - beta*k >= cutoff
     )
-
-    def __init__(
-        self,
-        formula: BbpFormula,
-        beta: int,
-        nonzero: tuple[tuple[int, int], ...],
-        q_odd: int,
-        terms: tuple[tuple[int, int], ...],
-        s_min: int,
-        levels: int,
-        cutoff: int,
-    ) -> None:
-        self._fill(formula, beta, nonzero, q_odd, terms, s_min, levels, cutoff)
 
 
 def build_plan(f: BbpFormula) -> SpigotPlan:
@@ -171,13 +157,6 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _folded(plan: SpigotPlan, k0: int, k1: int) -> tuple[int, int]:
-    """Levels k0 .. k1-1 as one exact fraction (N, M), q' in M."""
-    f = plan.formula
-    num, den = _fold_levels(f.base, 1, f.length, plan.terms, k0, k1)
-    return num, den * plan.q_odd
-
-
 def _sum_blocks(
     plan: SpigotPlan, e0: int, width: int, k0: int, k1: int, parent: int | None = None
 ) -> tuple[int, int]:
@@ -190,15 +169,16 @@ def _sum_blocks(
     A term at level k has exponent e0 - beta*k + (s_j - s_min), every
     s_j - s_min >= 0, so a block's smallest, e = e0 - beta*(its last
     level), is factored out: what is left of level k is base**(last - k)
-    times its plan terms, the fold's Horner form.
+    times its plan terms, the fold's Horner form.  The block's modulus is
+    q' times the fold's denominator.
     """
-    fractions = _block_fractions(
-        partial(_folded, plan), plan.levels, plan.levels * len(plan.terms), k0, k1
-    )
+    f = plan.formula
+    fractions = _block_fractions(f.base, 1, f.length, plan.terms, plan.levels, k0, k1)
     acc = budget = 0
     for k, (num, den) in zip(range(k0, k1, plan.levels), fractions):
         if parent is not None and os.getppid() != parent:
             raise ProcessLookupError("the parent process is gone")
+        den *= plan.q_odd
         e = e0 - plan.beta * (min(k + plan.levels, k1) - 1)
         if e >= 0:  # 2**e * num/den mod 1, exactly
             num, e = num * pow(2, e, den) % den, 0

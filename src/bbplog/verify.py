@@ -45,11 +45,6 @@ class VerificationReport(Record):
 
     __slots__ = ("subject", "agreement_bits", "threshold", "passed", "elapsed_ms")
 
-    def __init__(
-        self, subject: str, agreement_bits: int, threshold: int, passed: bool, elapsed_ms: int
-    ) -> None:
-        self._fill(subject, agreement_bits, threshold, passed, elapsed_ms)
-
     def line(self) -> str:
         flag = "true" if self.passed else "false"
         return (

@@ -492,6 +492,35 @@ def test_eval_malformed_file_exits_65(capsys, tmp_path):
     assert "line 4" in err
 
 
+def test_eval_digits_zero_is_usage_error(capsys):
+    code, err = run_usage_error(capsys, "eval", "--digits", "0")
+    assert code == 64
+    assert err.endswith("bbplog eval: error: --digits must be positive\n")
+
+
+# a formula file's input errors that no other test reaches, each with the
+# message it must print
+PREAMBLE = "bbp 1\ns 1\nb 2\n"
+BAD_FILES = {
+    "pre-den-zero": (PREAMBLE + "l 1\npre 1/0\nA 1\n", "line 5: prefactor denominator must be positive"),
+    "pre-den-negative": (PREAMBLE + "l 1\npre 1/-3\nA 1\n", "line 5: prefactor denominator must be positive"),
+    "trailing-line": (PREAMBLE + "l 1\npre 1/1\nA 1\nlabel x\n\nmore\n", "line 9: unexpected trailing line 'more'"),
+    "length-zero": (PREAMBLE + "l 0\npre 1/1\nA \n", "length: must be a positive integer"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FILES))
+@pytest.mark.parametrize("command", ["eval", "digits"])
+def test_formula_file_input_errors_exit_65(capsys, tmp_path, command, case):
+    text, message = BAD_FILES[case]
+    path = tmp_path / "bad.bbp"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, command, "--formula", str(path))
+    assert code == 65
+    assert out == ""
+    assert err == f"bbplog: error: {path}: {message}\n"
+
+
 def test_eval_missing_file_exits_65(capsys):
     code, _, err = run(capsys, "eval", "--formula", "/nonexistent/file.bbp")
     assert code == 65

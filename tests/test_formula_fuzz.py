@@ -57,7 +57,7 @@ def test_stepped_fractions_are_the_folds(base, degree, coeffs, levels, k0, extra
     whole = formula_mod._STEP_MIN * (D + 1) + extra
     k1 = k0 + whole * levels + short % levels
     expected = [fold(k, min(k + levels, k1)) for k in range(k0, k1, levels)]
-    assert list(_block_fractions(fold, levels, D, k0, k1)) == expected
+    assert list(_block_fractions(base, degree, len(coeffs), terms, levels, k0, k1)) == expected
 
 
 @FUZZ

@@ -110,6 +110,19 @@ def test_record_construction_equality_hash_and_immutability(name):
     short = cls(*args[:required])
     assert {f: getattr(short, f) for f in defaults} == defaults
 
+    # a missing field, an extra positional argument, an unknown keyword and
+    # a field given twice, as Python words them for a written constructor
+    bad_calls = [
+        (args[: required - 1], {}, "missing"),
+        ((), dict(zip(fields[1:], args[1:])), f"missing .*{fields[0]}"),
+        ((*args, 0), {}, "positional arguments but"),
+        (args, {"extra": 0}, "got an unexpected keyword argument 'extra'$"),
+        (args, {fields[0]: args[0]}, f"got multiple values for argument '{fields[0]}'$"),
+    ]
+    for pos, kw, message in bad_calls:
+        with pytest.raises(TypeError, match=message):
+            cls(*pos, **kw)
+
     for i, other in enumerate(others):
         if other is not None:
             changed = cls(*args[:i], other, *args[i + 1 :])

@@ -118,6 +118,8 @@ SPLIT_CASES = {
     "q-pow2-beta4": (4, (1, -3, 0, 5), Fraction(7, 1 << 9)),
     # golden-like q = 3 * 2**25, b = 2**20, a_j = +-2**x, negative constant
     "golden-like-beta20": (20, (8, 0, -1, 2, 0, -16), Fraction(-5, 3 << 25)),
+    # q' = 3**40 spans three int digits, and each block's modulus takes it
+    "multi-digit-q-odd-beta4": (4, (3, 0, -5, 7), Fraction(5**28, 3**40 << 9)),
 }
 
 
@@ -240,9 +242,8 @@ def test_block_fractions_equal_the_fold(name):
                 expected = []
                 for k in range(k0, k1, levels):
                     cut = min(k + levels, k1)
-                    num, den = _fold_levels(formula.base, 1, formula.length, plan.terms, k, cut)
-                    expected.append((num, den * plan.q_odd))
-                got = list(_block_fractions(partial(spigot_mod._folded, plan), levels, degree, k0, k1))
+                    expected.append(_fold_levels(formula.base, 1, formula.length, plan.terms, k, cut))
+                got = list(_block_fractions(formula.base, 1, formula.length, plan.terms, levels, k0, k1))
                 assert got == expected, (name, k0, blocks, k1 - k0)
 
 
@@ -259,7 +260,7 @@ def test_packed_fields_never_carry_at_position_10_7(golden_plan, monkeypatch):
     [(*_, k_end)] = calls
     k0 = k_end // levels // 2 * levels
     last = k_end // levels * levels - levels  # the last whole block
-    fold = partial(spigot_mod._folded, plan)
+    fold = partial(_fold_levels, plan.formula.base, 1, plan.formula.length, plan.terms)
     table = [fold(k, k + levels) for k in range(k0, k0 + (degree + 1) * levels, levels)]
     regs, slot, low, c = _stepper(fold, levels, table, last)
     for _ in range((last - k0) // levels):
