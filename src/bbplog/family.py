@@ -159,29 +159,23 @@ def _decomposition_radicands(t: int, s5: FixedReal) -> tuple[FixedReal, ...]:
     return tuple(one - (q * c).mul_int(2) + q2 for c in _decomposition_cosines(s5))
 
 
-def _li1_quotients(
-    t: int, work: int
-) -> tuple[FixedReal, FixedReal, FixedReal, FixedReal]:
-    """``(a, X, R_0 R_2, R_1 R_3)`` at ``work`` bits for nonzero t.
-
-    a = u(t)*sqrt(5) and X = (1+|a|)/(1-|a|), so atanh(a) is
-    sign(a) * log(X)/2, as :func:`fx_atanh` computes it; the products
-    are of the radicands R_i of :func:`_decomposition_radicands`.
+def _li1_quotients(t: int, work: int) -> tuple[FixedReal, FixedReal, FixedReal]:
+    """``(a, R_0 R_2, R_1 R_3)`` at ``work`` bits for nonzero t:
+    a = u(t)*sqrt(5), the argument of the left side's atanh, and the
+    products of the radicands R_i of :func:`_decomposition_radicands`.
     """
     if t == 0:
         raise DomainError("t must be a nonzero integer")
     s5 = fx_sqrt(FixedReal.from_int(5, work))
     a = s5.mul_fraction(_lhs_argument(t))
-    one = FixedReal.from_int(1, work)
-    x = (one + abs(a)) / (one - abs(a))
     r0, r1, r2, r3 = _decomposition_radicands(t, s5)
-    return a, x, r0 * r2, r1 * r3
+    return a, r0 * r2, r1 * r3
 
 
 def verify_li1_decomposition(t: int, work: int) -> tuple[FixedReal, FixedReal]:
     """Both sides of the alternating four-term log identity at ``work`` bits.
 
-    Left side: atanh(u(t)*sqrt(5)), through its own log.  Right side: the
+    Left side: :func:`fx_atanh` of u(t)*sqrt(5).  Right side: the
     alternating sum of Re Li_1[q e^{i x_i}] = -log(R_i)/2 with
     R_i = 1 - 2q cos x_i + q^2, q = 1/(t*sqrt(2)) and x_i = k*pi/20 for
     k in {1, 7, 9, 17}, each R_i built from its closed-form cosine.  The
@@ -199,10 +193,8 @@ def verify_li1_decomposition(t: int, work: int) -> tuple[FixedReal, FixedReal]:
     ``verify.verify_decomposition`` to: that check compares the two
     logs' arguments and takes no log.
     """
-    a, x, num, den = _li1_quotients(t, work)
-    lhs = fx_log(x).div_int(2)
-    if a.mantissa < 0:
-        lhs = -lhs
+    a, num, den = _li1_quotients(t, work)
+    lhs = fx_atanh(a)
     if num.mantissa >= den.mantissa:
         return lhs, fx_log(num / den).div_int(-2)
     return lhs, fx_log(den / num).div_int(2)

@@ -13,10 +13,9 @@ num/den = sum_k b**(k1-1-k) * S_k, S_k the level's sum over j: the pair
 ``_fold_levels`` gives.  It is built from groups of g levels, whose
 fractions come from Stepping, joined by Horner as
 (N, M) <- (N * b**len * M_i + N_i * M, M * M_i): g is the largest divisor
-of L with g * nonzero <= ``_FOLD_TERMS``, or 1 if there is none, or L
-when the K levels make too few groups to step.  The block is floored
-once at width W_k0 as floor(num * 2**w / (den * o**n)) with
-w = W_k0 - v*n, which is floor(num * 2**W_k0 / (den * b**n)).
+of L with g * nonzero <= ``_FOLD_TERMS``, or 1 if there is none.  The
+block is floored once at width W_k0 as floor(num * 2**w / (den * o**n))
+with w = W_k0 - v*n, which is floor(num * 2**W_k0 / (den * b**n)).
 Horner carries the deeper blocks to width W_k0 as
 floor(acc * 2**((c-v)*L) / o**L) = floor(acc * 2**(c*L) / b**L), a step
 skipped when o = 1, where it is exact.  Each floor costs under one ulp of
@@ -49,7 +48,8 @@ into one int, a step is ``regs += regs >> S`` and no field carries into
 the next.  A block reads N' and M from the low slot and yields
 N = N' - C*M, the fold's exact numerator.  A range of fewer than
 ``_STEP_MIN`` * (D+1) whole blocks, such as the spigot's range near
-position 0, and a partial last block are only folded.
+position 0 or eval_P's groups at a few thousand bits, and a partial last
+block are only folded.
 """
 
 from __future__ import annotations
@@ -175,13 +175,6 @@ _FOLD_TERMS = 16
 _STEP_MIN = 3
 
 
-def _steps(blocks: int, levels: int, terms: tuple[tuple[int, int], ...], degree: int) -> bool:
-    """Whether a range of this many whole blocks of ``levels`` levels is
-    stepped: their fractions have degree D = levels * len(terms) * degree
-    in the block index (Stepping)."""
-    return blocks >= _STEP_MIN * (levels * len(terms) * degree + 1)
-
-
 def _differences(values: list[int]) -> list[int]:
     """Newton registers at the first sample: Delta**i values[0] for
     i = 0 .. len(values)-1."""
@@ -215,16 +208,15 @@ def _block_fractions(
     base: int, degree: int, length: int, terms: tuple[tuple[int, int], ...], levels: int, k0: int, k1: int
 ) -> Iterator[tuple[int, int]]:
     """``_fold_levels(base, degree, length, terms, k, min(k + levels, k1))``
-    for each block k = k0, k0 + levels, ... below k1.  When ``_steps``
-    accepts the range's whole blocks, its first D+1 are folded, with
-    D = levels * len(terms) * degree, and every later whole block is
-    stepped by packed finite differences (Stepping); any other block is
-    folded."""
+    for each block k = k0, k0 + levels, ... below k1.  With D =
+    levels * len(terms) * degree, a range of at least ``_STEP_MIN`` * (D+1)
+    whole blocks folds its first D+1 and steps every later whole block by
+    packed finite differences (Stepping); any other block is folded."""
     fold = partial(_fold_levels, base, degree, length, terms)
     D = levels * len(terms) * degree
     whole = (k1 - k0) // levels
     end = k0 + whole * levels
-    first = D + 1 if _steps(whole, levels, terms, degree) else whole
+    first = D + 1 if whole >= _STEP_MIN * (D + 1) else whole
     table = [fold(k, k + levels) for k in range(k0, k0 + first * levels, levels)]
     yield from table
     if whole > first:
@@ -299,10 +291,9 @@ def eval_P(f: BbpFormula, frac_bits: int) -> EvalResult:
     o = b >> v
     terms = tuple((j, a) for j, a in enumerate(f.coeffs, start=1) if a)
     L = -(-_BLOCK_TERMS // len(terms))
-    # groups of g levels, or whole blocks if too few groups to step
+    # groups of g levels, g the largest divisor of L within _FOLD_TERMS;
+    # _block_fractions steps them or folds each one
     g = next(d for d in range(max(1, min(L, _FOLD_TERMS // len(terms))), 0, -1) if L % d == 0)
-    if not _steps(K // g, g, terms, f.degree):
-        g = L
     groups = _block_fractions(b, f.degree, f.length, terms, g, 0, K)
     bg = b**g
     starts = range(0, K, L)
@@ -345,7 +336,9 @@ def eval_P(f: BbpFormula, frac_bits: int) -> EvalResult:
 
 
 def parse_formula(text: str) -> BbpFormula:
-    """Parse the line-oriented formula format; round-trips with emit."""
+    """Parse the line-oriented formula format; round-trips with emit.
+    Every error, a ``ParseError`` or a field's ``ValidationError``, names
+    its line."""
     lines = text.splitlines()
     if not lines or not text.strip():
         raise ParseError("empty input", 1)
@@ -384,8 +377,12 @@ def parse_formula(text: str) -> BbpFormula:
     for idx in range(7, len(lines)):
         if lines[idx].strip():
             raise ParseError(f"unexpected trailing line {lines[idx]!r}", idx + 1)
-    return BbpFormula(degree=s, base=b, length=l, coeffs=coeffs,
-                      prefactor=Fraction(num, den), label=label)
+    try:
+        return BbpFormula(s, b, l, coeffs, Fraction(num, den), label)
+    except ValidationError as exc:  # its message starts with the field's name
+        field = str(exc).split(":", 1)[0]
+        line = ("degree", "base", "length", "prefactor", "coeffs", "label").index(field) + 2
+        raise ValidationError(f"line {line}: {exc}") from None
 
 
 def emit_formula(f: BbpFormula) -> str:

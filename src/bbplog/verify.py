@@ -24,7 +24,7 @@ from .family import (
     lhs_value,
 )
 from .formula import eval_P
-from .numerics import agreement_bits
+from .numerics import FixedReal, agreement_bits
 from .spigot import build_plan, extract_bits
 
 __all__ = [
@@ -138,7 +138,9 @@ def verify_decomposition(t: int, target_bits: int) -> VerificationReport:
     """
     started = time.perf_counter()
     work = _work_bits(target_bits)
-    a, x, num, den = _li1_quotients(t, work)
+    a, num, den = _li1_quotients(t, work)
+    one = FixedReal.from_int(1, work)
+    x = (one + abs(a)) / (one - abs(a))
     y = den / num if a.mantissa >= 0 else num / den
     low = min(x.mantissa - x.err_ulp, y.mantissa - y.err_ulp)
     if low <= 0:

@@ -367,8 +367,11 @@ def test_bits_above_the_cap_exit_64_before_any_work(capsys, monkeypatch, argv):
 
 
 # SHA-256 of eval's stdout, every certified digit printed, before eval_P
-# stepped its block fractions; (formula, --bits) -> digest
+# stepped its block fractions (golden at 1 088 bits, t = 50 and t = -17:
+# before eval_P folded short ranges group by group); (formula, --bits)
+# -> digest
 EVAL_DIGESTS = {
+    ("golden", 1088): "dad63a24570711386077dd8e34e57b92c99b6d1706c898100d543eeb717bb4e6",
     ("golden", 4000): "39ad9abf747d5a5a9b17c234fb586c8d7d8d3ef388c8b5b241dc311624473bc2",
     ("golden", 20000): "5a0d8d18dafadd54f29ef951183b09197f90eef68a873f1a7f1d8c938760772c",
     ("log2", 4000): "d96e0274f85d040ff5bbf90d6bf3f42e67248841773a63c32cc460d0db373934",
@@ -379,12 +382,15 @@ EVAL_DIGESTS = {
     ("t=-3", 20000): "2055d35e1bd1db373ade35f719e390f932a3d6815de66ede5fa9565767712f1b",
     ("t=9", 4000): "835944ff5ea8015a3471d6cfd199028284e175acb33c39e1c7d1236f264b5ae0",
     ("t=9", 20000): "d3bb60252e1f5be514a7acc4cf7bccc628bec12cac7e71f38f0ed45821d4b3bf",
+    ("t=50", 4000): "65fa14a6fea2c4b40525c5790bd077c7c1543d5d6e38be794d2db58031a0fd24",
+    ("t=50", 8088): "a7b4eb6a2c5262942f71e21b735e09b189e15b8d11623e00cc9e7c440d2eed1a",
+    ("t=-17", 8088): "5e37b9856335095633f99f5a66e260845acc144f283328e8b77586e961744583",
 }
 
 
 def test_eval_stdout_matches_pinned_digests(capsys, tmp_path):
     flags = {"golden": ["--preset", "golden"], "log2": ["--preset", "log2"]}
-    for t in (2, -3, 9):
+    for t in (2, -3, 9, 50, -17):
         path = tmp_path / f"t{t}.bbp"
         path.write_text(emit_formula(family_coeffs(t).formula), encoding="utf-8")
         flags[f"t={t}"] = ["--formula", str(path)]
@@ -505,7 +511,10 @@ BAD_FILES = {
     "pre-den-zero": (PREAMBLE + "l 1\npre 1/0\nA 1\n", "line 5: prefactor denominator must be positive"),
     "pre-den-negative": (PREAMBLE + "l 1\npre 1/-3\nA 1\n", "line 5: prefactor denominator must be positive"),
     "trailing-line": (PREAMBLE + "l 1\npre 1/1\nA 1\nlabel x\n\nmore\n", "line 9: unexpected trailing line 'more'"),
-    "length-zero": (PREAMBLE + "l 0\npre 1/1\nA \n", "length: must be a positive integer"),
+    "length-zero": (PREAMBLE + "l 0\npre 1/1\nA \n", "line 4: length: must be a positive integer"),
+    "base-one": ("bbp 1\ns 1\nb 1\nl 1\npre 1/1\nA 1\n", "line 3: base: must be >= 2"),
+    "pre-zero": (PREAMBLE + "l 1\npre 0/1\nA 1\n", "line 5: prefactor: must be nonzero"),
+    "coeffs-short": (PREAMBLE + "l 3\npre 1/1\nA 1 2\n", "line 6: coeffs: expected 3 entries, got 2"),
 }
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -170,6 +171,23 @@ def test_truncation_matches_walk():
     ]
     for f, F in formulas:
         assert _truncation(f, F) == truncation_walk(f, F), (f, F)
+
+
+@pytest.mark.parametrize("shift", [5, -5])
+def test_truncation_steps_to_the_walk_from_a_misplaced_estimate(monkeypatch, shift):
+    # the float estimate only seeds K: a ceil 5 levels too high must be
+    # stepped down, 5 too low stepped up, to the same exact K
+    misplaced = types.SimpleNamespace(log2=math.log2, ceil=lambda x: math.ceil(x) + shift)
+    monkeypatch.setattr(formula_mod, "math", misplaced)
+    formulas = (
+        golden_formula(),
+        load_preset("log2"),
+        family_coeffs(-17).formula,
+        BbpFormula(3, 10, 3, (5, 0, -2), Fraction(2, 3)),
+    )
+    for f in formulas:
+        for F in (64, 1000, 8088):
+            assert _truncation(f, F) == truncation_walk(f, F), (f, F)
 
 
 def test_truncation_stops_only_below_the_majorant():
