@@ -22,7 +22,6 @@ from .family import (
     golden_constant,
     golden_formula,
     lhs_value,
-    verify_li1_decomposition,
 )
 from .formula import BbpFormula, EvalResult, emit_formula, eval_P, parse_formula
 from .numerics import FixedReal, agreement_bits, fx_atanh, fx_log, fx_sqrt, modpow
@@ -60,7 +59,6 @@ __all__ = [
     "golden_formula",
     "lhs_value",
     "golden_constant",
-    "verify_li1_decomposition",
     "SpigotPlan",
     "DigitWindow",
     "build_plan",

@@ -16,7 +16,10 @@ Exit codes are part of the interface:
 
 stdout carries machine-parseable results; stderr carries diagnostics.
 Identical flags produce byte-identical stdout for digits, family, and
-eval; verify lines include wall-clock milliseconds by design.
+eval; verify lines include wall-clock milliseconds by design.  digits,
+like eval, prints only certified digits: a window certified short of
+--count prints its first `certified` digits (bits, or whole hex digits
+for --radix 16), then `~`, and still exits 0.
 
 Each argument rule has one home.  The library checks the domain of its
 own arguments; this module holds the cost caps and one unit rule: digits
@@ -241,9 +244,11 @@ def _cmd_digits(args: argparse.Namespace, parser: _Parser) -> int:
     digits = window.bits
     if unit == 4:
         digits = format(int(digits, 2), f"0{args.count // 4}x")
+    shown = window.certified // unit
+    tilde = "~" if window.certified < args.count else ""
     print(
         f"pos={args.pos} radix={args.radix}"
-        f" digits={digits} certified={window.certified // unit}"
+        f" digits={digits[:shown]}{tilde} certified={shown}"
     )
     return EX_OK
 

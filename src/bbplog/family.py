@@ -16,9 +16,7 @@ the sine product is sqrt(5) times a period-10 sign; cos(j*pi/4) is a
 period-8 sign times 1 for even j and 1/sqrt(2) for odd j.  So a_j is the
 product of the two signs times t**(39-j) * 2**((40-j)//2), the floor
 being the 1/sqrt(2) of odd j; no trigonometry runs in the coefficient
-path.  The numerical check of the four-term polylogarithm decomposition
-needs four cosines of multiples of pi/20; it builds them from nested
-square roots of 5.
+path.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ __all__ = [
     "golden_formula",
     "lhs_value",
     "golden_constant",
-    "verify_li1_decomposition",
     "FAMILY_LENGTH",
 ]
 
@@ -126,75 +123,3 @@ def golden_constant(frac_bits: int) -> FixedReal:
     phi = (FixedReal.from_int(1, work) + s5).div_int(2)
     return (s5 * fx_log(phi)).rescale(frac_bits)
 
-
-# -- the four-term polylogarithm decomposition check ----------------------
-
-
-def _decomposition_cosines(s5: FixedReal) -> tuple[FixedReal, ...]:
-    """cos(k*pi/20) for k = 1, 7, 9, 17 from a certified sqrt(5).
-
-    cos(pi/10) = sqrt((5+sqrt5)/8) and cos(3pi/10) = sqrt((5-sqrt5)/8);
-    the half-angle steps cos(x/2) = sqrt((1+cos x)/2) and
-    cos(pi/2 - x/2) = sqrt((1-cos x)/2) reach the four angles.
-    """
-    one = FixedReal.from_int(1, s5.frac_bits)
-    five = FixedReal.from_int(5, s5.frac_bits)
-    c1 = fx_sqrt((five + s5).div_int(8))  # cos(pi/10)
-    c3 = fx_sqrt((five - s5).div_int(8))  # cos(3pi/10)
-    return (
-        fx_sqrt((one + c1).div_int(2)),
-        fx_sqrt((one - c3).div_int(2)),
-        fx_sqrt((one - c1).div_int(2)),
-        -fx_sqrt((one + c3).div_int(2)),
-    )
-
-
-def _decomposition_radicands(t: int, s5: FixedReal) -> tuple[FixedReal, ...]:
-    """R_i = 1 - 2q cos x_i + q^2 with q = 1/(t*sqrt(2)), one per cosine."""
-    work = s5.frac_bits
-    s2 = fx_sqrt(FixedReal.from_int(2, work))
-    q = s2.mul_fraction(Fraction(1, 2 * t))
-    q2 = q * q
-    one = FixedReal.from_int(1, work)
-    return tuple(one - (q * c).mul_int(2) + q2 for c in _decomposition_cosines(s5))
-
-
-def _li1_quotients(t: int, work: int) -> tuple[FixedReal, FixedReal, FixedReal]:
-    """``(a, R_0 R_2, R_1 R_3)`` at ``work`` bits for nonzero t:
-    a = u(t)*sqrt(5), the argument of the left side's atanh, and the
-    products of the radicands R_i of :func:`_decomposition_radicands`.
-    """
-    if t == 0:
-        raise DomainError("t must be a nonzero integer")
-    s5 = fx_sqrt(FixedReal.from_int(5, work))
-    a = s5.mul_fraction(_lhs_argument(t))
-    r0, r1, r2, r3 = _decomposition_radicands(t, s5)
-    return a, r0 * r2, r1 * r3
-
-
-def verify_li1_decomposition(t: int, work: int) -> tuple[FixedReal, FixedReal]:
-    """Both sides of the alternating four-term log identity at ``work`` bits.
-
-    Left side: :func:`fx_atanh` of u(t)*sqrt(5).  Right side: the
-    alternating sum of Re Li_1[q e^{i x_i}] = -log(R_i)/2 with
-    R_i = 1 - 2q cos x_i + q^2, q = 1/(t*sqrt(2)) and x_i = k*pi/20 for
-    k in {1, 7, 9, 17}, each R_i built from its closed-form cosine.  The
-    signed sum of the four logs is the log of one quotient,
-
-        sum_i (-1)**i log R_i = log(R_0 R_2 / (R_1 R_3)),
-
-    so the right side takes a single log.  The quotient is oriented to be
-    >= 1, the larger product over the smaller with the sign flipped, as
-    :func:`fx_atanh` does.  No divisor can reach zero: R_i = |1 - q
-    e^{i x_i}|**2 >= (1 - |q|)**2 > 0.08, because |q| <= 1/sqrt(2).
-    Returns ``(lhs, rhs)``; the caller judges their agreement.
-
-    This is the value-level API, and the reference the tests hold
-    ``verify.verify_decomposition`` to: that check compares the two
-    logs' arguments and takes no log.
-    """
-    a, num, den = _li1_quotients(t, work)
-    lhs = fx_atanh(a)
-    if num.mantissa >= den.mantissa:
-        return lhs, fx_log(num / den).div_int(-2)
-    return lhs, fx_log(den / num).div_int(2)

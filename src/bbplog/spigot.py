@@ -63,16 +63,16 @@ __all__ = ["SpigotPlan", "DigitWindow", "build_plan", "extract_bits"]
 
 
 class DigitWindow(Record):
-    """A run of extracted bits starting after the given bit position."""
+    """A run of extracted bits; the first ``certified`` of them are proven."""
 
-    __slots__ = ("position", "bits", "certified")
+    __slots__ = ("bits", "certified")
 
-    def __init__(self, position: int, bits: str, certified: int) -> None:
+    def __init__(self, bits: str, certified: int) -> None:
         if not bits:
             raise ValidationError("bits: must be nonempty")
         if not 0 <= certified <= len(bits):
             raise ValidationError("certified: out of range")
-        self._fill(position, bits, certified)
+        self._fill(bits, certified)
 
 
 class SpigotPlan(Record):
@@ -282,5 +282,5 @@ def extract_bits(plan: SpigotPlan, n: int, count: int) -> DigitWindow:
 
     certified = _certified_prefix(acc, width, count, budget)
     bits = format(acc >> (width - count), f"0{count}b")
-    return DigitWindow(position=n, bits=bits, certified=certified)
+    return DigitWindow(bits=bits, certified=certified)
 

@@ -4,8 +4,9 @@ Each check computes both sides of an identity along independent code
 paths at the target precision plus 88 guard bits and reports how many
 leading bits provably agree.  The decomposition's two sides are halves
 of logs, so its check bounds their gap from the logs' two arguments and
-takes no log; :func:`verify_decomposition` states that bound.  Reports
-serialize one per line as
+takes no log; :func:`verify_decomposition` states that bound.  The right
+side's four radicands need four cosines of multiples of pi/20, built
+from nested square roots of 5.  Reports serialize one per line as
 
     REPORT <subject> passed=<true|false> bits=<int> ms=<int>
 """
@@ -13,18 +14,13 @@ serialize one per line as
 from __future__ import annotations
 
 import time
+from fractions import Fraction
 
 from ._record import Record
-from .errors import PrecisionError, ValidationError
-from .family import (
-    _li1_quotients,
-    family_coeffs,
-    golden_constant,
-    golden_formula,
-    lhs_value,
-)
+from .errors import DomainError, PrecisionError, ValidationError
+from .family import _lhs_argument, family_coeffs, golden_constant, golden_formula, lhs_value
 from .formula import eval_P
-from .numerics import FixedReal, agreement_bits
+from .numerics import FixedReal, agreement_bits, fx_sqrt
 from .spigot import build_plan, extract_bits
 
 __all__ = [
@@ -108,8 +104,42 @@ def verify_corollary(target_bits: int) -> VerificationReport:
     return _report("corollary", agree, target_bits, started, extra_ok=spigot_ok)
 
 
+def _decomposition_cosines(s5: FixedReal) -> tuple[FixedReal, ...]:
+    """cos(k*pi/20) for k = 1, 7, 9, 17 from a certified sqrt(5).
+
+    cos(pi/10) = sqrt((5+sqrt5)/8) and cos(3pi/10) = sqrt((5-sqrt5)/8);
+    the half-angle steps cos(x/2) = sqrt((1+cos x)/2) and
+    cos(pi/2 - x/2) = sqrt((1-cos x)/2) reach the four angles.
+    """
+    one = FixedReal.from_int(1, s5.frac_bits)
+    five = FixedReal.from_int(5, s5.frac_bits)
+    c1 = fx_sqrt((five + s5).div_int(8))  # cos(pi/10)
+    c3 = fx_sqrt((five - s5).div_int(8))  # cos(3pi/10)
+    return (
+        fx_sqrt((one + c1).div_int(2)),
+        fx_sqrt((one - c3).div_int(2)),
+        fx_sqrt((one - c1).div_int(2)),
+        -fx_sqrt((one + c3).div_int(2)),
+    )
+
+
+def _decomposition_radicands(t: int, s5: FixedReal) -> tuple[FixedReal, ...]:
+    """R_i = 1 - 2q cos x_i + q^2 with q = 1/(t*sqrt(2)), one per cosine."""
+    work = s5.frac_bits
+    s2 = fx_sqrt(FixedReal.from_int(2, work))
+    q = s2.mul_fraction(Fraction(1, 2 * t))
+    q2 = q * q
+    one = FixedReal.from_int(1, work)
+    return tuple(one - (q * c).mul_int(2) + q2 for c in _decomposition_cosines(s5))
+
+
 def verify_decomposition(t: int, target_bits: int) -> VerificationReport:
     """atanh closed form vs the four-term polylogarithm decomposition.
+
+    The right side is the alternating sum of Re Li_1[q e^{i x_i}] =
+    -ln(R_i)/2 for x_i = k*pi/20, k in {1, 7, 9, 17}, with the radicands
+    R_i = |1 - q e^{i x_i}|**2 = 1 - 2q cos x_i + q^2 and q = 1/(t*sqrt(2)),
+    each built from its closed-form cosine.
 
     Both sides are halves of logs, so the check compares the logs'
     arguments and takes no log.  With a = u(t)*sqrt(5) the left side is
@@ -138,7 +168,12 @@ def verify_decomposition(t: int, target_bits: int) -> VerificationReport:
     """
     started = time.perf_counter()
     work = _work_bits(target_bits)
-    a, num, den = _li1_quotients(t, work)
+    if t == 0:
+        raise DomainError("t must be a nonzero integer")
+    s5 = fx_sqrt(FixedReal.from_int(5, work))
+    a = s5.mul_fraction(_lhs_argument(t))
+    r0, r1, r2, r3 = _decomposition_radicands(t, s5)
+    num, den = r0 * r2, r1 * r3
     one = FixedReal.from_int(1, work)
     x = (one + abs(a)) / (one - abs(a))
     y = den / num if a.mantissa >= 0 else num / den

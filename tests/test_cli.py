@@ -57,6 +57,37 @@ def test_digits_hex_output(capsys):
         assert out == f"pos={pos} radix=16 digits={int(bits, 2):08x} certified=8\n"
 
 
+# the zero relation (8, -8, -4, -8, -2, -2, 1, 0) in base 16: the free
+# parameter r of the pi formula in Bailey, Borwein & Plouffe, Math. Comp.
+# 66 (1997); its value is 0, which no window at any width certifies
+ZERO_TEXT = "bbp 1\ns 1\nb 16\nl 8\npre 1/1\nA 8 -8 -4 -8 -2 -2 1 0\n"
+
+
+@pytest.mark.parametrize("radix, unit", [("2", 1), ("16", 4)])
+def test_digits_prints_no_uncertified_digit_of_zero(capsys, tmp_path, radix, unit):
+    path = tmp_path / "zero.bbp"
+    path.write_text(ZERO_TEXT, encoding="utf-8")
+    for bit_pos in (0, 1000, 100_000):
+        pos = str(bit_pos // unit)
+        code, out, _ = run(
+            capsys, "digits", "--formula", str(path), "--pos", pos, "--count", "64", "--radix", radix
+        )
+        assert code == 0
+        assert out == f"pos={pos} radix={radix} digits=~ certified=0\n"
+
+
+def test_digits_stops_at_the_certified_prefix(capsys, monkeypatch):
+    # 40 of 64 bits certified: 40 bits, or 10 hex digits, then ~
+    bits = format(0x0123456789ABCDEF, "064b")
+    monkeypatch.setattr(cli, "extract_bits", lambda plan, n, count: DigitWindow(bits, 40))
+    code, out, _ = run(capsys, "digits", "--count", "64")
+    assert code == 0
+    assert out == f"pos=0 radix=2 digits={bits[:40]}~ certified=40\n"
+    code, out, _ = run(capsys, "digits", "--count", "64", "--radix", "16")
+    assert code == 0
+    assert out == "pos=0 radix=16 digits=0123456789~ certified=10\n"
+
+
 def test_digits_count_zero_is_usage_error(capsys):
     # extract_bits rejects the count; main maps its ValidationError to 64
     code, out, err = run(capsys, "digits", "--count", "0")
@@ -86,7 +117,7 @@ def test_digits_caps_exit_64_before_any_extraction(capsys, monkeypatch, radix, u
 
     def record(plan, n, count):
         windows.append((n, count))
-        return DigitWindow(position=n, bits="0" * count, certified=count)
+        return DigitWindow(bits="0" * count, certified=count)
 
     monkeypatch.setattr(cli, "extract_bits", record)
     top = str(cli.MAX_POS_BITS // unit)
@@ -109,7 +140,7 @@ def test_formula_caps_exit_64_before_any_work(capsys, monkeypatch, tmp_path):
 
     def extract(plan, n, count):
         calls.append(n)
-        return DigitWindow(position=n, bits="0" * count, certified=count)
+        return DigitWindow(bits="0" * count, certified=count)
 
     def evaluate(f, bits):
         calls.append(bits)

@@ -67,8 +67,8 @@ RECORDS = {
     ),
     "DigitWindow": (
         DigitWindow,
-        (100, "0101", 2),
-        (101, "0110", 3),
+        ("0101", 2),
+        ("0110", 3),
         {},
         [
             ("bits", "", ValidationError, "^bits: must be nonempty$"),

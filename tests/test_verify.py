@@ -13,7 +13,6 @@ import bbplog.family as family_mod
 import bbplog.numerics as numerics_mod
 import bbplog.verify as verify_mod
 from bbplog.errors import DomainError, ValidationError
-from bbplog.family import verify_li1_decomposition
 from bbplog.numerics import FixedReal, agreement_bits
 from bbplog.verify import (
     GUARD_BITS,
@@ -22,7 +21,7 @@ from bbplog.verify import (
     verify_theorem,
 )
 
-from _oracles import atanh_sqrt5_gap_decimal
+from _oracles import atanh_sqrt5_gap_decimal, li1_decomposition_sides
 
 REPORT_RE = re.compile(r"^REPORT \S+ passed=(true|false) bits=-?\d+ ms=\d+$")
 
@@ -161,9 +160,11 @@ def test_decomposition_check_takes_no_log(monkeypatch):
 
         return wrapper
 
-    for mod in (numerics_mod, family_mod):
-        for name in ("fx_log", "fx_atanh"):
-            monkeypatch.setattr(mod, name, counting(getattr(mod, name)))
+    # verify builds the check; a log it imported by name would bypass numerics
+    for name in ("fx_log", "fx_atanh"):
+        wrapped = counting(getattr(numerics_mod, name))
+        for mod in (numerics_mod, family_mod, verify_mod):
+            monkeypatch.setattr(mod, name, wrapped, raising=False)
     for t in (1, -1, 7):
         assert verify_decomposition(t, 1000).passed
     assert calls == []
@@ -171,10 +172,10 @@ def test_decomposition_check_takes_no_log(monkeypatch):
 
 @pytest.mark.parametrize("bits", [200, 1000])
 def test_decomposition_reads_no_lower_than_its_two_logs(bits):
-    # the value-level API takes both logs; their agreement_bits is the
-    # reference the check's bound on the log arguments must reach
+    # the two-log reference takes both logs; their agreement_bits is what
+    # the check's bound on the log arguments must reach
     for t in [*range(-50, 0), *range(1, 51)]:
-        lhs, rhs = verify_li1_decomposition(t, bits + GUARD_BITS)
+        lhs, rhs = li1_decomposition_sides(t, bits + GUARD_BITS)
         assert verify_decomposition(t, bits).agreement_bits >= agreement_bits(lhs, rhs), t
 
 
@@ -182,10 +183,10 @@ def _move_lhs_argument(monkeypatch, t, k):
     """Move u(t) by 2**-k; return the exact gap this opens between the
     two sides, atanh(u'sqrt5) - atanh(u sqrt5), as Fractions
     (magnitude, error bound) from the decimal oracle."""
-    real = family_mod._lhs_argument
+    real = verify_mod._lhs_argument
     u = real(t)
     moved = u + Fraction(1, 1 << k)
-    monkeypatch.setattr(family_mod, "_lhs_argument", lambda s: moved if s == t else real(s))
+    monkeypatch.setattr(verify_mod, "_lhs_argument", lambda s: moved if s == t else real(s))
     ctx = decimal.Context(prec=(k + 60) * 30103 // 100000 + 10)
     gap, gap_err = atanh_sqrt5_gap_decimal(u, moved, ctx)
     gap, gap_err = abs(Fraction(gap)), Fraction(gap_err)
@@ -224,14 +225,14 @@ def test_decomposition_bound_holds_far_from_the_identity(monkeypatch):
 def test_decomposition_fails_with_a_wrong_cosine(monkeypatch):
     # cos(pi/20) off by 2**-500 moves the right side by q/R_0 * 2**-500,
     # between 2**-507 and 2**-497 for these t: far above a 1000-bit target
-    real = family_mod._decomposition_cosines
+    real = verify_mod._decomposition_cosines
 
     def wrong(s5):
         c0, *rest = real(s5)
         nudge = FixedReal.from_fraction(Fraction(1, 1 << 500), s5.frac_bits)
         return (c0 + nudge, *rest)
 
-    monkeypatch.setattr(family_mod, "_decomposition_cosines", wrong)
+    monkeypatch.setattr(verify_mod, "_decomposition_cosines", wrong)
     for t in (1, -2, 50):
         report = verify_decomposition(t, 1000)
         assert not report.passed, t
