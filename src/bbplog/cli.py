@@ -202,14 +202,20 @@ class _DataError(Exception):
     pass
 
 
-def _check_terms(parser: _Parser, f: BbpFormula, levels: int, cap: int, what: str) -> None:
-    """The formula caps: its nonzero coefficients, and the terms that
-    ``levels`` levels of them make for ``what``, a flag and its value,
-    each weighted by the degree up to MAX_DEGREE (a formula of higher
-    degree is refused before any work)."""
+def _check_terms(parser: _Parser, f: BbpFormula, span_bits: int, cap: int, what: str) -> None:
+    """The formula caps: its nonzero coefficients, and the terms that its
+    levels over ``span_bits`` bits make for ``what``, a flag and its
+    value, each weighted by the degree up to MAX_DEGREE (a formula of
+    higher degree is refused before any work).
+
+    It counts span_bits // floor(log2 base) + 1 levels; the library sums
+    a few more (``_truncation``'s K, the spigot's k_end), but the caps
+    were sized by this same rule for golden, so it weighs every formula
+    on golden's scale."""
     nonzero = sum(1 for a in f.coeffs if a)
     if nonzero > MAX_NONZERO:
         parser.error(f"the formula has {nonzero} nonzero coefficients; at most {MAX_NONZERO} are allowed")
+    levels = span_bits // (f.base.bit_length() - 1) + 1
     terms = levels * nonzero * min(f.degree, MAX_DEGREE)
     if terms > cap:
         parser.error(f"{what} takes {terms} terms with this formula (each counted once per degree); at most {cap} are allowed")
@@ -238,8 +244,7 @@ def _cmd_digits(args: argparse.Namespace, parser: _Parser) -> int:
     if unit * args.pos > MAX_POS_BITS:
         parser.error(f"--pos must be at most {MAX_POS_BITS // unit} for --radix {args.radix}")
     plan = build_plan(_load_formula(args))
-    head_levels = unit * args.pos // plan.beta + 1
-    _check_terms(parser, plan.formula, head_levels, MAX_HEAD_TERMS, f"--pos {args.pos}")
+    _check_terms(parser, plan.formula, unit * args.pos, MAX_HEAD_TERMS, f"--pos {args.pos}")
     window = extract_bits(plan, unit * args.pos, args.count)
     digits = window.bits
     if unit == 4:
@@ -307,8 +312,7 @@ def _cmd_eval(args: argparse.Namespace, parser: _Parser) -> int:
     if args.digits is not None and args.digits < 1:
         parser.error("--digits must be positive")
     f = _load_formula(args)
-    levels = args.bits // (f.base.bit_length() - 1) + 1
-    _check_terms(parser, f, levels, MAX_EVAL_TERMS, f"--bits {args.bits}")
+    _check_terms(parser, f, args.bits, MAX_EVAL_TERMS, f"--bits {args.bits}")
     result = eval_P(f, args.bits)
     value = result.value
     print(

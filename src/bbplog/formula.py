@@ -340,7 +340,7 @@ def parse_formula(text: str) -> BbpFormula:
     Every error, a ``ParseError`` or a field's ``ValidationError``, names
     its line."""
     lines = text.splitlines()
-    if not lines or not text.strip():
+    if not text.strip():
         raise ParseError("empty input", 1)
 
     def expect(idx: int, key: str) -> str:

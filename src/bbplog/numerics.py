@@ -17,15 +17,14 @@ documented inline, never estimated.
 A truncation charges that ulp only when it drops something, and it
 learns so from the remainder of its own division (``divmod``) or from
 the bits its own shift drops, never by multiplying the quotient back.
-Every ceiling of a division by a power of two is a shift.  Division's
-error ceiling, ceil(c * 2**F / (|m2| * (|m2| - e2))), is first bounded
-from both sides with the leading 64 bits of |m2| and |m2| - e2: the
-product of the truncated factors bounds the full product from below and
-that of the factors rounded up bounds it from above, so the true ceiling
-lies between the two ceilings they give.  When those agree, that is the
-ceiling; only when they differ is the full product formed.  Either way
-it is the exact integer, so err_ulp does not depend on which path found
-it.
+Every ceiling of a division by a power of two is a shift.  Three fast
+paths first look at one machine word, the low or leading ``_WORD`` bits
+of a big integer, and fall back to the whole integer only when the word
+leaves the answer open: the dropped-bit test of :func:`_tshift`, the
+exactness test of :func:`fx_sqrt` and division's error ceiling in
+:func:`_ceil_scaled_ratio`.  Each path returns the exact integer or
+flag either way, so no bound here depends on the word size, and a test
+may lower it to one bit to run every branch at small widths.
 
 The logarithm reduces x itself by repeated square roots; it splits off
 no power of two, so no ln 2 constant is needed.  It then sums the atanh
@@ -54,7 +53,8 @@ __all__ = [
 ]
 
 
-_LOW64 = (1 << 64) - 1
+_WORD = 64
+_WORD_MASK = (1 << _WORD) - 1
 
 
 def _tdivmod(a: int, b: int) -> tuple[int, bool]:
@@ -67,41 +67,35 @@ def _tdivmod(a: int, b: int) -> tuple[int, bool]:
 
 def _tshift(a: int, k: int) -> tuple[int, bool]:
     """(a / 2**k truncated toward zero, whether the shift dropped a set
-    bit), k >= 0.  The low 64 bits settle the second part unless they
-    are all zero."""
+    bit), k >= 0.  The word's low bits settle the second part unless
+    they are all zero."""
     if a < 0:
         q, dropped = _tshift(-a, k)
         return -q, dropped
-    low = a & _LOW64
-    if k < 64:
+    low = a & _WORD_MASK
+    if k < _WORD:
         low &= (1 << k) - 1
     elif not low:
         low = a & ((1 << k) - 1)
     return a >> k, low != 0
 
 
-def _ceil_div(a: int, b: int) -> int:
-    """Ceiling of a/b for a >= 0, b > 0."""
-    return -(-a // b)
-
-
 def _ceil_scaled_ratio(c: int, F: int, a: int, b: int) -> int:
-    """ceil(c * 2**F / (a*b)) for c >= 0 and a, b > 0.
+    """ceil(c * 2**F / (a*b)) for c >= 0 and a, b > 0: division's error
+    ceiling, bounded first from the word-sized leading bits of a and b.
 
-    With s_a = max(0, bitlen(a) - 64) and h_a = a >> s_a, h_a * 2**s_a
-    <= a < (h_a + 1) * 2**s_a, and a = h_a * 2**s_a when s_a = 0; b
-    likewise.  So a*b lies in [lo, hi] * 2**s, s = s_a + s_b, with lo =
-    h_a * h_b and hi the product of h_a and h_b, each plus one when its
+    With s_a = max(0, bitlen(a) - the word) and h_a = a >> s_a, h_a *
+    2**s_a <= a < (h_a + 1) * 2**s_a, and a = h_a * 2**s_a when s_a = 0;
+    b likewise.  So a*b lies in [lo, hi] * 2**s, s = s_a + s_b, with lo
+    = h_a * h_b and hi the product of h_a and h_b, each plus one when its
     shift is positive, and the result lies between ceil(c * 2**(F-s) /
     hi) and ceil(c * 2**(F-s) / lo).  For s > F both are taken of ceil(c
     / 2**(s-F)) instead, as ceil(ceil(x) / n) = ceil(x / n) for positive
     integers n.  When the two agree, that is the result; only when they
     differ is a*b formed.
     """
-    if not c:
-        return 0
-    sa = max(a.bit_length() - 64, 0)
-    sb = max(b.bit_length() - 64, 0)
+    sa = max(a.bit_length() - _WORD, 0)
+    sb = max(b.bit_length() - _WORD, 0)
     ha, hb = a >> sa, b >> sb
     d = F - sa - sb
     n = c << d if d >= 0 else -(-c >> -d)
@@ -109,12 +103,6 @@ def _ceil_scaled_ratio(c: int, F: int, a: int, b: int) -> int:
     if up == -(-n // ((ha + (sa > 0)) * (hb + (sb > 0)))):
         return up
     return -(-(c << F) // (a * b))
-
-
-def _isqrt_ceil(n: int) -> int:
-    """Smallest integer s with s*s >= n (n >= 0)."""
-    s = math.isqrt(n)
-    return s if s * s == n else s + 1
 
 
 class FixedReal(Record):
@@ -229,7 +217,7 @@ class FixedReal(Record):
         fr = Fraction(fr)
         p, q = fr.numerator, fr.denominator
         m, inexact = _tdivmod(self.mantissa * p, q)
-        return _fixed(m, self.frac_bits, _ceil_div(self.err_ulp * abs(p), q) + inexact)
+        return _fixed(m, self.frac_bits, -(-self.err_ulp * abs(p) // q) + inexact)
 
     def __truediv__(self, other: "FixedReal") -> "FixedReal":
         # |a/b - m1/m2| = |d1*m2 - d2*m1| / (|b|*|m2|)
@@ -348,8 +336,6 @@ def agreement_bits(a: FixedReal, b: FixedReal) -> int:
     """
     a._check_compatible(b)
     worst = abs(a.mantissa - b.mantissa) + a.err_ulp + b.err_ulp
-    if worst == 0:
-        return a.frac_bits
     return a.frac_bits - worst.bit_length()
 
 
@@ -367,25 +353,25 @@ def fx_sqrt(x: FixedReal) -> FixedReal:
     B <= A.  Only the smaller bound is computed.
 
     Neither decision needs s*s in full as a rule.  The root is exact only
-    if s*s and the scaled mantissa agree mod 2**64, which the low 64 bits
-    of s decide; and 2*(bitlen(s) - 1) >= bitlen(d) already gives
-    s*s >= 2**bitlen(d) > d.  s is squared only when those tests leave
-    the answer open.
+    if s*s and the scaled mantissa agree modulo 2**(the word), which the
+    word's low bits of s decide; and 2*(bitlen(s) - 1) >= bitlen(d)
+    already gives s*s >= 2**bitlen(d) > d.  s is squared only when those
+    tests leave the answer open.
     """
     if x.mantissa < 0:
         raise DomainError("fx_sqrt of a negative value")
     F = x.frac_bits
     scaled = x.mantissa << F
     s = math.isqrt(scaled)
-    low = s & _LOW64
-    exact = (low * low & _LOW64) == (scaled & _LOW64) and s * s == scaled
+    low = s & _WORD_MASK
+    exact = (low * low & _WORD_MASK) == (scaled & _WORD_MASK) and s * s == scaled
     e = 0 if exact else 1
     if x.err_ulp:
         d = x.err_ulp << F
         if 2 * (s.bit_length() - 1) >= d.bit_length() or s * s >= d:
-            e += _ceil_div(d, s)
+            e += -(-d // s)
         else:
-            e += _isqrt_ceil(d)
+            e += 1 + math.isqrt(d - 1)
     return _fixed(s, F, e)
 
 
@@ -529,10 +515,7 @@ def fx_log(x: FixedReal) -> FixedReal:
         raise DomainError("fx_log requires a positive value")
     if m <= e:
         raise PrecisionError("fx_log input interval reaches zero")
-    prop = _ceil_div(e << F, m - e) if e else 0
-    if m == (1 << F) and e == 0:
-        return _fixed(0, F, 0)
-
+    prop = -(-(e << F) // (m - e))
     n = m.bit_length() - 1 - F
     r = max(8, math.isqrt(F // 320)) + abs(n).bit_length()
     Fw = F + r + 64 + max(0, -n)

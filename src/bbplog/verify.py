@@ -182,5 +182,5 @@ def verify_decomposition(t: int, target_bits: int) -> VerificationReport:
         raise PrecisionError("decomposition quotient interval reaches zero")
     spread = abs(x.mantissa - y.mantissa) + x.err_ulp + y.err_ulp
     worst = -(-(spread << work) // (2 * low))
-    agree = work - worst.bit_length() if worst else work
+    agree = work - worst.bit_length()
     return _report(f"decomposition(t={t})", agree, target_bits, started)

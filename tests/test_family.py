@@ -172,9 +172,9 @@ def test_li1_decomposition_rhs_contains_decimal_oracle(t, work):
     assert abs(Fraction(ref) - rhs.value) <= rhs.err + Fraction(ref_err)
 
 
-def test_li1_decomposition_takes_one_log_per_side(monkeypatch):
-    # the right side's four logs are one log of R_0 R_2 / (R_1 R_3); the
-    # left side keeps its own, inside fx_atanh
+def test_li1_oracle_takes_one_log_per_side(monkeypatch):
+    # the oracle's right side takes its four logs as one log of
+    # R_0 R_2 / (R_1 R_3); the left side keeps its own, inside fx_atanh
     calls = []
     real_log = numerics_mod.fx_log
 
@@ -188,6 +188,8 @@ def test_li1_decomposition_takes_one_log_per_side(monkeypatch):
         li1_decomposition_sides(t, 1088)
         assert len(calls) == 2, t
 
+
+def test_decomposition_radicands_stay_above_their_bound():
     # the divisor bound: R_i >= (1 - |q|)**2 with |q| = 1/sqrt(2) at t = +-1,
     # and every interval end stays above it
     for t in (1, -1):
