@@ -6,7 +6,7 @@ Exit codes are part of the interface:
     1   a verification check failed, or stdout closed early (say `| head`)
     2   domain or unsupported-formula error (including a family
         formula with an integer too long for the file format, and an
-        eval formula of degree above formula.MAX_DEGREE = 128)
+        eval or digits formula of degree above formula.MAX_DEGREE = 128)
     64  usage error: a bad flag or flag value, a value or a formula
         above one of the cost caps below, a value the library rejects as
         outside its domain (its ValidationError: digits --count below 1
@@ -28,8 +28,9 @@ multiple of 4 and --pos counts four bits per hex digit.  The library sees
 a value only once the formula is loaded, so with a bad formula file as
 well the file's error (65, or 2 if unsupported) is the one reported.
 The formula caps are checked once the formula is loaded, and for digits
-once its plan is built, before any extraction or evaluation; so eval
-reports a degree above MAX_DEGREE (2) only for a formula within them.
+once its plan is built, before any extraction or evaluation; so digits
+reports a degree above MAX_DEGREE (2) before the caps, and eval only for
+a formula within them.
 
 verify prints each REPORT line as soon as its check finishes: first every
 theorem check, then the corollary, then every decomposition check.  The
@@ -61,9 +62,9 @@ Cost caps, each checked before any work starts (2 vCPU Xeon, Python
 - digits and eval with any formula: at most MAX_NONZERO = 128 nonzero
   coefficients, and at most golden's term count at the caps above, each
   term counted once per degree s (up to MAX_DEGREE, above which eval
-  refuses the formula before any work): for digits
-  (pos // beta + 1) * nonzero <= MAX_HEAD_TERMS = 36 000 024 head terms
-  (pos in bits, base 2**beta, s = 1), for eval
+  and digits refuse the formula before any work): for digits
+  (pos // beta + 1) * nonzero * s <= MAX_HEAD_TERMS = 36 000 024 head
+  terms (pos in bits, base 2**beta), for eval
   (bits // c + 1) * nonzero * s <= MAX_EVAL_TERMS = 360 024 terms
   (c = floor(log2 base)).  The time per term grows with the nonzero
   count: at the head-term cap, base-2 files of N ones took 41 s
@@ -78,6 +79,17 @@ Cost caps, each checked before any work starts (2 vCPU Xeon, Python
   at most 2 339 bits.  At the cap, copies of golden, log2 and the t = 2
   and 9 files with s = 2, 3, 8, 32 and 128 took 0.09-1.7 s (eval_P
   alone, one run each), the slowest t = 2 at s = 3 and t = 9 at s = 8.
+- digits with any formula: at most MAX_NONZERO = 128 nonzero
+  coefficients times the degree, checked after the caps above.  A
+  block's modulus holds nonzero * s factors per level, so a level costs
+  about what a degree-1 level of nonzero * s coefficients costs, which
+  MAX_NONZERO bounds.  Without this cap, copies of golden of degree s at
+  the largest --pos the term cap admits took 31 s (s = 1, the --pos
+  cap), 34 s (2), 52 s (5), 68 s (8), 103 s (16), 149 s (32) and 127 s
+  (128), against 40-46 s for the base-2 file of 128 ones at its largest
+  --pos (extract_bits alone on both CPUs, one run each, two for the
+  ones).  With the cap, the copies of degree 2 and 5 take 1.1 and 1.7
+  times golden's time at the caps.
 - A --t range is lazy and has no cap: verify runs one check per t in
   turn, printing as it goes, for as long as the range asks.
 """
@@ -245,6 +257,8 @@ def _cmd_digits(args: argparse.Namespace, parser: _Parser) -> int:
         parser.error(f"--pos must be at most {MAX_POS_BITS // unit} for --radix {args.radix}")
     plan = build_plan(_load_formula(args))
     _check_terms(parser, plan.formula, unit * args.pos, MAX_HEAD_TERMS, f"--pos {args.pos}")
+    if (factors := len(plan.nonzero) * plan.formula.degree) > MAX_NONZERO:  # per level
+        parser.error(f"the formula has {factors} nonzero coefficients counted once per degree (degree {plan.formula.degree}); at most {MAX_NONZERO} are allowed")
     window = extract_bits(plan, unit * args.pos, args.count)
     digits = window.bits
     if unit == 4:

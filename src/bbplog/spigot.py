@@ -1,30 +1,32 @@
-"""Arbitrary-position binary digit extraction for degree-1, base-2**beta
-formulas.
+"""Arbitrary-position binary digit extraction for base-2**beta formulas
+of any degree s up to ``formula.MAX_DEGREE``.
 
-For the constant C = (p/q) * sum_k b**-k sum_j a_j/(k*l + j) with
+For the constant C = (p/q) * sum_k b**-k sum_j a_j/(k*l + j)**s with
 b = 2**beta, the bits after position n are the fractional part of
 
-    2**n * C = sum_{k,j} p*a_j * 2**(n - beta*k) / (q*(k*l + j)).
+    2**n * C = sum_{k,j} p*a_j * 2**(n - beta*k) / (q*(k*l + j)**s).
 
 Write q = 2**w * q' and p*a_j = 2**x_j * c_j with q' and c_j odd, and
-s_j = x_j - w.  Each term is then c_j * 2**(n - beta*k + s_j) / (q'*(k*l + j)).
-The levels are cut into blocks of L = ceil(T / nonzero terms) whole
-levels (T = ``formula._FOLD_TERMS``), so that each block has about T
-terms.  A block is one exact fraction N/(q' * M), with M = prod (k*l + j)
-over its terms, times 2**e, where e is the block's smallest exponent.
-N/M is what ``formula._block_fractions`` gives with base 2**beta,
-degree 1 and the pairs (j, c_j * 2**(s_j - s_min)), s_min the smallest
-s_j: the fraction that ``eval_P``'s fold gives too, stepped by packed
-finite differences in a long range, with the exactness argument in the
-Stepping paragraph of ``bbplog.formula``.  The levels run from 0 to a
-cutoff as one range of blocks, the last one cut at the cutoff.  Each
-block's denominator takes q' here, M' = q' * M, and every block is
-floored at the accumulator's width through ``formula._floor_at``, the
-floor ``eval_P`` uses too.  When a block's e >= 0, every exponent in it
-is nonnegative and its fractional part is the exact rational
-(N * 2**e mod M') / M', reduced by one builtin three-argument ``pow`` on
-the multi-digit modulus M' before the floor; when e < 0, N/M' * 2**e is
-floored directly.  The odd part q' joins the modulus, not the exponent,
+s_j = x_j - w.  Each term is then
+c_j * 2**(n - beta*k + s_j) / (q'*(k*l + j)**s).  The degree enters only
+the denominators, as the power s of each factor.  The levels are cut
+into blocks of L = ceil(T / (nonzero terms * s)) whole levels
+(T = ``formula._FOLD_TERMS``), so that each block's denominator has
+about T factors.  A block is one exact fraction N/(q' * M), with
+M = prod (k*l + j)**s over its terms, times 2**e, where e is the block's
+smallest exponent.  N/M is what ``formula._block_fractions`` gives with
+base 2**beta, degree s and the pairs (j, c_j * 2**(s_j - s_min)), s_min
+the smallest s_j: the fraction that ``eval_P``'s fold gives too, stepped
+by packed finite differences in a long range, with the exactness
+argument in the Stepping paragraph of ``bbplog.formula``.  The levels
+run from 0 to a cutoff as one range of blocks, the last one cut at the
+cutoff.  Each block's denominator takes q' here, M' = q' * M, and every
+block is floored at the accumulator's width through
+``formula._floor_at``, the floor ``eval_P`` uses too.  When a block's
+e >= 0, every exponent in it is nonnegative and its fractional part is
+the exact rational (N * 2**e mod M') / M', reduced by one builtin
+three-argument ``pow`` on the multi-digit modulus M' before the floor;
+when e < 0, N/M' * 2**e is floored directly.  The odd part q' joins the modulus, not the exponent,
 because frac(x/q') is not a function of frac(x).
 None of q', s_min, the pairs, L or the cutoff depends on n, so
 :func:`build_plan` computes them once per formula.
@@ -33,8 +35,11 @@ Bound.  Every block enters a W-bit accumulator mod 1 through one floor
 division, so the true value exceeds the accumulated one by less than one
 ulp per block, and a block costs that ulp only when its division leaves
 a remainder.  The discarded terms beyond the cutoff have mixed signs and
-lie in (-1, 1) ulp.  The true accumulator is therefore in (acc - 1, acc
-+ budget], and both ends of that interval certify the returned digits.
+lie in (-1, 1) ulp.  Each term's denominator only grows with s, as
+(k*l + j)**s >= k*l + j, so no term exceeds its degree-1 size, and the
+cutoff, the width and this bound hold for every degree.  The true
+accumulator is therefore in (acc - 1, acc + budget], and both ends of
+that interval certify the returned digits.
 W is the digit count plus 64 guard bits, widened by the bit length of
 the expected term count when n is large, so the budget, at most one ulp
 per block and so per term, always fits in the guard bits.
@@ -57,7 +62,7 @@ import threading
 
 from ._record import Record
 from .errors import UnsupportedFormulaError, ValidationError
-from .formula import _FOLD_TERMS, BbpFormula, _block_fractions, _floor_at
+from .formula import _FOLD_TERMS, MAX_DEGREE, BbpFormula, _block_fractions, _floor_at
 
 __all__ = ["SpigotPlan", "DigitWindow", "build_plan", "extract_bits"]
 
@@ -93,9 +98,9 @@ class SpigotPlan(Record):
 
 def build_plan(f: BbpFormula) -> SpigotPlan:
     """Preprocess a formula for digit extraction."""
-    if f.degree != 1:
+    if f.degree > MAX_DEGREE:
         raise UnsupportedFormulaError(
-            f"degree {f.degree} not supported; extraction needs degree 1"
+            f"degree {f.degree} not supported; extraction needs degree <= {MAX_DEGREE}"
         )
     if f.base & (f.base - 1):
         raise UnsupportedFormulaError(
@@ -116,7 +121,7 @@ def build_plan(f: BbpFormula) -> SpigotPlan:
         q_odd=q >> w,
         terms=tuple((j, p * a >> x_min) for j, a in nonzero),
         s_min=x_min - w,
-        levels=-(-_FOLD_TERMS // len(nonzero)),
+        levels=-(-_FOLD_TERMS // (len(nonzero) * f.degree)),
         cutoff=-(2 * len(nonzero) * max_pa).bit_length(),
     )
 
@@ -173,7 +178,7 @@ def _sum_blocks(
     q' times the fold's denominator.
     """
     f = plan.formula
-    fractions = _block_fractions(f.base, 1, f.length, plan.terms, plan.levels, k0, k1)
+    fractions = _block_fractions(f.base, f.degree, f.length, plan.terms, plan.levels, k0, k1)
     acc = budget = 0
     for k, (num, den) in zip(range(k0, k1, plan.levels), fractions):
         if parent is not None and os.getppid() != parent:

@@ -207,6 +207,51 @@ def test_eval_term_cap_weights_the_degree(capsys, monkeypatch, tmp_path):
     assert calls == [cli.MAX_BITS] * len(within)
 
 
+def test_digits_caps_the_nonzero_coefficients_times_the_degree(capsys, monkeypatch, tmp_path):
+    # a block's modulus holds nonzero * s factors per level: a copy of
+    # golden of degree 5 (120 factors) is within the caps, one of degree 6
+    # (144) exits 64 before any extraction
+    calls = []
+
+    def extract(plan, n, count):
+        calls.append((plan.formula.degree, n))
+        return DigitWindow(bits="0" * count, certified=count)
+
+    monkeypatch.setattr(cli, "extract_bits", extract)
+    paths = {}
+    for degree in (5, 6):
+        paths[degree] = tmp_path / f"golden{degree}.bbp"
+        paths[degree].write_text(GOLDEN_TEXT.replace("\ns 1\n", f"\ns {degree}\n"), encoding="utf-8")
+    code, err = run_usage_error(capsys, "digits", "--formula", str(paths[6]))
+    assert code == 64
+    assert (
+        "bbplog digits: error: the formula has 144 nonzero coefficients counted once"
+        f" per degree (degree 6); at most {cli.MAX_NONZERO} are allowed\n"
+    ) in err
+    assert calls == []
+    last_pos = (cli.MAX_HEAD_TERMS // (24 * 5) - 1) * 20 + 19
+    for pos in (0, last_pos):
+        assert run(capsys, "digits", "--formula", str(paths[5]), "--pos", str(pos))[0] == 0
+    assert calls == [(5, 0), (5, last_pos)]
+    code, err = run_usage_error(capsys, "digits", "--formula", str(paths[5]), "--pos", str(last_pos + 1))
+    assert code == 64
+    assert "terms with this formula (each counted once per degree)" in err
+    assert len(calls) == 2
+
+
+def test_digits_degree_above_max_exits_2_as_eval_does(capsys, tmp_path):
+    path = tmp_path / "deg129.bbp"
+    path.write_text(f"bbp 1\ns {formula.MAX_DEGREE + 1}\nb 2\nl 1\npre 1/1\nA 1\n", encoding="utf-8")
+    for command, word in (("digits", "extraction"), ("eval", "eval")):
+        code, out, err = run(capsys, command, "--formula", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"bbplog: error: degree {formula.MAX_DEGREE + 1} not supported;"
+            f" {word} needs degree <= {formula.MAX_DEGREE}\n"
+        )
+
+
 def test_handler_usage_error_shows_its_subcommand(capsys, tmp_path):
     # a cap a handler checks is reported with the subcommand's usage line
     path = tmp_path / "wide.bbp"

@@ -19,7 +19,7 @@ import bbplog.spigot as spigot_mod
 from bbplog.cli import main
 from bbplog.errors import UnsupportedFormulaError, ValidationError
 from bbplog.family import family_coeffs, golden_constant, golden_formula
-from bbplog.formula import BbpFormula, _block_fractions, _differences, _fold_levels, _stepper
+from bbplog.formula import MAX_DEGREE, BbpFormula, _block_fractions, _differences, _fold_levels, _stepper, eval_P
 from bbplog.numerics import FixedReal, fx_log
 from bbplog.spigot import build_plan, extract_bits
 
@@ -27,6 +27,11 @@ from _oracles import bbp_sum_exact, fixedreal_bits
 
 LOG2_FORMULA = BbpFormula(
     degree=1, base=2, length=1, coeffs=(1,), prefactor=Fraction(1), label="2*log(2)"
+)
+
+# pi**2 = 9/8 * P(2, 64, 6, A) (Bailey, Borwein & Plouffe, Math. Comp. 66, 1997)
+PI2_FORMULA = BbpFormula(
+    degree=2, base=64, length=6, coeffs=(16, -24, -8, -6, 1, 0), prefactor=Fraction(9, 8), label="pi**2"
 )
 
 
@@ -67,10 +72,22 @@ def test_build_plan_rejects_non_power_of_two_base():
         build_plan(f)
 
 
-def test_build_plan_rejects_higher_degree():
-    f = BbpFormula(degree=2, base=2, length=1, coeffs=(1,), prefactor=Fraction(1))
-    with pytest.raises(UnsupportedFormulaError, match="degree"):
+def test_build_plan_rejects_a_degree_above_max_degree():
+    f = BbpFormula(degree=MAX_DEGREE + 1, base=2, length=1, coeffs=(1,), prefactor=Fraction(1))
+    with pytest.raises(UnsupportedFormulaError, match=f"extraction needs degree <= {MAX_DEGREE}"):
         build_plan(f)
+    plan = build_plan(BbpFormula(degree=MAX_DEGREE, base=2, length=1, coeffs=(1,), prefactor=Fraction(1)))
+    assert plan.levels == 1
+
+
+def test_build_plan_counts_each_term_once_per_degree():
+    # a block holds about _FOLD_TERMS factors of its modulus: 16 levels of
+    # log2 at degree 1, 8 at degree 2, one from degree 16 on, and two of
+    # pi**2 (5 nonzero coefficients, degree 2)
+    for degree, levels in ((1, 16), (2, 8), (3, 6), (16, 1), (17, 1)):
+        f = BbpFormula(degree=degree, base=2, length=1, coeffs=(1,), prefactor=Fraction(1))
+        assert build_plan(f).levels == levels
+    assert build_plan(PI2_FORMULA).levels == 2
 
 
 # -- extraction vs oracle -----------------------------------------------------
@@ -107,6 +124,45 @@ def test_overlap_coherence(golden_plan):
         w1 = extract_bits(golden_plan, n, 48)
         w2 = extract_bits(golden_plan, n + 20, 48)
         assert w1.bits[20:] == w2.bits[:28]
+
+
+def test_pi_squared_windows_match_eval():
+    # degree 2: every factor of a block's modulus is squared
+    plan = build_plan(PI2_FORMULA)
+    value = eval_P(PI2_FORMULA, 20_000).value
+    for n in (0, 1, 100, 1000, 5000, 10_000):
+        window = extract_bits(plan, n, 64)
+        assert window.certified == 64
+        assert window.bits == fixedreal_bits(value, n, 64), n
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+def test_higher_degree_windows_match_exact_sum(degree):
+    # random formulas of base 2**beta and length <= 4; every certified bit
+    # at positions 0 .. 200 against the exact partial sum and its tail
+    rng = random.Random(20261019 + degree)
+    count, n_max = 32, 200
+    certified = []
+    for length in range(1, 5):
+        beta = rng.randint(1, 6)
+        coeffs = tuple(rng.choice((0, rng.randint(-40, 40))) for _ in range(length - 1)) + (rng.randint(1, 40),)
+        prefactor = Fraction(rng.choice((-1, 1)) * rng.randint(1, 99), rng.randint(1, 9) << rng.randint(0, 8))
+        f = BbpFormula(degree=degree, base=1 << beta, length=length, coeffs=coeffs, prefactor=prefactor)
+        plan = build_plan(f)
+        terms = (n_max + count + 40) // beta + 1
+        partial = bbp_sum_exact(degree, f.base, coeffs, prefactor, terms)
+        # every 1/(k*l + j)**s <= 1, so the tail is below a geometric series
+        tail = abs(prefactor) * sum(map(abs, coeffs)) * Fraction(2, f.base**terms)
+        for n in range(n_max + 1):
+            lo, hi = (
+                format(math.floor((partial + d) * 2 ** (n + count)) % (1 << count), f"0{count}b")
+                for d in (-tail, tail)
+            )
+            window = extract_bits(plan, n, count)
+            c = window.certified
+            assert window.bits[:c] == lo[:c] == hi[:c], (f, n)
+            certified.append(c)
+    assert sum(c == count for c in certified) > 0.9 * len(certified)
 
 
 # (beta, coeffs, prefactor), each a branch of the spigot's power-of-two split
@@ -456,6 +512,30 @@ def test_certified_prefix_equals_the_bit_by_bit_rule():
             cases.append((rng.randrange(1 << width), width, count, budget))
     for case in cases:
         assert spigot_mod._certified_prefix(*case) == _certified_prefix_by_loop(*case), case
+
+
+def test_certified_prefix_equals_a_brute_force_at_small_widths():
+    # every (acc, budget, count) at width <= 7, budget up to 2**width + 1:
+    # a prefix is certified when every floor in [acc - 1, acc + budget] is
+    # a width-bit fraction and all of them agree on it, checked floor by
+    # floor on their binary strings
+    mismatches = []
+    for width in range(1, 8):
+        for acc in range(1 << width):
+            first = format(acc - 1, f"0{width}b")
+            # the common prefix of the floors so far; acc - 1 = -1 has none
+            agreed = width if acc else 0
+            for budget in range(2 + (1 << width)):
+                top = acc + budget
+                if top >= 1 << width:
+                    agreed = 0
+                else:
+                    last = format(top, f"0{width}b")
+                    agreed = min(agreed, next((i for i in range(width) if first[i] != last[i]), width))
+                for count in range(1, width + 1):
+                    if spigot_mod._certified_prefix(acc, width, count, budget) != min(agreed, count):
+                        mismatches.append((acc, width, count, budget))
+    assert mismatches == []
 
 
 def test_wide_window_equals_four_joined_64_bit_windows(golden_plan):

@@ -12,8 +12,9 @@ import pytest
 import bbplog.family as family_mod
 import bbplog.numerics as numerics_mod
 import bbplog.verify as verify_mod
-from bbplog.errors import DomainError, ValidationError
+from bbplog.errors import DomainError, PrecisionError, ValidationError
 from bbplog.numerics import FixedReal, agreement_bits
+from bbplog.spigot import DigitWindow
 from bbplog.verify import (
     GUARD_BITS,
     verify_corollary,
@@ -141,6 +142,34 @@ def test_corollary_fails_when_oracle_interval_straddles_window_edge(monkeypatch)
     report = verify_corollary(16)
     assert report.agreement_bits >= 16
     assert not report.passed
+
+
+def test_corollary_fails_on_a_window_certified_short_of_32_bits(monkeypatch):
+    # golden's true first 32 bits, certified only to 31: the window must not
+    # pass the cross-check on its bits alone
+    real = verify_mod.extract_bits
+
+    def short(plan, n, count):
+        return DigitWindow(real(plan, n, count).bits, count - 1)
+
+    monkeypatch.setattr(verify_mod, "extract_bits", short)
+    report = verify_corollary(64)
+    assert report.agreement_bits >= 64
+    assert not report.passed
+
+
+def test_decomposition_refuses_a_quotient_interval_that_reaches_zero(monkeypatch):
+    # R_1 keeps its positive mantissa, but its error reaches 0: so do the
+    # interval of R_1 R_3 and of the quotient Y, where ln Y has no bound
+    real = verify_mod._decomposition_radicands
+
+    def reaching_zero(t, s5):
+        r0, r1, r2, r3 = real(t, s5)
+        return r0, FixedReal(r1.mantissa, r1.frac_bits, r1.mantissa), r2, r3
+
+    monkeypatch.setattr(verify_mod, "_decomposition_radicands", reaching_zero)
+    with pytest.raises(PrecisionError, match="reaches zero"):
+        verify_decomposition(1, 64)
 
 
 def test_decomposition_report():
