@@ -296,29 +296,24 @@ def eval_P(f: BbpFormula, frac_bits: int) -> EvalResult:
     g = next(d for d in range(max(1, min(L, _FOLD_TERMS // len(terms))), 0, -1) if L % d == 0)
     groups = _block_fractions(b, f.degree, f.length, terms, g, 0, K)
     bg = b**g
-    starts = range(0, K, L)
-
-    def blocks() -> Iterator[tuple[int, int, int, int]]:
-        for k0 in starts:
-            k1 = min(k0 + L, K)
-            num, den = next(groups)
-            for k in range(k0 + g, k1, g):
-                n_i, m_i = next(groups)
-                shift = bg if k + g <= k1 else b ** (k1 - k)
-                num, den = num * shift * m_i + n_i * den, den * m_i
-            yield k0, k1, num, den
-
-    # with o = 1 every block is floored on its own, in any order; the
-    # carry for o > 1 needs the deepest first
-    order = blocks() if o == 1 else reversed(list(blocks()))
+    blocks = []
+    for k0 in range(0, K, L):
+        k1 = min(k0 + L, K)
+        num, den = next(groups)
+        for k in range(k0 + g, k1, g):
+            n_i, m_i = next(groups)
+            shift = bg if k + g <= k1 else b ** (k1 - k)
+            num, den = num * shift * m_i + n_i * den, den * m_i
+        blocks.append((k0, k1, num, den))
+    # deepest first, as the o > 1 carry needs; with o = 1 any order sums the same floors
     carry = o**L
     acc = 0
-    for k0, k1, num, den in order:
-        if o > 1:
+    for k0, k1, num, den in reversed(blocks):
+        if o > 1:  # carrying anyway when o = 1 was up to 11% slower
             acc = _floor_at(acc, carry, (c - v) * L)[0]
         n = k1 - 1 - k0
         acc += _floor_at(num, den * o**n, W0 - k0 * c - v * n)[0]
-    total = FixedReal(acc, W0, len(starts) if o == 1 else 2 * len(starts))
+    total = FixedReal(acc, W0, len(blocks) if o == 1 else 2 * len(blocks))
     total = total.mul_fraction(f.prefactor).rescale(frac_bits)
     value = FixedReal(total.mantissa, frac_bits, total.err_ulp + tail_ulp)
     return EvalResult(value=value, terms_used=K, tail_bound_ulp=tail_ulp)

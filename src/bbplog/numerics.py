@@ -162,10 +162,10 @@ class FixedReal(Record):
     # -- exact operations ----------------------------------------------
 
     def __neg__(self) -> "FixedReal":
-        return _fixed(-self.mantissa, self.frac_bits, self.err_ulp)
+        return FixedReal(-self.mantissa, self.frac_bits, self.err_ulp)
 
     def __abs__(self) -> "FixedReal":
-        return _fixed(abs(self.mantissa), self.frac_bits, self.err_ulp)
+        return FixedReal(abs(self.mantissa), self.frac_bits, self.err_ulp)
 
     def _check_compatible(self, other: "FixedReal") -> None:
         if self.frac_bits != other.frac_bits:
@@ -175,7 +175,7 @@ class FixedReal(Record):
 
     def __add__(self, other: "FixedReal") -> "FixedReal":
         self._check_compatible(other)
-        return _fixed(
+        return FixedReal(
             self.mantissa + other.mantissa,
             self.frac_bits,
             self.err_ulp + other.err_ulp,
@@ -183,14 +183,14 @@ class FixedReal(Record):
 
     def __sub__(self, other: "FixedReal") -> "FixedReal":
         self._check_compatible(other)
-        return _fixed(
+        return FixedReal(
             self.mantissa - other.mantissa,
             self.frac_bits,
             self.err_ulp + other.err_ulp,
         )
 
     def mul_int(self, c: int) -> "FixedReal":
-        return _fixed(self.mantissa * c, self.frac_bits, self.err_ulp * abs(c))
+        return FixedReal(self.mantissa * c, self.frac_bits, self.err_ulp * abs(c))
 
     # -- truncating operations -----------------------------------------
 
@@ -205,19 +205,19 @@ class FixedReal(Record):
             + abs(other.mantissa) * self.err_ulp
             + self.err_ulp * other.err_ulp
         )
-        return _fixed(m, F, -(-cross >> F) + dropped)
+        return FixedReal(m, F, -(-cross >> F) + dropped)
 
     def div_int(self, d: int) -> "FixedReal":
         """Divide by a nonzero integer (err <= ceil(e/|d|) + 1 ulp)."""
         m, inexact = _tdivmod(self.mantissa, d)
-        return _fixed(m, self.frac_bits, -(-self.err_ulp // abs(d)) + inexact)
+        return FixedReal(m, self.frac_bits, -(-self.err_ulp // abs(d)) + inexact)
 
     def mul_fraction(self, fr: Fraction | int) -> "FixedReal":
         """Multiply by an exact rational (err <= e*|p|/q + 1 ulp)."""
         fr = Fraction(fr)
         p, q = fr.numerator, fr.denominator
         m, inexact = _tdivmod(self.mantissa * p, q)
-        return _fixed(m, self.frac_bits, -(-self.err_ulp * abs(p) // q) + inexact)
+        return FixedReal(m, self.frac_bits, -(-self.err_ulp * abs(p) // q) + inexact)
 
     def __truediv__(self, other: "FixedReal") -> "FixedReal":
         # |a/b - m1/m2| = |d1*m2 - d2*m1| / (|b|*|m2|)
@@ -231,17 +231,17 @@ class FixedReal(Record):
             raise PrecisionError("divisor interval contains zero")
         m, inexact = _tdivmod(self.mantissa << F, m2)
         cross = self.err_ulp * a2 + e2 * abs(self.mantissa)
-        return _fixed(m, F, _ceil_scaled_ratio(cross, F, a2, a2 - e2) + inexact)
+        return FixedReal(m, F, _ceil_scaled_ratio(cross, F, a2, a2 - e2) + inexact)
 
     def rescale(self, frac_bits: int) -> "FixedReal":
         """Convert to another precision (exact when widening)."""
         shift = frac_bits - self.frac_bits
         if shift >= 0:
-            return _fixed(self.mantissa << shift, frac_bits, self.err_ulp << shift)
+            return FixedReal(self.mantissa << shift, frac_bits, self.err_ulp << shift)
         if frac_bits < 1:
             raise ValidationError("frac_bits: must be positive")
         m, dropped = _tshift(self.mantissa, -shift)
-        return _fixed(m, frac_bits, -(-self.err_ulp >> -shift) + dropped)
+        return FixedReal(m, frac_bits, -(-self.err_ulp >> -shift) + dropped)
 
     # -- output ---------------------------------------------------------
 
@@ -313,20 +313,6 @@ class FixedReal(Record):
         return out
 
 
-_new = object.__new__
-
-
-def _fixed(mantissa: int, frac_bits: int, err_ulp: int) -> FixedReal:
-    """A FixedReal from fields an operation has just computed: frac_bits
-    taken from a valid value and err_ulp >= 0 by construction, so stored
-    without the public constructor's checks."""
-    x = _new(FixedReal)
-    _set(x, "mantissa", mantissa)
-    _set(x, "frac_bits", frac_bits)
-    _set(x, "err_ulp", err_ulp)
-    return x
-
-
 def agreement_bits(a: FixedReal, b: FixedReal) -> int:
     """Certified count of leading fractional bits on which a and b agree.
 
@@ -372,7 +358,7 @@ def fx_sqrt(x: FixedReal) -> FixedReal:
             e += -(-d // s)
         else:
             e += 1 + math.isqrt(d - 1)
-    return _fixed(s, F, e)
+    return FixedReal(s, F, e)
 
 
 # -- logarithm ----------------------------------------------------------
@@ -434,14 +420,14 @@ def _atanh_small(z: FixedReal) -> FixedReal:
     n = _atanh_terms(zb, F)
     s = math.isqrt(n)
     y = z * z
-    powers = [_fixed(one, F, 0), y]
+    powers = [FixedReal(one, F, 0), y]
     for _ in range(s - 1):
         powers.append(powers[-1] * y)
     acc, err = _atanh_horner(
         [p.mantissa for p in powers], [p.err_ulp for p in powers], n, F
     )
-    out = z * _fixed(acc, F, err)
-    return _fixed(out.mantissa, F, out.err_ulp + 1)
+    out = z * FixedReal(acc, F, err)
+    return FixedReal(out.mantissa, F, out.err_ulp + 1)
 
 
 def _atanh_horner(pm: list[int], pe: list[int], n: int, F: int) -> tuple[int, int]:
@@ -519,13 +505,13 @@ def fx_log(x: FixedReal) -> FixedReal:
     n = m.bit_length() - 1 - F
     r = max(8, math.isqrt(F // 320)) + abs(n).bit_length()
     Fw = F + r + 64 + max(0, -n)
-    y = _fixed(m << (Fw - F), Fw, 0)
+    y = FixedReal(m << (Fw - F), Fw, 0)
     for _ in range(r):
         y = fx_sqrt(y)
     one = FixedReal.from_int(1, Fw)
     z = (y - one) / (y + one)
     out = _atanh_small(z).mul_int(2 << r).rescale(F)
-    return _fixed(out.mantissa, F, out.err_ulp + prop)
+    return FixedReal(out.mantissa, F, out.err_ulp + prop)
 
 
 def fx_atanh(x: FixedReal) -> FixedReal:

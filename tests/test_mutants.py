@@ -1,9 +1,15 @@
-"""The mutant table that CI runs: every row still applies to the source."""
+"""The mutant table: every row still applies to the source, and (slow)
+every row's test file fails on a copy of src with that row's edit.
+
+Run the kill check alone with ``pytest -m slow tests/test_mutants.py``.
+"""
 
 from __future__ import annotations
 
+import os
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,18 +20,49 @@ ROWS = [
     for line in (ROOT / "tests" / "mutants.txt").read_text(encoding="utf-8").splitlines()
     if line and not line.startswith("#")
 ]
+needs_sed = pytest.mark.skipif(shutil.which("sed") is None, reason="needs sed")
 
 
-@pytest.mark.skipif(shutil.which("sed") is None, reason="needs sed")
+def _apply(edit: str, pattern: str, module: Path) -> None:
+    """Run the sed edit on ``module``; its pattern must find the one edited line."""
+    subprocess.run(["sed", "-i", edit, str(module)], check=True)
+    assert sum(pattern in line for line in module.read_text(encoding="utf-8").splitlines()) == 1
+
+
+def test_mutant_table_has_rows():
+    assert ROWS
+
+
+@needs_sed
 @pytest.mark.parametrize("row", range(len(ROWS)))
 def test_mutant_row_applies_once(row, tmp_path):
     # the edit must change the module, and its pattern must find the one
-    # edited line, as CI's mutant step requires
+    # edited line
     module, edit, pattern, test_file = ROWS[row]
     source = ROOT / "src" / "bbplog" / module
     assert (ROOT / test_file).is_file()
     assert pattern not in source.read_text(encoding="utf-8")
     copy = tmp_path / module
     shutil.copy(source, copy)
-    subprocess.run(["sed", "-i", edit, str(copy)], check=True)
-    assert sum(pattern in line for line in copy.read_text(encoding="utf-8").splitlines()) == 1
+    _apply(edit, pattern, copy)
+
+
+@pytest.mark.slow
+@needs_sed
+@pytest.mark.parametrize("row", range(len(ROWS)))
+def test_mutant_row_is_killed(row, tmp_path):
+    # the row's test file, run on the mutated copy alone, must report
+    # failed tests: pytest exit status 1, not a pass and not an error
+    module, edit, pattern, test_file = ROWS[row]
+    copy = tmp_path / "src"
+    shutil.copytree(ROOT / "src", copy, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    _apply(edit, pattern, copy / "bbplog" / module)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test_file],
+        cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=str(copy)),
+        stdin=subprocess.DEVNULL,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1, proc.stdout[-2000:] + proc.stderr[-2000:]

@@ -508,6 +508,11 @@ def test_atanh_horner_charges_each_inexact_floor():
     _assert_horner_holds(pm, [0, 0], n, F)
     # an error on Y that is large against Y itself
     _assert_horner_holds([1 << F, 1 << 50], [0, 1 << 40], 4, F)
+    # small widths where the charge for Y's error is a fraction of an ulp:
+    # floored instead of ceiled, it leaves each bound one ulp short
+    _assert_horner_holds([128, 28], [0, 3], 2, 7)
+    _assert_horner_holds([128, 12, 19], [0, 0, 28], 4, 7)
+    _assert_horner_holds([256, 33], [0, 79], 2, 8)
 
 
 @pytest.mark.parametrize("F", [16, 64, 200])

@@ -251,6 +251,41 @@ def test_decomposition_bound_holds_far_from_the_identity(monkeypatch):
     assert not report.passed
 
 
+@pytest.mark.parametrize("t", [1, 2, -3, 7])
+def test_decomposition_bits_hold_at_every_corner_of_wide_radicands(monkeypatch, t):
+    # each radicand's error raised by 2**20 ulps makes Y's error dominate
+    # the bound.  For X' and Y' at any corners of the exact intervals that
+    # hold X and Y, |X' - Y'| / (2 max(X', Y')) <= |ln X' - ln Y'|/2, which
+    # the reported bits must bound
+    real = verify_mod._decomposition_radicands
+    seen = {}
+
+    def widened(t, s5):
+        seen["s5"] = s5
+        seen["r"] = tuple(
+            FixedReal(r.mantissa, r.frac_bits, r.err_ulp + (1 << 20)) for r in real(t, s5)
+        )
+        return seen["r"]
+
+    monkeypatch.setattr(verify_mod, "_decomposition_radicands", widened)
+    report = verify_decomposition(t, 200)
+
+    def ends(v):
+        return v.value - v.err, v.value + v.err
+
+    u = verify_mod._lhs_argument(t)
+    xs = [(1 + abs(u) * s) / (1 - abs(u) * s) for s in ends(seen["s5"])]
+    (lo0, hi0), (lo1, hi1), (lo2, hi2), (lo3, hi3) = map(ends, seen["r"])
+    assert min(lo0, lo1, lo2, lo3) > 0
+    ys = [lo1 * lo3 / (hi0 * hi2), hi1 * hi3 / (lo0 * lo2)]
+    if u < 0:
+        ys = [1 / y for y in ys]
+    bound = Fraction(1, 1 << report.agreement_bits)
+    for x in xs:
+        for y in ys:
+            assert abs(x - y) / (2 * max(x, y)) < bound, report.line()
+
+
 def test_decomposition_fails_with_a_wrong_cosine(monkeypatch):
     # cos(pi/20) off by 2**-500 moves the right side by q/R_0 * 2**-500,
     # between 2**-507 and 2**-497 for these t: far above a 1000-bit target
