@@ -233,13 +233,11 @@ def _block_fractions(
         yield fold(end, k1)
 
 
-def _floor_at(num: int, den: int, w: int) -> tuple[int, int]:
-    """divmod(num * 2**w, den) for den > 0 and w of either sign: the floor
-    of num * 2**w / den, and a remainder that is 0 exactly when that floor
-    is exact (in units of 2**w when w < 0)."""
+def _floor_at(num: int, den: int, w: int) -> int:
+    """floor(num * 2**w / den) for den > 0 and w of either sign."""
     if w >= 0:
-        return divmod(num << w, den)
-    return divmod(num, den << -w)
+        return (num << w) // den
+    return num // (den << -w)
 
 
 def _truncation(f: BbpFormula, frac_bits: int) -> tuple[int, int]:
@@ -310,9 +308,9 @@ def eval_P(f: BbpFormula, frac_bits: int) -> EvalResult:
     acc = 0
     for k0, k1, num, den in reversed(blocks):
         if o > 1:  # carrying anyway when o = 1 was up to 11% slower
-            acc = _floor_at(acc, carry, (c - v) * L)[0]
+            acc = _floor_at(acc, carry, (c - v) * L)
         n = k1 - 1 - k0
-        acc += _floor_at(num, den * o**n, W0 - k0 * c - v * n)[0]
+        acc += _floor_at(num, den * o**n, W0 - k0 * c - v * n)
     total = FixedReal(acc, W0, len(blocks) if o == 1 else 2 * len(blocks))
     total = total.mul_fraction(f.prefactor).rescale(frac_bits)
     value = FixedReal(total.mantissa, frac_bits, total.err_ulp + tail_ulp)

@@ -32,27 +32,33 @@ None of q', s_min, the pairs, L or the cutoff depends on n, so
 :func:`build_plan` computes them once per formula.
 
 Bound.  Every block enters a W-bit accumulator mod 1 through one floor
-division, so the true value exceeds the accumulated one by less than one
-ulp per block, and a block costs that ulp only when its division leaves
-a remainder.  The discarded terms beyond the cutoff have mixed signs and
-lie in (-1, 1) ulp.  Each term's denominator only grows with s, as
-(k*l + j)**s >= k*l + j, so no term exceeds its degree-1 size, and the
-cutoff, the width and this bound hold for every degree.  The true
-accumulator is therefore in (acc - 1, acc + budget], and both ends of
-that interval certify the returned digits.
-W is the digit count plus 64 guard bits, widened by the bit length of
-the expected term count when n is large, so the budget, at most one ulp
-per block and so per term, always fits in the guard bits.
+division, which loses less than one ulp, exact or not; each block is
+charged that ulp, so the summed blocks exceed the accumulator by less
+than their count.  The discarded levels beyond the cutoff have mixed
+signs: the first one is at most 2**(cutoff - 1) * nonzero * max|p*a_j|
+< 1/4 ulp in size, and each later one at least 2**beta times smaller,
+so together they lie in (-1/2, 1/2) ulp.  Each term's denominator only
+grows with s, as (k*l + j)**s >= k*l + j, so no term exceeds its
+degree-1 size, and the cutoff, the width and this bound hold for every
+degree.  The true accumulator is therefore in (acc - 1, acc + budget],
+with budget the block count plus one ulp for the discarded levels: a
+number fixed by the plan, n and W before any block is summed.  Both ends
+of that interval certify the returned digits.  The tail's ulp and the
+cutoff's factor 2 are margin: without either, or both, the true value
+is still in (acc - 1, acc + blocks + 1) and its floor in
+[acc - 1, acc + budget].
+W is the digit count plus 64 guard bits.  The budget stays below 2**32,
+leaving 32 bits of slack, for every n below about 2**32 * beta * L;
+past that a window may certify fewer bits, never a wrong one.
 ``certified`` is the longest prefix that no value in the interval
 changes: it is computed, never assumed.
 
-Partition.  The accumulator and the budget are integer sums over the
-blocks, taken before the mask, so cutting the block range into contiguous
-parts and adding the parts' sums gives them exactly.  A long range is
-summed that way, one part per CPU the process may use, the parts after
-the first in forked child processes; the digits, the budget and
-``certified`` do not depend on the partition, and the bound above is
-unchanged.
+Partition.  The accumulator is an integer sum over the blocks, taken
+before the mask, so cutting the block range into contiguous parts and
+adding the parts' accumulators gives it exactly.  A long range is summed
+that way, one part per CPU the process may use, the parts after the
+first in forked child processes; the digits and ``certified`` do not
+depend on the partition, and the bound above is unchanged.
 """
 
 from __future__ import annotations
@@ -164,12 +170,11 @@ def _usable_cpus() -> int:
 
 def _sum_blocks(
     plan: SpigotPlan, e0: int, width: int, k0: int, k1: int, parent: int | None = None
-) -> tuple[int, int]:
+) -> int:
     """Levels k0 .. k1-1 in blocks of ``plan.levels``, the last one cut at
-    k1: the unmasked sum of their floored width-bit fractional parts, and
-    the number of blocks whose floor left a remainder.  A forked part
-    passes its parent's pid and gives up, by ProcessLookupError, at the
-    first block after that process is gone.
+    k1: the unmasked sum of their floored width-bit fractional parts.  A
+    forked part passes its parent's pid and gives up, by
+    ProcessLookupError, at the first block after that process is gone.
 
     A term at level k has exponent e0 - beta*k + (s_j - s_min), every
     s_j - s_min >= 0, so a block's smallest, e = e0 - beta*(its last
@@ -179,7 +184,7 @@ def _sum_blocks(
     """
     f = plan.formula
     fractions = _block_fractions(f.base, f.degree, f.length, plan.terms, plan.levels, k0, k1)
-    acc = budget = 0
+    acc = 0
     for k, (num, den) in zip(range(k0, k1, plan.levels), fractions):
         if parent is not None and os.getppid() != parent:
             raise ProcessLookupError("the parent process is gone")
@@ -187,20 +192,17 @@ def _sum_blocks(
         e = e0 - plan.beta * (min(k + plan.levels, k1) - 1)
         if e >= 0:  # 2**e * num/den mod 1, exactly
             num, e = num * pow(2, e, den) % den, 0
-        contrib, rem = _floor_at(num, den, e + width)
-        acc += contrib
-        if rem:
-            budget += 1
-    return acc, budget
+        acc += _floor_at(num, den, e + width)
+    return acc
 
 
-def _partitioned_sum(plan: SpigotPlan, e0: int, width: int, k_end: int, parts: int) -> tuple[int, int]:
+def _partitioned_sum(plan: SpigotPlan, e0: int, width: int, k_end: int, parts: int) -> int:
     """``_sum_blocks(plan, e0, width, 0, k_end)``, cut at block boundaries
     into ``parts`` contiguous level ranges, the last one ending in the block
     cut at k_end.
 
     The first range is summed here; every other one in a forked child that
-    writes its (acc, budget) in hex to a pipe, so one part forks nothing.
+    writes its accumulator in hex to a pipe, so one part forks nothing.
     A range whose child could not start, failed or wrote a short result is
     summed here instead, so the result never depends on the children.  If
     this process leaves by an exception, the children not yet read are
@@ -224,7 +226,7 @@ def _partitioned_sum(plan: SpigotPlan, e0: int, width: int, k_end: int, parts: i
                 code = 1
                 try:
                     os.close(r)
-                    os.write(w, b"%x %x\n" % _sum_blocks(plan, e0, width, k0, k1, parent))
+                    os.write(w, b"%x\n" % _sum_blocks(plan, e0, width, k0, k1, parent))
                     code = 0
                 finally:
                     # skips exit handlers and stdio flushes, which would
@@ -232,22 +234,20 @@ def _partitioned_sum(plan: SpigotPlan, e0: int, width: int, k_end: int, parts: i
                     os._exit(code)
             os.close(w)
             children[i] = (pid, r)
-        acc, budget = _sum_blocks(plan, e0, width, bounds[0], bounds[1])
+        acc = _sum_blocks(plan, e0, width, bounds[0], bounds[1])
         for i, (k0, k1) in enumerate(ranges):
             part = _reap(*children.pop(i)) if i in children else None
-            a, b = part or _sum_blocks(plan, e0, width, k0, k1)
-            acc += a
-            budget += b
+            acc += _sum_blocks(plan, e0, width, k0, k1) if part is None else part
     finally:
         for pid, r in children.values():
             # SIGKILL is 9 on POSIX; importing signal takes 0.7-1.1 ms
             os.kill(pid, 9)
             _reap(pid, r)
-    return acc, budget
+    return acc
 
 
-def _reap(pid: int, r: int) -> tuple[int, int] | None:
-    """Read a child's (acc, budget) from its pipe and wait for the child;
+def _reap(pid: int, r: int) -> int | None:
+    """Read a child's accumulator from its pipe and wait for the child;
     None if it exited nonzero or its line is short.  The line is one write
     of under PIPE_BUF bytes, so its newline shows that it is whole."""
     try:
@@ -257,8 +257,7 @@ def _reap(pid: int, r: int) -> tuple[int, int] | None:
         status = os.waitpid(pid, 0)[1]
     if status or not out.endswith(b"\n"):
         return None
-    acc, budget = out.split()
-    return int(acc, 16), int(budget, 16)
+    return int(out, 16)
 
 
 def extract_bits(plan: SpigotPlan, n: int, count: int) -> DigitWindow:
@@ -270,21 +269,17 @@ def extract_bits(plan: SpigotPlan, n: int, count: int) -> DigitWindow:
         raise ValidationError("count: must be at least 1 bit")
     if n < 0:
         raise ValidationError("position: must be nonnegative")
-    # the terms to level n // beta (more when s_min > 0) and some slack: past
-    # 2**32 of them, W widens by their bit length, so the budget fits
-    est_terms = ((n + max(0, plan.s_min)) // plan.beta + 3) * len(plan.terms) + 128
-    width = count + 64 + max(0, est_terms.bit_length() - 32)
+    width = count + 64
     # up to the last level k with W + n - beta*k >= cutoff
     k_end = (width + n - plan.cutoff) // plan.beta + 1
+    # one ulp per block, the last one cut at k_end, and one for the discarded levels
+    budget = -(-k_end // plan.levels) + 1
 
     parts = 1
     # forking a process that runs other threads can copy a held lock
     if hasattr(os, "fork") and threading.active_count() == 1:
         parts = max(1, min(_usable_cpus(), k_end * len(plan.terms) // _MIN_PART_TERMS))
-    acc, budget = _partitioned_sum(plan, n + plan.s_min, width, k_end, parts)
-    acc &= (1 << width) - 1
-    budget += 1  # the discarded terms: in (-1, 1) ulp
-
+    acc = _partitioned_sum(plan, n + plan.s_min, width, k_end, parts) & (1 << width) - 1
     certified = _certified_prefix(acc, width, count, budget)
     bits = format(acc >> (width - count), f"0{count}b")
     return DigitWindow(bits=bits, certified=certified)
