@@ -44,10 +44,10 @@ Cost caps, each checked before any work starts (2 vCPU Xeon, Python
 - eval and verify: --bits at most MAX_BITS = 300 000.  At the cap eval
   takes 2.9 s for golden and 2.3 s for log2 end to end, the full decimal
   print 0.17 s of it (best of 3), and one verify check 5.5 s
-  (corollary), 4.3-5.8 s (theorem, t = -50 and 1) or 1.4-1.5 s
-  (decomposition, t = -50 and 1, two runs each; it took 11.9-13.3 s in
-  the same session while it took two logs) by its ms= field; the time
-  grows about quadratically in --bits.
+  (corollary), 4.3-5.8 s (theorem, t = -50 and 1) or 0.63-0.67 s
+  (decomposition, t = -50 and 1, two runs each; 1.20-1.26 s in the same
+  session while its radicands took seven square roots beyond sqrt(5))
+  by its ms= field; the time grows about quadratically in --bits.
 - digits: --count at most MAX_WINDOW_BITS = 4096 bits.  Golden at bit
   position 2*10**5 on one CPU (best of 5) took 163, 151, 141, 209 and
   399 ms for 64, 256, 1024, 4096 and 16 384 bits: up to the cap a window

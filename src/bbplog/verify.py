@@ -5,8 +5,10 @@ paths at the target precision plus 88 guard bits and reports how many
 leading bits provably agree.  The decomposition's two sides are halves
 of logs, so its check bounds their gap from the logs' two arguments and
 takes no log; :func:`verify_decomposition` states that bound.  The right
-side's four radicands need four cosines of multiples of pi/20, built
-from nested square roots of 5.  Reports serialize one per line as
+side's four radicands need sqrt(2) times four cosines of multiples of
+pi/20.  Each angle is, up to sign, pi/4 plus or minus pi/5 or pi/10, so
+the angle-sum formula builds them from sqrt(5) and two more square roots.
+Reports serialize one per line as
 
     REPORT <subject> passed=<true|false> bits=<int> ms=<int>
 """
@@ -14,7 +16,6 @@ from nested square roots of 5.  Reports serialize one per line as
 from __future__ import annotations
 
 import time
-from fractions import Fraction
 
 from ._record import Record
 from .errors import DomainError, PrecisionError, ValidationError
@@ -105,32 +106,27 @@ def verify_corollary(target_bits: int) -> VerificationReport:
 
 
 def _decomposition_cosines(s5: FixedReal) -> tuple[FixedReal, ...]:
-    """cos(k*pi/20) for k = 1, 7, 9, 17 from a certified sqrt(5).
+    """sqrt(2)*cos(k*pi/20) for k = 1, 7, 9, 17 from a certified sqrt(5).
 
-    cos(pi/10) = sqrt((5+sqrt5)/8) and cos(3pi/10) = sqrt((5-sqrt5)/8);
-    the half-angle steps cos(x/2) = sqrt((1+cos x)/2) and
-    cos(pi/2 - x/2) = sqrt((1-cos x)/2) reach the four angles.
+    The angles are pi/4 - pi/5, pi/4 + pi/10, pi/4 + pi/5 and
+    pi - (pi/4 - pi/10), and sqrt(2)*cos(pi/4 -+ y) = cos y +- sin y.
+    cos(pi/5) = (sqrt5+1)/4 and sin(pi/10) = (sqrt5-1)/4 are linear in
+    sqrt(5); cos(pi/10) = sqrt((5+sqrt5)/8) and sin(pi/5) =
+    sqrt((5-sqrt5)/8) take one square root each.
     """
     one = FixedReal.from_int(1, s5.frac_bits)
     five = FixedReal.from_int(5, s5.frac_bits)
-    c1 = fx_sqrt((five + s5).div_int(8))  # cos(pi/10)
-    c3 = fx_sqrt((five - s5).div_int(8))  # cos(3pi/10)
-    return (
-        fx_sqrt((one + c1).div_int(2)),
-        fx_sqrt((one - c3).div_int(2)),
-        fx_sqrt((one - c1).div_int(2)),
-        -fx_sqrt((one + c3).div_int(2)),
-    )
+    cos10 = fx_sqrt((five + s5).div_int(8))
+    sin5 = fx_sqrt((five - s5).div_int(8))
+    cos5, sin10 = (s5 + one).div_int(4), (s5 - one).div_int(4)
+    return cos5 + sin5, cos10 - sin10, cos5 - sin5, -(cos10 + sin10)
 
 
 def _decomposition_radicands(t: int, s5: FixedReal) -> tuple[FixedReal, ...]:
-    """R_i = 1 - 2q cos x_i + q^2 with q = 1/(t*sqrt(2)), one per cosine."""
-    work = s5.frac_bits
-    s2 = fx_sqrt(FixedReal.from_int(2, work))
-    q = s2.mul_fraction(Fraction(1, 2 * t))
-    q2 = q * q
-    one = FixedReal.from_int(1, work)
-    return tuple(one - (q * c).mul_int(2) + q2 for c in _decomposition_cosines(s5))
+    """R_i = 1 - 2q cos x_i + q^2 with q = 1/(t*sqrt(2)), one per cosine,
+    as (2t^2 + 1 - 2t * sqrt(2)cos x_i) / (2t^2): one rounding each."""
+    top = FixedReal.from_int(2 * t * t + 1, s5.frac_bits)
+    return tuple((top - c.mul_int(2 * t)).div_int(2 * t * t) for c in _decomposition_cosines(s5))
 
 
 def verify_decomposition(t: int, target_bits: int) -> VerificationReport:
@@ -139,7 +135,7 @@ def verify_decomposition(t: int, target_bits: int) -> VerificationReport:
     The right side is the alternating sum of Re Li_1[q e^{i x_i}] =
     -ln(R_i)/2 for x_i = k*pi/20, k in {1, 7, 9, 17}, with the radicands
     R_i = |1 - q e^{i x_i}|**2 = 1 - 2q cos x_i + q^2 and q = 1/(t*sqrt(2)),
-    each built from its closed-form cosine.
+    each built from its closed-form sqrt(2)*cos x_i.
 
     Both sides are halves of logs, so the check compares the logs'
     arguments and takes no log.  With a = u(t)*sqrt(5) the left side is
@@ -162,9 +158,15 @@ def verify_decomposition(t: int, target_bits: int) -> VerificationReport:
     nonzero integer t (it is 8t^4 - 14t^3 + 11t^2 - 7t + 2 for t > 0 and
     8s^4 - 6s^3 + s^2 - 3s + 2 with s = -t for t < 0), so |a| <= 2/sqrt(5)
     and 1 - |a| > 0.105.
-    Y > 2**-11 and e_Y < 2**26: each R_i lies in [(1-|q|)^2, (1+|q|)^2]
-    with |q| <= 1/sqrt(2), so Y >= ((1-|q|)/(1+|q|))^4 > 8e-4, and each
-    R_i carries under 45 ulps, each product under 300.
+    Y > 2**-11 and e_Y < 2**23: each R_i lies in [(1-|q|)^2, (1+|q|)^2]
+    with |q| <= 1/sqrt(2), so Y >= ((1-|q|)/(1+|q|))^4 > 8e-4 and each
+    product lies in [0.0073, 8.5].  sqrt(5) carries 1 ulp, cos(pi/5) and
+    sin(pi/10) 2 each, and cos(pi/10) and sin(pi/5) 4 and 5 (a square
+    root adds 1 to ceil(2/sqrt(x)) for its argument x, which carries 2).
+    So each sqrt(2)*cos x_i carries at most 7 ulps and each R_i at most
+    ceil(7/|t|) + 1 <= 8.  R_0 + R_2 and R_1 + R_3 stay below 4.62, so
+    each product carries at most ceil(8 * 4.62) + 1 < 40 ulps, and e_Y <
+    1 + 40 * (8.5 + 0.0073) / 0.0073**2 < 2**23.
     """
     started = time.perf_counter()
     work = _work_bits(target_bits)

@@ -69,23 +69,21 @@ def golden_decimal(ctx):
     return total, ctx.add(ctx.multiply(power, 2), rounding)
 
 
-def li1_decomposition_decimal(t: int, ctx):
-    """(value, error bound) of -1/2 * sum_i (-1)**i ln(1 - 2q cos x_i + q^2)
-    as Decimals in ``ctx``, for q = sqrt(2)/(2t) and x_i = k*pi/20,
-    k = 1, 7, 9, 17.
+def li1_radicands_decimal(t: int, ctx):
+    """(radicands, error bound) of R_i = 1 - 2q cos x_i + q^2 as Decimals
+    in ``ctx``, for q = sqrt(2)/(2t) and x_i = k*pi/20, k = 1, 7, 9, 17.
 
     The cosines come from the closed forms cos(pi/10) = sqrt((5+sqrt5)/8),
     cos(3pi/10) = sqrt((5-sqrt5)/8) and the half-angle steps, each a
-    correctly rounded Decimal.sqrt.  Every intermediate value is below 10
-    in magnitude, so each operation rounds by at most u/2, u = 10**(1 -
-    prec).  |sqrt(a) - sqrt(b)| <= |a - b|/sqrt(b), so an input error
-    grows at most 1/sqrt(0.0244) < 6.5 times through a square root (the
-    smallest radicand is cos(9pi/20)**2 > 0.0244), and |ln a - ln b| <=
-    |a - b|/min(a, b) lets it grow at most 12 times through ln (each
-    R_i >= (1 - 1/sqrt2)**2 > 0.0857, still above 0.084 once rounded).
-    Followed through the fixed sequence, the cosines are off by under
-    13u, each R_i by under 26u, each ln by under 313u and the result by
-    under 630u; 1000u is returned.
+    correctly rounded Decimal.sqrt: no angle-sum identity, unlike
+    ``bbplog.verify``.  Every intermediate value is below 10 in magnitude,
+    so each operation rounds by at most u/2, u = 10**(1 - prec).
+    |sqrt(a) - sqrt(b)| <= |a - b|/sqrt(b), so an input error grows at
+    most 1/sqrt(0.0244) < 6.5 times through a square root (the smallest
+    radicand is cos(9pi/20)**2 > 0.0244).  Followed through the fixed
+    sequence, the cosines are off by under 13u and q, with |q| <=
+    1/sqrt(2), by under u, so each R_i is off by under 26u, which is
+    returned.
     """
     two, five = ctx.create_decimal(2), ctx.create_decimal(5)
     s5 = ctx.sqrt(five)
@@ -99,9 +97,24 @@ def li1_decomposition_decimal(t: int, ctx):
     )
     q = ctx.divide(ctx.sqrt(two), 2 * t)
     q2 = ctx.multiply(q, q)
+    radicands = tuple(
+        ctx.add(ctx.subtract(1, ctx.multiply(2, ctx.multiply(q, c))), q2) for c in cosines
+    )
+    return radicands, ctx.scaleb(26, 1 - ctx.prec)
+
+
+def li1_decomposition_decimal(t: int, ctx):
+    """(value, error bound) of -1/2 * sum_i (-1)**i ln R_i as Decimals in
+    ``ctx``, over the radicands of :func:`li1_radicands_decimal`.
+
+    |ln a - ln b| <= |a - b|/min(a, b) lets a radicand's error of under
+    26u grow at most 12 times through ln (each R_i >= (1 - 1/sqrt2)**2 >
+    0.0857, still above 0.084 once rounded), so each ln is off by under
+    313u and the result by under 630u; 1000u is returned.
+    """
+    radicands, _ = li1_radicands_decimal(t, ctx)
     total = ctx.create_decimal(0)
-    for i, c in enumerate(cosines):
-        radicand = ctx.add(ctx.subtract(1, ctx.multiply(2, ctx.multiply(q, c))), q2)
+    for i, radicand in enumerate(radicands):
         log = ctx.ln(radicand)
         total = ctx.add(total, log) if i % 2 == 0 else ctx.subtract(total, log)
     return ctx.divide(total, -2), ctx.scaleb(1, 4 - ctx.prec)

@@ -145,6 +145,32 @@ def test_eval_blocks_match_exact_sum(monkeypatch, levels):
         assert abs(res.value.value - partial) <= Fraction(rounding, 1 << F), (base, levels)
 
 
+def test_eval_charges_each_block_two_floors_when_the_base_has_an_odd_part(monkeypatch):
+    # b = 2**v * o with o > 1: each block's floor and each Horner carry's
+    # floor lose under an ulp, so the W0-width sum is acc plus at most err
+    # ulps of the exact K-level sum.  A carry shrinks the earlier losses by
+    # 2**c/b per level, so a charge of one ulp per block falls short only
+    # when blocks are one level each (64 nonzero terms) and few (a degree
+    # that keeps K near 2)
+    seen = []
+
+    def recorder(mantissa, frac_bits, err_ulp=0):
+        seen.append((mantissa, frac_bits, err_ulp))
+        return FixedReal(mantissa, frac_bits, err_ulp)
+
+    monkeypatch.setattr(formula_mod, "FixedReal", recorder)
+    rng = random.Random(20261019)
+    for _ in range(300):
+        base, F = rng.choice((3, 5, 6, 12)), rng.randint(64, 200)
+        coeffs = tuple(rng.randint(-(10**6), 10**6) or 1 for _ in range(64))
+        f = BbpFormula(rng.randint(F // 6, F // 5), base, 64, coeffs, Fraction(1))
+        seen.clear()
+        K = eval_P(f, F).terms_used
+        acc, W0, err = seen[0]
+        exact = bbp_sum_exact(f.degree, base, coeffs, Fraction(1), K) * (1 << W0)
+        assert acc <= exact <= acc + err, (base, F, f.degree)
+
+
 def test_truncation_matches_walk():
     rng = random.Random(20261018)
     formulas = []

@@ -13,7 +13,7 @@ import bbplog.family as family_mod
 import bbplog.numerics as numerics_mod
 import bbplog.verify as verify_mod
 from bbplog.errors import DomainError, PrecisionError, ValidationError
-from bbplog.numerics import FixedReal, agreement_bits
+from bbplog.numerics import FixedReal, agreement_bits, fx_sqrt
 from bbplog.spigot import DigitWindow
 from bbplog.verify import (
     GUARD_BITS,
@@ -22,7 +22,7 @@ from bbplog.verify import (
     verify_theorem,
 )
 
-from _oracles import atanh_sqrt5_gap_decimal, li1_decomposition_sides
+from _oracles import atanh_sqrt5_gap_decimal, li1_decomposition_sides, li1_radicands_decimal
 
 REPORT_RE = re.compile(r"^REPORT \S+ passed=(true|false) bits=-?\d+ ms=\d+$")
 
@@ -56,13 +56,13 @@ def test_decomposition_at_100000_bits(t):
 
 
 # agreement bits of verify_theorem and verify_decomposition at 1000 bits;
-# every check passes, theorem reads 1085 throughout and decomposition 1083
+# every check passes, theorem reads 1085 throughout and decomposition 1084
 # for every t not listed here.  The decomposition's bits come from the
 # mean-value bound on its two log arguments.
 DECOMPOSITION_BITS_AT_1000 = {
-    **dict.fromkeys((-2, 2, 3), 1082),
-    -1: 1081,
-    1: 1081,
+    -1: 1083,
+    1: 1082,
+    2: 1083,
 }
 
 
@@ -71,7 +71,7 @@ def test_theorem_and_decomposition_match_recorded_lines():
         theorem = verify_theorem(t, 1000)
         decomposition = verify_decomposition(t, 1000)
         assert (theorem.passed, theorem.agreement_bits) == (True, 1085), t
-        expected = DECOMPOSITION_BITS_AT_1000.get(t, 1083)
+        expected = DECOMPOSITION_BITS_AT_1000.get(t, 1084)
         assert (decomposition.passed, decomposition.agreement_bits) == (True, expected), t
 
 
@@ -79,7 +79,7 @@ def test_theorem_and_decomposition_match_recorded_lines():
 # the corollary and then theorem and decomposition for t = -50..-1, 1..50,
 # at 200, 1000 and 3000 bits in turn.  Any change to the arithmetic that
 # moves one verdict or agreement count changes it.
-REPORT_DIGEST = "28df2a86052dc30d688298a8df75c72b4a62c995c9361e1146f05ee1ccd274cd"
+REPORT_DIGEST = "08c89fc6867f229c39ce3a75bd9876734899193348e27a11adfcd11cd668491a"
 
 
 def test_report_lines_match_recorded_digest():
@@ -208,6 +208,36 @@ def test_decomposition_reads_no_lower_than_its_two_logs(bits):
         assert verify_decomposition(t, bits).agreement_bits >= agreement_bits(lhs, rhs), t
 
 
+@pytest.mark.parametrize("work", [64, 1088])
+def test_decomposition_radicands_hold_the_half_angle_oracle(monkeypatch, work):
+    # the library takes the angle-sum route, the decimal oracle the
+    # half-angle chain: every R_i interval must hold the oracle's radicand,
+    # widened by its bound, and carry at most the 8 ulps that
+    # verify_decomposition's docstring states
+    ctx = decimal.Context(prec=work * 30103 // 100000 + 12)
+    s5 = fx_sqrt(FixedReal.from_int(5, work))
+    for t in [*range(-50, 0), *range(1, 51)]:
+        refs, ref_err = li1_radicands_decimal(t, ctx)
+        assert Fraction(ref_err) < Fraction(1, 1 << work)
+        for i, (r, ref) in enumerate(zip(verify_mod._decomposition_radicands(t, s5), refs)):
+            assert r.err_ulp <= 8, (t, i)
+            assert abs(Fraction(ref) - r.value) <= r.err + Fraction(ref_err), (t, i)
+    # one check takes three square roots: sqrt(5), cos(pi/10), sin(pi/5)
+    calls = []
+    real = numerics_mod.fx_sqrt
+
+    def counting(x):
+        calls.append(x)
+        return real(x)
+
+    for mod in (numerics_mod, family_mod, verify_mod):
+        monkeypatch.setattr(mod, "fx_sqrt", counting)
+    for t in (1, -2, 50):
+        calls.clear()
+        assert verify_decomposition(t, work).passed
+        assert len(calls) == 3, t
+
+
 def _move_lhs_argument(monkeypatch, t, k):
     """Move u(t) by 2**-k; return the exact gap this opens between the
     two sides, atanh(u'sqrt5) - atanh(u sqrt5), as Fractions
@@ -286,15 +316,17 @@ def test_decomposition_bits_hold_at_every_corner_of_wide_radicands(monkeypatch, 
             assert abs(x - y) / (2 * max(x, y)) < bound, report.line()
 
 
-def test_decomposition_fails_with_a_wrong_cosine(monkeypatch):
-    # cos(pi/20) off by 2**-500 moves the right side by q/R_0 * 2**-500,
-    # between 2**-507 and 2**-497 for these t: far above a 1000-bit target
+@pytest.mark.parametrize("i", range(4))
+def test_decomposition_fails_with_a_wrong_cosine(monkeypatch, i):
+    # sqrt(2)*cos x_i off by 2**-500 moves R_i by 2**-500/|t| and the right
+    # side by 2**-501/(|t| R_i), between 2**-507 and 2**-497 for these t:
+    # far above a 1000-bit target
     real = verify_mod._decomposition_cosines
 
     def wrong(s5):
-        c0, *rest = real(s5)
-        nudge = FixedReal.from_fraction(Fraction(1, 1 << 500), s5.frac_bits)
-        return (c0 + nudge, *rest)
+        cosines = list(real(s5))
+        cosines[i] += FixedReal.from_fraction(Fraction(1, 1 << 500), s5.frac_bits)
+        return tuple(cosines)
 
     monkeypatch.setattr(verify_mod, "_decomposition_cosines", wrong)
     for t in (1, -2, 50):
