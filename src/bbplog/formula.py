@@ -33,23 +33,25 @@ and N(x) the matching Horner numerator.  Both are integer polynomials in
 x of degree at most D = g * (nonzero terms) * s.  Each factor of M is a
 polynomial in x with nonnegative coefficients, so M has degree D and
 nonnegative coefficients, and each Newton register Delta**i M(0),
-i <= D, is positive.  The first D+1 blocks are folded, and their forward
-differences are the registers of M and of N' = N + C*M at x = 0, where
-C >= 0 is the smallest integer that makes every register of N'
-nonnegative.  One step adds register i+1 to register i for every i < D
-at once and moves all of them from x to x+1; registers are only ever
-added to, so they stay nonnegative and nondecreasing.  With every
-register at x nonnegative, P(x+i) = sum_m binomial(i, m) * Delta**m P(x)
->= Delta**i P(x), so no register of P = N' or M exceeds P(X + D) while
-x <= X, the range's last whole block.  A register pair therefore fits one
-S-bit slot, N' in the low G = bitlen N'(X + D) bits and M in the
-H = bitlen M(X + D) bits above them, S = G + H; with the D+1 slots packed
-into one int, a step is ``regs += regs >> S`` and no field carries into
-the next.  A block reads N' and M from the low slot and yields
-N = N' - C*M, the fold's exact numerator.  A range of fewer than
-``_STEP_MIN`` * (D+1) whole blocks, such as the spigot's range near
-position 0 or eval_P's groups at a few thousand bits, and a partial last
-block are only folded.
+i <= D, is positive.  The first D+1 blocks are folded only to seed the
+registers: their forward differences are the registers of M and of
+N' = N + C*M at x = 0, where C >= 0 is the smallest integer that makes
+every register of N' nonnegative.  One step adds register i+1 to
+register i for every i < D at once and moves all of them from x to x+1;
+registers are only ever added to, so they stay nonnegative and
+nondecreasing.  With every register at x nonnegative,
+P(x+i) = sum_m binomial(i, m) * Delta**m P(x) >= Delta**i P(x), so no
+register of P = N' or M exceeds P(X + D) while x <= X, the range's last
+whole block.  A register pair therefore fits one S-bit slot, N' in the
+low G = bitlen N'(X + D) bits and M in the H = bitlen M(X + D) bits
+above them, S = G + H; with the D+1 slots packed into one int, a step is
+``regs += regs >> S`` and no field carries into the next.  Every whole
+block of the range, the first D+1 included, reads N' and M from the low
+slot and yields N = N' - C*M, the fold's exact numerator; a range of
+X + 1 whole blocks takes X steps, so none lands past X.  A range of
+fewer than ``_STEP_MIN`` * (D+1) whole blocks, such as the spigot's
+range near position 0 or eval_P's groups at a few thousand bits, and a
+partial last block are only folded.
 """
 
 from __future__ import annotations
@@ -162,10 +164,10 @@ def _fold_levels(
 _FOLD_TERMS = 16
 
 # A range is stepped only from _STEP_MIN * (D+1) whole blocks: setting up
-# the registers takes D+1 folds, one more at the far end, O(D**2)
-# subtractions and D steps, which fewer blocks do not repay.  Stepping
-# every range of more than D+1 blocks against folding every block, at
-# 1.5 / 2 / 2.5 / 3 times D+1 blocks, took (medians of 7 best-of-5 runs;
+# the registers takes D+1 folds, one more at the far end and O(D**2)
+# subtractions, which fewer blocks do not repay.  Stepping every range of
+# more than D+1 blocks against folding every block, at 1.5 / 2 / 2.5 / 3
+# times D+1 blocks, took (medians of 7 best-of-5 runs;
 # 2 vCPU Xeon, Python 3.11.7):
 #   eval_P golden, D = 24       1.34  1.05  1.14  0.96  times as long
 #   eval_P log2, D = 16         1.21  1.00  0.82  0.82
@@ -210,25 +212,25 @@ def _block_fractions(
     """``_fold_levels(base, degree, length, terms, k, min(k + levels, k1))``
     for each block k = k0, k0 + levels, ... below k1.  With D =
     levels * len(terms) * degree, a range of at least ``_STEP_MIN`` * (D+1)
-    whole blocks folds its first D+1 and steps every later whole block by
-    packed finite differences (Stepping); any other block is folded."""
+    whole blocks folds its first D+1 only to seed the packed registers,
+    then reads every whole block, those D+1 included, from the low slot,
+    one step per block after the first (Stepping); any other block is
+    folded."""
     fold = partial(_fold_levels, base, degree, length, terms)
     D = levels * len(terms) * degree
     whole = (k1 - k0) // levels
     end = k0 + whole * levels
-    first = D + 1 if whole >= _STEP_MIN * (D + 1) else whole
-    table = [fold(k, k + levels) for k in range(k0, k0 + first * levels, levels)]
-    yield from table
-    if whole > first:
+    if whole < _STEP_MIN * (D + 1):
+        yield from (fold(k, k + levels) for k in range(k0, end, levels))
+    else:
+        table = [fold(k, k + levels) for k in range(k0, k0 + (D + 1) * levels, levels)]
         regs, slot, low, c = _stepper(fold, levels, table, end - levels)
-        for _ in range(D):  # on to the block of table[-1]
-            regs += regs >> slot
         slot_mask, low_mask = (1 << slot) - 1, (1 << low) - 1
-        for _ in range(whole - D - 1):
-            regs += regs >> slot
-            n = regs & slot_mask
-            m = n >> low
-            yield (n & low_mask) - c * m, m
+        for x in range(whole):
+            if x:  # no step past the last whole block, which bounds the registers
+                regs += regs >> slot
+            m = (regs & slot_mask) >> low
+            yield (regs & low_mask) - c * m, m
     if end < k1:
         yield fold(end, k1)
 

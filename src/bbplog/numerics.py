@@ -17,14 +17,15 @@ documented inline, never estimated.
 A truncation charges that ulp only when it drops something, and it
 learns so from the remainder of its own division (``divmod``) or from
 the bits its own shift drops, never by multiplying the quotient back.
-Every ceiling of a division by a power of two is a shift.  Three fast
-paths first look at one machine word, the low or leading ``_WORD`` bits
-of a big integer, and fall back to the whole integer only when the word
-leaves the answer open: the dropped-bit test of :func:`_tshift`, the
-exactness test of :func:`fx_sqrt` and division's error ceiling in
-:func:`_ceil_scaled_ratio`.  Each path returns the exact integer or
-flag either way, so no bound here depends on the word size, and a test
-may lower it to one bit to run every branch at small widths.
+Every ceiling of a division by a power of two is a shift, and
+:func:`_tshift` reads the whole field its shift drops.  Two fast paths
+first look at one machine word, the low or leading ``_WORD`` bits of a
+big integer, and fall back to the whole integer only when the word
+leaves the answer open: the exactness test of :func:`fx_sqrt` and
+division's error ceiling in :func:`_ceil_scaled_ratio`.  Each path
+returns the exact integer or flag either way, so no bound here depends
+on the word size, and a test may lower it to one bit to run every
+branch at small widths.
 
 The logarithm reduces x itself by repeated square roots; it splits off
 no power of two, so no ln 2 constant is needed.  It then sums the atanh
@@ -67,17 +68,11 @@ def _tdivmod(a: int, b: int) -> tuple[int, bool]:
 
 def _tshift(a: int, k: int) -> tuple[int, bool]:
     """(a / 2**k truncated toward zero, whether the shift dropped a set
-    bit), k >= 0.  The word's low bits settle the second part unless
-    they are all zero."""
-    if a < 0:
-        q, dropped = _tshift(-a, k)
-        return -q, dropped
-    low = a & _WORD_MASK
-    if k < _WORD:
-        low &= (1 << k) - 1
-    elif not low:
-        low = a & ((1 << k) - 1)
-    return a >> k, low != 0
+    bit), k >= 0: the low k bits of |a|, the field the shift drops, are
+    read in full."""
+    m = abs(a)
+    q = m >> k
+    return (q if a >= 0 else -q), m & ((1 << k) - 1) != 0
 
 
 def _ceil_scaled_ratio(c: int, F: int, a: int, b: int) -> int:

@@ -1,5 +1,5 @@
-"""Exhaustive small-width checks of FixedReal's truncating operations
-and fx_sqrt.
+"""Exhaustive small-width checks of FixedReal's truncating operations,
+fx_sqrt, agreement_bits and the block floor ``formula._floor_at``.
 
 At F = 2 every FixedReal(m, 2, e) with |m| <= 16 and 0 <= e <= 4 is an
 input, and each result's interval must hold the exact ``Fraction``
@@ -17,13 +17,15 @@ does the same at F = 3 with |m| <= 24 and e <= 5.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from bbplog import numerics
-from bbplog.numerics import FixedReal, fx_sqrt
+from bbplog.formula import _floor_at
+from bbplog.numerics import FixedReal, agreement_bits, fx_sqrt
 
 DIVISORS = (1, -1, 2, 3, -3, 7)
 FACTORS = sorted(
@@ -135,3 +137,23 @@ def test_every_input_at_small_width(F, M, E, name, word):
     count, bad = _violations(name, _inputs(F, M, E))
     assert count > 0
     assert not bad, f"{len(bad)} of {count} results miss a corner, first {bad[:3]}"
+
+
+def test_agreement_bits_of_every_pair_at_small_width():
+    # no point of one interval is 2**-bits or more from any point of the other
+    xs = [(x, _ends(x)) for x in _inputs(2, 16, 4)]
+    bad = []
+    for (a, (lo_a, hi_a)), (b, (lo_b, hi_b)) in product(xs, xs):
+        bits = agreement_bits(a, b)
+        if max(hi_a - lo_b, hi_b - lo_a) >= Fraction(2) ** -bits:
+            bad.append((a, b, bits))
+    assert not bad, f"{len(bad)} pairs, first {bad[:3]}"
+
+
+def test_floor_at_every_small_input():
+    bad = [
+        (num, den, w)
+        for num, den, w in product(range(-64, 65), range(1, 13), range(-6, 7))
+        if _floor_at(num, den, w) != math.floor(Fraction(num, den) * Fraction(2) ** w)
+    ]
+    assert not bad, f"{len(bad)} inputs, first {bad[:3]}"

@@ -320,6 +320,51 @@ def test_certificate_interval_holds_the_true_floor(monkeypatch):
     assert violations == []
 
 
+@pytest.mark.parametrize("formula", [golden_formula(), LOG2_FORMULA], ids=["golden", "log2"])
+def test_budget_covers_blocks_that_each_lose_almost_an_ulp(formula, monkeypatch):
+    # stubbed block fractions whose every floor at the W-bit accumulator
+    # loses 1 - 2**-40 ulp, with e >= 0 (reduced mod 1) and e < 0 blocks
+    # alike, and levels past the cutoff that add 2**-20 ulp, well inside
+    # the half ulp the Bound paragraph allows them.  The floors sum to
+    # acc = top - blocks, so the true W-bit floor is top = (P + 1) << 64:
+    # acc + blocks, one past a budget two ulps short, whose certificate
+    # would print P's last bit
+    plan = build_plan(formula)
+    n, count, P = 1000, 8, 0b10110100
+    width = count + 64
+    top = (P + 1) << 64
+    e0 = n + plan.s_min
+    exact = Fraction(1, 1 << (width + 20))  # the tail
+    claims = []
+    real = spigot_mod._certified_prefix
+
+    def block_fractions(base, degree, length, terms, levels, k0, k1):
+        nonlocal exact
+        blocks = -(-(k1 - k0) // levels)
+        for k in range(k0, k1, levels):
+            e = e0 - plan.beta * (min(k + levels, k1) - 1)
+            ulps = (top - blocks if k == k0 else 0) + 1 - Fraction(1, 1 << 40)
+            value = ulps / Fraction(2) ** (e + width)
+            num, den = value.numerator * plan.q_odd, value.denominator
+            exact += Fraction(num, den * plan.q_odd) * Fraction(2) ** e  # below 1: its own part mod 1
+            yield num, den
+
+    def certified_prefix(acc, width, count, budget):
+        claims.append((acc, budget))
+        return real(acc, width, count, budget)
+
+    monkeypatch.setattr(spigot_mod, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(spigot_mod, "_block_fractions", block_fractions)
+    monkeypatch.setattr(spigot_mod, "_certified_prefix", certified_prefix)
+    window = extract_bits(plan, n, count)
+    [(acc, budget)] = claims
+    floor = exact.numerator * 2**width // exact.denominator
+    assert floor == top
+    assert acc - 1 <= floor <= acc + budget
+    assert window.certified == count - 1
+    assert window.bits[: window.certified] == format(floor >> 64, f"0{count}b")[: window.certified]
+
+
 # the fold's formulas: golden and t = +-2**s fold one level per block
 # (D = 24), log2 sixteen (D = 16); only t = -4 lifts N by a C > 0
 FOLD_FORMULAS = {
