@@ -8,14 +8,29 @@ default, writes its own ``__init__`` and stores the fields with
 ``Record._fill``, or with ``_set`` one by one where construction is hot,
 the only way past the guard below.  The base gives every record equality
 with records of its own type, a hash that agrees with it, a ``repr`` that
-lists the fields, pickling and copying through the constructor, and an
-``AttributeError`` on any assignment or deletion.  Records have no
-instance ``__dict__``.
+lists the fields (an int too long for ``str`` in hex), pickling and
+copying through the constructor, and an ``AttributeError`` on any
+assignment or deletion.  Records have no instance ``__dict__``.
 """
 
 from __future__ import annotations
 
 _set = object.__setattr__
+
+
+def _show(value: object) -> str:
+    """``repr(value)``, with every int too long for ``str`` (the int/str
+    digit limit) written in hex, which has no such limit.  Of a record's
+    field values only an int, a tuple of ints and a ``Fraction`` can hit
+    the limit; a record's own repr never does."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, int):
+            return hex(value)
+        if isinstance(value, tuple):
+            return f"({', '.join(map(_show, value))}{',' if len(value) == 1 else ''})"
+        return f"Fraction({_show(value.numerator)}, {_show(value.denominator)})"
 
 
 class Record:
@@ -54,7 +69,7 @@ class Record:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={_show(getattr(self, name))}" for name in self.__slots__)
         return f"{self.__class__.__qualname__}({fields})"
 
     def __reduce__(self) -> tuple:

@@ -90,6 +90,12 @@ Cost caps, each checked before any work starts (2 vCPU Xeon, Python
   --pos (extract_bits alone on both CPUs, one run each, two for the
   ones).  With the cap, the copies of degree 2 and 5 take 1.1 and 1.7
   times golden's time at the caps.
+- Neither cap weighs the size of the coefficients or of the prefactor:
+  eval's K and the spigot's k_end grow with log_b max|p * a_j| for the
+  prefactor p/q, so a large p buys levels as a large coefficient does.
+  The base-2 file of 128 ones with prefactor 10**4299 took 7.9 s at
+  --bits 64 (eval_P alone, one run), as its 4 300-digit p adds about
+  14 300 levels.
 - A --t range is lazy and has no cap: verify runs one check per t in
   turn, printing as it goes, for as long as the range asks.
 """
@@ -221,9 +227,10 @@ def _check_terms(parser: _Parser, f: BbpFormula, span_bits: int, cap: int, what:
     higher degree is refused before any work).
 
     It counts span_bits // floor(log2 base) + 1 levels; the library sums
-    a few more (``_truncation``'s K, the spigot's k_end), but the caps
-    were sized by this same rule for golden, so it weighs every formula
-    on golden's scale."""
+    a few more (``_truncation``'s K, the spigot's k_end), and both also
+    grow with log_b max|p * a_j| for the prefactor p/q, which this count
+    does not weigh.  The caps were sized by this same rule for golden, so
+    it weighs every formula on golden's scale."""
     nonzero = sum(1 for a in f.coeffs if a)
     if nonzero > MAX_NONZERO:
         parser.error(f"the formula has {nonzero} nonzero coefficients; at most {MAX_NONZERO} are allowed")

@@ -4,8 +4,10 @@ A formula stands for the constant
 
     prefactor * sum_{k>=0} b**-k * sum_{j=1..l} a_j / (k*l + j)**s
 
-Bound of eval_P at F bits.  Write b = 2**v * o with o odd, and let
-c = floor(log2 b) >= v, G = bitlen(2K) + 2 the guard and W_k = F + G - k*c.
+Bound of eval_P at F bits.  Write the prefactor p/q in lowest terms,
+b = 2**v * o with o odd, and let c = floor(log2 b) >= v, G = bitlen(2K) +
+2 the guard and W_k = F + G - k*c.  As in the spigot, p enters exactly
+and only q rounds: the terms are p*a_j, so the blocks below sum p * P.
 The K levels are summed in blocks of L = ceil(T / nonzero terms) levels
 (T = ``_BLOCK_TERMS``), deepest block first.  The block of levels
 k0 .. k1-1, n = k1-1-k0, is one exact fraction
@@ -21,8 +23,11 @@ floor(acc * 2**((c-v)*L) / o**L) = floor(acc * 2**(c*L) / b**L), a step
 skipped when o = 1, where it is exact.  Each floor costs under one ulp of
 its width, and 2**(cL)/b**L <= 1 never grows an earlier error, so each
 block costs under 1 ulp at F + G when o = 1 and under 2 otherwise.  That
-charge is at most 2K < 2**(G-2) ulp.  FixedReal charges the prefactor and
-the rescale to F, and the tail majorant of _truncation is added once.
+charge e is at most 2K < 2**(G-2) ulp.  The sum is divided by q once,
+which charges ceil(e/q) + 1 <= 2K + 1 <= 2**(G-2) ulp at F + G, and the
+rescale to F then charges at most 2 ulps.  The levels past K add under
+one ulp (_truncation), so every value carries at most 3 ulps, whatever
+p/q.
 
 Stepping.  ``_block_fractions`` gives the exact fractions of a range of
 blocks of g levels, for eval_P's groups and the spigot's blocks alike.
@@ -108,9 +113,9 @@ class BbpFormula(Record):
 
 
 class EvalResult(Record):
-    """Evaluated constant plus how the truncation was accounted."""
+    """Evaluated constant, within 3 ulps, and the levels K summed."""
 
-    __slots__ = ("value", "terms_used", "tail_bound_ulp")
+    __slots__ = ("value", "terms_used")
 
 
 # T, the terms folded into one block fraction.  A block pays one long
@@ -242,37 +247,40 @@ def _floor_at(num: int, den: int, w: int) -> int:
     return num // (den << -w)
 
 
-def _truncation(f: BbpFormula, frac_bits: int) -> tuple[int, int]:
-    """Terms K to sum and the tail majorant, in ulps, of what is left out.
+def _truncation(f: BbpFormula, frac_bits: int) -> int:
+    """Terms K to sum, so that what is left out is under one ulp.
 
-    Tail for k >= K:  |prefactor| * max|a_j| * l / (K*l+1)**s * b**-K * b/(b-1),
-    using (k*l+1) >= (K*l+1) and the geometric sum of b**-k.  K is the
-    first level whose unscaled majorant drops below one ulp:
-    top = max|a_j| * l * b * 2**frac_bits < den(K) = (K*l+1)**s * b**K * (b-1).
+    Tail for k >= K:  |p/q| * max|a_j| * l / (K*l+1)**s * b**-K * b/(b-1),
+    prefactor p/q, using (k*l+1) >= (K*l+1) and the geometric sum of
+    b**-k.  K is the first level where the majorant with max(|p|, q) in
+    place of |p| drops below one ulp:
+    top = max(|p|, q) * max|a_j| * l * b * 2**frac_bits
+        < den(K) = q * (K*l+1)**s * b**K * (b-1),
+    which for |p| <= q is the prefactor-free majorant, so K is the same
+    for any such prefactor.
     den is strictly increasing; let r solve log2 den(r) = log2 top.
-    Dropping the factor (K*l+1)**s gives y = log2(top/(b-1)) / log2 b >= r,
-    and putting y into that factor gives x = y - s*log2(y*l+1) / log2 b
-    <= r, close below r when K is large against s.  From K = ceil(x), in
-    floats, b**K is computed once; exact comparisons then step K down
-    while den(K-1) > top and up while den(K) <= top, dividing or
-    multiplying that power by b, so K is exact whatever the rounding.
+    Dropping the factor (K*l+1)**s gives y = log2(top/(q*(b-1))) / log2 b
+    >= r, and putting y into that factor gives x = y - s*log2(y*l+1) /
+    log2 b <= r, close below r when K is large against s.  From K =
+    ceil(x), in floats, b**K is computed once; exact comparisons then
+    step K down while den(K-1) > top and up while den(K) <= top, dividing
+    or multiplying that power by b, so K is exact whatever the rounding.
     """
-    length, degree, b = f.length, f.degree, f.base
-    top = max(abs(a) for a in f.coeffs) * length * b << frac_bits
+    length, degree, b, q = f.length, f.degree, f.base, f.prefactor.denominator
+    top = max(abs(f.prefactor.numerator), q) * max(abs(a) for a in f.coeffs) * length * b << frac_bits
 
     def den(K: int, bK: int) -> int:
-        return (K * length + 1) ** degree * bK * (b - 1)
+        return (K * length + 1) ** degree * bK * (b - 1) * q
 
     lb = math.log2(b)
-    y = (math.log2(top) - math.log2(b - 1)) / lb
+    y = (math.log2(top) - math.log2((b - 1) * q)) / lb
     K = max(0, math.ceil(y - degree * math.log2(max(0.0, y) * length + 1) / lb))
     bK = b**K
     while K and top < den(K - 1, bK // b):
         K, bK = K - 1, bK // b
     while top >= den(K, bK):
         K, bK = K + 1, bK * b
-    p, q = f.prefactor.numerator, f.prefactor.denominator
-    return K, -(-top * abs(p) // (den(K, bK) * q))
+    return K
 
 
 def eval_P(f: BbpFormula, frac_bits: int) -> EvalResult:
@@ -283,13 +291,14 @@ def eval_P(f: BbpFormula, frac_bits: int) -> EvalResult:
         raise UnsupportedFormulaError(
             f"degree {f.degree} not supported; eval needs degree <= {MAX_DEGREE}"
         )
-    K, tail_ulp = _truncation(f, frac_bits)
+    K = _truncation(f, frac_bits)
     W0 = frac_bits + (2 * K).bit_length() + 2  # F + G
     b = f.base
     c = b.bit_length() - 1
     v = (b & -b).bit_length() - 1
     o = b >> v
-    terms = tuple((j, a) for j, a in enumerate(f.coeffs, start=1) if a)
+    p, q = f.prefactor.numerator, f.prefactor.denominator
+    terms = tuple((j, p * a) for j, a in enumerate(f.coeffs, start=1) if a)
     L = -(-_BLOCK_TERMS // len(terms))
     # groups of g levels, g the largest divisor of L within _FOLD_TERMS;
     # _block_fractions steps them or folds each one
@@ -313,10 +322,9 @@ def eval_P(f: BbpFormula, frac_bits: int) -> EvalResult:
             acc = _floor_at(acc, carry, (c - v) * L)
         n = k1 - 1 - k0
         acc += _floor_at(num, den * o**n, W0 - k0 * c - v * n)
-    total = FixedReal(acc, W0, len(blocks) if o == 1 else 2 * len(blocks))
-    total = total.mul_fraction(f.prefactor).rescale(frac_bits)
-    value = FixedReal(total.mantissa, frac_bits, total.err_ulp + tail_ulp)
-    return EvalResult(value=value, terms_used=K, tail_bound_ulp=tail_ulp)
+    total = FixedReal(acc, W0, len(blocks) if o == 1 else 2 * len(blocks)).div_int(q).rescale(frac_bits)
+    # the levels past K add under one ulp (_truncation)
+    return EvalResult(FixedReal(total.mantissa, frac_bits, total.err_ulp + 1), K)
 
 
 # -- file format ----------------------------------------------------------

@@ -145,15 +145,6 @@ class FixedReal(Record):
         """The absolute error bound, exactly."""
         return Fraction(self.err_ulp, 1 << self.frac_bits)
 
-    def __float__(self) -> float:
-        return self.mantissa / (1 << self.frac_bits)
-
-    def __repr__(self) -> str:
-        return (
-            f"FixedReal({float(self):.12g}, frac_bits={self.frac_bits},"
-            f" err_ulp={self.err_ulp})"
-        )
-
     # -- exact operations ----------------------------------------------
 
     def __neg__(self) -> "FixedReal":

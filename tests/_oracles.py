@@ -8,6 +8,7 @@ multiplication.
 
 from __future__ import annotations
 
+import math
 from decimal import Decimal
 from fractions import Fraction
 
@@ -202,18 +203,46 @@ def bbp_sum_exact(
     return prefactor * total
 
 
-def truncation_walk(f, frac_bits: int) -> tuple[int, int]:
-    """(K, tail ulp) of ``formula._truncation`` by walking K = 0, 1, 2, ...
-    until top < den(K) = (K*l+1)**s * b**K * (b-1), with
-    top = max|a_j| * l * b * 2**frac_bits."""
-    max_a = max(abs(a) for a in f.coeffs)
-    top = max_a * f.length * f.base << frac_bits
+def truncation_walk(f, frac_bits: int) -> int:
+    """K of ``formula._truncation`` by walking K = 0, 1, 2, ... until
+    top < den(K) = q * (K*l+1)**s * b**K * (b-1), with prefactor p/q and
+    top = max(|p|, q) * max|a_j| * l * b * 2**frac_bits."""
+    p, q = f.prefactor.numerator, f.prefactor.denominator
+    top = max(abs(p), q) * max(abs(a) for a in f.coeffs) * f.length * f.base << frac_bits
     K, bpow = 0, 1
-    while top >= (den := (K * f.length + 1) ** f.degree * bpow * (f.base - 1)):
+    while top >= q * (K * f.length + 1) ** f.degree * bpow * (f.base - 1):
         bpow *= f.base
         K += 1
-    p, q = f.prefactor.numerator, f.prefactor.denominator
-    return K, -(-top * abs(p) // (den * q))
+    return K
+
+
+def decimal_of_ends(x, digits: int | None) -> str:
+    """The print ``FixedReal.decimal`` documents, from both ends of x's
+    interval as Fractions, with no cap on the places: the longest common
+    prefix of their decimal expansions to ``digits`` places (default
+    floor(F * log10 2)), with ``~`` after it when it is shorter; ``~``
+    alone when the integer parts differ, or for an interval across zero
+    that reaches 1 in magnitude, and ``0~`` for one across zero within
+    (-1, 1)."""
+    if digits is None:
+        digits = x.frac_bits * 30103 // 100000
+    u = Fraction(1, 1 << x.frac_bits)
+    lo, hi = (x.mantissa - x.err_ulp) * u, (x.mantissa + x.err_ulp) * u
+    if lo < 0 <= hi:
+        return "0~" if -1 < lo and hi < 1 else "~"
+    sign = "-" if hi < 0 else ""
+    expansions = [str(math.floor(abs(v) * 10**digits)) for v in sorted((lo, hi), key=abs)]
+    width = max(digits + 1, *map(len, expansions))
+    s_lo, s_hi = (s.zfill(width) for s in expansions)
+    common = 0
+    while common < width and s_lo[common] == s_hi[common]:
+        common += 1
+    if common < width - digits:
+        return "~"
+    out = sign + (s_lo[: width - digits].lstrip("0") or "0")
+    if common > width - digits:
+        out += "." + s_lo[width - digits : common]
+    return out + ("~" if common < width else "")
 
 
 def sqrt5_pair_pow(a: int, b: int, n: int) -> tuple[int, int]:
@@ -247,18 +276,21 @@ def eval_P_folded(f, frac_bits: int) -> tuple[int, int]:
     each block of L = ceil(T / nonzero) levels (T = ``_BLOCK_TERMS``) is
     folded term by term into one exact fraction and floored once, and for
     a base b = 2**v * o with o > 1 the deeper blocks are carried by
-    Horner, as the bound paragraph of ``bbplog.formula`` states.  Only the
-    level count and the tail bound come from ``formula._truncation``."""
+    Horner, as the bound paragraph of ``bbplog.formula`` states.  The
+    numerators are p*a_j for the prefactor p/q, and the sum is divided by
+    q once.  Only the level count comes from ``formula._truncation``, and
+    the levels past it are charged one ulp."""
     from bbplog.formula import _BLOCK_TERMS, _truncation
     from bbplog.numerics import FixedReal
 
-    K, tail_ulp = _truncation(f, frac_bits)
+    K = _truncation(f, frac_bits)
+    p, q = f.prefactor.numerator, f.prefactor.denominator
     W0 = frac_bits + (2 * K).bit_length() + 2
     b = f.base
     c = b.bit_length() - 1
     v = (b & -b).bit_length() - 1
     o = b >> v
-    terms = [(j, a) for j, a in enumerate(f.coeffs, start=1) if a]
+    terms = [(j, p * a) for j, a in enumerate(f.coeffs, start=1) if a]
     L = -(-_BLOCK_TERMS // len(terms))
     starts = range(0, K, L)
     acc = 0
@@ -277,8 +309,8 @@ def eval_P_folded(f, frac_bits: int) -> tuple[int, int]:
         den *= o**n
         acc += (num << w) // den if w >= 0 else num // (den << -w)
     total = FixedReal(acc, W0, len(starts) if o == 1 else 2 * len(starts))
-    total = total.mul_fraction(f.prefactor).rescale(frac_bits)
-    return total.mantissa, total.err_ulp + tail_ulp
+    total = total.div_int(q).rescale(frac_bits)
+    return total.mantissa, total.err_ulp + 1
 
 
 # -- FixedReal's truncating operations as first written -------------------

@@ -29,7 +29,7 @@ def test_eval_log2_formula_matches_series_oracle():
     res = eval_P(LOG2_FORMULA, 256)
     series, tail = log2_series(320)
     assert abs(res.value.value - 2 * series) <= res.value.err + 2 * tail
-    assert res.tail_bound_ulp <= res.value.err_ulp
+    assert res.value.err_ulp <= 3
 
 
 def test_eval_matches_exact_partial_sum():
@@ -83,28 +83,32 @@ def _random_formula(
 BOUND_BASES = (2, 3, 5, 7, 16, 2**20 * 3**40)
 
 
+def _tail_majorant(f: BbpFormula, K: int) -> Fraction:
+    """|prefactor * sum over the levels k >= K| is at most this."""
+    max_a = max(abs(a) for a in f.coeffs)
+    return (
+        Fraction(max_a * f.length, (K * f.length + 1) ** f.degree)
+        * Fraction(f.base, f.base - 1)
+        / f.base**K
+        * abs(f.prefactor)
+    )
+
+
 def test_truncation_bound_is_sound_on_random_formulas():
     rng = random.Random(20260813)
     for F, cases in ((64, 60), (300, 30), (1000, 10)):
         for _ in range(cases):
             f = _random_formula(rng, degrees=(1, 2, 3), bases=BOUND_BASES)
-            K, _ = _truncation(f, F)
+            K = _truncation(f, F)
             s_k = bbp_sum_exact(f.degree, f.base, f.coeffs, f.prefactor, K)
             s_k10 = bbp_sum_exact(f.degree, f.base, f.coeffs, f.prefactor, K + 10)
-            max_a = max(abs(a) for a in f.coeffs)
-            tail = (
-                Fraction(max_a * f.length, (K * f.length + 1) ** f.degree)
-                * Fraction(f.base, f.base - 1)
-                / f.base**K
-                * abs(f.prefactor)
-            )
-            assert abs(s_k10 - s_k) <= tail
+            tail = _tail_majorant(f, K)
+            assert abs(s_k10 - s_k) <= tail < Fraction(1, 1 << F)
             res = eval_P(f, F)
             assert abs(res.value.value - s_k10) <= res.value.err + tail
-            # under 2K < 2**(G-2) ulp at F+G, scaled by the prefactor, plus
-            # one ulp each for mul_fraction and the rescale to F
-            rounding = res.value.err_ulp - res.tail_bound_ulp
-            assert rounding <= math.ceil(abs(f.prefactor) / 4) + 2
+            # under 2K + 1 <= 2**(G-2) ulp at F+G after the division by q,
+            # so 2 after the rescale to F, and 1 for the tail
+            assert res.value.err_ulp <= 3
 
 
 @pytest.mark.parametrize("base", [2, 3, 16, pytest.param(2**20 * 3**40, id="2**20*3**40")])
@@ -138,9 +142,10 @@ def test_eval_blocks_match_exact_sum(monkeypatch, levels):
         res = eval_P(f, F)
         K = res.terms_used
         assert levels == 1 or K % levels, (base, K)
-        # the rounding charge alone bounds the distance to the K-level sum
-        rounding = res.value.err_ulp - res.tail_bound_ulp
-        assert rounding <= 3
+        # the rounding charge alone, all but the tail's one ulp, bounds the
+        # distance to the K-level sum
+        assert res.value.err_ulp <= 3
+        rounding = res.value.err_ulp - 1
         partial = bbp_sum_exact(f.degree, f.base, f.coeffs, f.prefactor, K)
         assert abs(res.value.value - partial) <= Fraction(rounding, 1 << F), (base, levels)
 
@@ -169,6 +174,46 @@ def test_eval_charges_each_block_two_floors_when_the_base_has_an_odd_part(monkey
         acc, W0, err = seen[0]
         exact = bbp_sum_exact(f.degree, base, coeffs, Fraction(1), K) * (1 << W0)
         assert acc <= exact <= acc + err, (base, F, f.degree)
+
+
+def _holds_the_sum(f: BbpFormula, value: FixedReal, K: int) -> bool:
+    """Whether value's interval holds every point within the tail
+    majorant of the exact sum of the first K + 20 levels."""
+    exact = bbp_sum_exact(f.degree, f.base, f.coeffs, f.prefactor, K + 20)
+    return abs(value.value - exact) + _tail_majorant(f, K + 20) <= value.err
+
+
+def test_eval_certifies_every_prefactor_within_three_ulps():
+    # p enters the terms exactly and only q rounds, and K counts max(|p|, q),
+    # so neither the rounding nor the tail grows with |p/q|: every interval
+    # holds the exact sum and carries at most 3 ulps
+    rng = random.Random(20261020)
+    for F, cases in ((64, 300), (100, 150), (200, 50)):
+        for _ in range(cases):
+            g = _random_formula(rng, degrees=(1, 2, 3), bases=BOUND_BASES)
+            p = rng.choice((-1, 1)) * rng.randint(1, 1 << rng.choice((1, 8, 32, 64)))
+            f = BbpFormula(g.degree, g.base, g.length, g.coeffs, Fraction(p, rng.randint(1, 1 << 30)))
+            res = eval_P(f, F)
+            assert res.value.err_ulp <= 3, (f, F)
+            assert _holds_the_sum(f, res.value, res.terms_used), (f, F)
+
+
+def test_eval_needs_the_tail_ulp_and_reads_a_factor_in_either_place():
+    # 64 equal terms of base 2**20, with A just below the size that adds a
+    # level at 500 bits: the tail past K = 31 is 0.984 ulp, nearly the
+    # whole majorant, and the blocks' floors and the rescale lose the rest,
+    # so the exact sum lies 2.016 ulps above the mantissa.  The same
+    # constant with A in the prefactor and ones as coefficients prints the
+    # same value: p enters the terms as a coefficient does
+    A = 41226797739790883666854610057822207976
+    in_coeffs = BbpFormula(1, 1 << 20, 64, (A,) * 64, Fraction(1))
+    in_prefactor = BbpFormula(1, 1 << 20, 64, (1,) * 64, Fraction(A))
+    res = eval_P(in_coeffs, 500)
+    assert res == eval_P(in_prefactor, 500)
+    assert res.terms_used == 31 and res.value.err_ulp == 3
+    exact = bbp_sum_exact(1, 1 << 20, (A,) * 64, Fraction(1), 51)
+    gap, rest = (exact - res.value.value) * (1 << 500), _tail_majorant(in_coeffs, 51) * (1 << 500)
+    assert 2 < gap - rest and gap + rest <= 3
 
 
 def test_truncation_matches_walk():
@@ -220,7 +265,7 @@ def test_truncation_stops_only_below_the_majorant():
     # top = 16 * 2 * 2**64 = 2**69 equals den(63) = 64 * 2**63 * 1: K = 63
     # leaves a majorant of exactly one ulp, so K is 64
     f = BbpFormula(1, 2, 1, (16,), Fraction(1))
-    assert _truncation(f, 64) == truncation_walk(f, 64) == (64, 1)
+    assert _truncation(f, 64) == truncation_walk(f, 64) == 64
 
 
 @pytest.mark.slow

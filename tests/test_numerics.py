@@ -28,6 +28,7 @@ from bbplog.numerics import (
 )
 
 from _oracles import (
+    decimal_of_ends,
     e_series,
     golden_decimal,
     isqrt_binary_search,
@@ -795,29 +796,6 @@ def test_decimal_full_capacity_beyond_int_str_limit():
     assert re.fullmatch(r"0\.3{6000,}~?", s)
 
 
-def _decimal_uncapped(x: FixedReal, digits: int) -> str:
-    """The common decimal prefix of both interval ends at all ``digits``
-    places, with no shortcut: the reference the capped print must match."""
-    lo, hi = x.mantissa - x.err_ulp, x.mantissa + x.err_ulp
-    if lo < 0 <= hi:
-        return "0~" if max(-lo, hi) < 1 << x.frac_bits else "~"
-    sign = ""
-    if hi < 0:
-        sign, lo, hi = "-", -hi, -lo
-    s_lo, s_hi = (str((v * 10**digits) >> x.frac_bits) for v in (lo, hi))
-    width = max(len(s_lo), len(s_hi), digits + 1)
-    s_lo, s_hi = s_lo.zfill(width), s_hi.zfill(width)
-    common = 0
-    while common < width and s_lo[common] == s_hi[common]:
-        common += 1
-    if common < width - digits:
-        return "~"
-    out = sign + (s_lo[: width - digits].lstrip("0") or "0")
-    if s_lo[width - digits : common]:
-        out += "." + s_lo[width - digits : common]
-    return out + ("~" if common < width else "")
-
-
 def test_decimal_beyond_precision_matches_uncapped_print():
     rng = random.Random(20261017)
     for _ in range(400):
@@ -826,7 +804,7 @@ def test_decimal_beyond_precision_matches_uncapped_print():
         err = rng.choice([0, 1, rng.randint(1, 1 << 8), rng.randint(1, 1 << F)])
         x = FixedReal(m, F, err)
         for digits in (F + 1, F + 7, 3 * F + 11):
-            assert x.decimal(digits) == _decimal_uncapped(x, digits), (m, F, err, digits)
+            assert x.decimal(digits) == decimal_of_ends(x, digits), (m, F, err, digits)
 
 
 def test_agreement_bits_caps_at_precision():

@@ -1,5 +1,6 @@
 """Exhaustive small-width checks of FixedReal's truncating operations,
-fx_sqrt, agreement_bits and the block floor ``formula._floor_at``.
+fx_sqrt, agreement_bits, the block floor ``formula._floor_at`` and
+``FixedReal.decimal``.
 
 At F = 2 every FixedReal(m, 2, e) with |m| <= 16 and 0 <= e <= 4 is an
 input, and each result's interval must hold the exact ``Fraction``
@@ -9,10 +10,12 @@ box lies between its corner images and the corners suffice.
 
 The fast paths in ``bbplog.numerics`` read one word of a big integer and
 fall back to the whole integer when the word leaves the answer open.
-The ``word`` fixture runs every check with that word lowered to one bit,
-where the fallbacks run, and again at the default word, where the word
-alone decides, so both sides of every word test run.  The slow variant
-does the same at F = 3 with |m| <= 24 and e <= 5.
+Only division (its error ceiling) and fx_sqrt read the word, so the
+``word`` fixture runs those two checks with that word lowered to one
+bit, where the fallbacks run, and again at the default word, where the
+word alone decides, so both sides of every word test run; the other
+operations run at the default word only.  The slow variant does the same
+at F = 3 with |m| <= 24 and e <= 5.
 """
 
 from __future__ import annotations
@@ -27,13 +30,15 @@ from bbplog import numerics
 from bbplog.formula import _floor_at
 from bbplog.numerics import FixedReal, agreement_bits, fx_sqrt
 
+from _oracles import decimal_of_ends
+
 DIVISORS = (1, -1, 2, 3, -3, 7)
 FACTORS = sorted(
     {Fraction(p, q) for p in (-7, -2, -1, 0, 1, 3, 5) for q in (1, 2, 3, 7)}
 )
 
 
-@pytest.fixture(params=[1, numerics._WORD], ids=lambda w: f"word{w}")
+@pytest.fixture
 def word(request, monkeypatch):
     monkeypatch.setattr(numerics, "_WORD", request.param)
     monkeypatch.setattr(numerics, "_WORD_MASK", (1 << request.param) - 1)
@@ -127,11 +132,21 @@ def _violations(name: str, xs: list[FixedReal]) -> tuple[int, list]:
     return count, bad
 
 
-@pytest.mark.parametrize("name", CHECKS)
+# the checks whose operation reads the word: truediv (_ceil_scaled_ratio)
+# and fx_sqrt (its exactness test)
+WORD_READERS = ("truediv", "fx_sqrt")
+
+
 @pytest.mark.parametrize(
-    "F, M, E",
-    [(2, 16, 4), pytest.param(3, 24, 5, marks=pytest.mark.slow)],
-    ids=["F2", "F3"],
+    "word, F, M, E, name",
+    [
+        pytest.param(word, F, M, E, name, id=f"word{word}-F{F}-{name}", marks=marks)
+        for F, M, E, marks in ((2, 16, 4, ()), (3, 24, 5, pytest.mark.slow))
+        for word in (1, numerics._WORD)
+        for name in CHECKS
+        if word == numerics._WORD or name in WORD_READERS
+    ],
+    indirect=["word"],
 )
 def test_every_input_at_small_width(F, M, E, name, word):
     count, bad = _violations(name, _inputs(F, M, E))
@@ -157,3 +172,16 @@ def test_floor_at_every_small_input():
         if _floor_at(num, den, w) != math.floor(Fraction(num, den) * Fraction(2) ** w)
     ]
     assert not bad, f"{len(bad)} inputs, first {bad[:3]}"
+
+
+@pytest.mark.parametrize("F", [1, 2, 3, 4, *(pytest.param(F, marks=pytest.mark.slow) for F in (5, 6, 7, 8))])
+def test_decimal_of_every_small_input(F):
+    # every |m| <= 2**(F+2), err <= 4 and digit count, the default and
+    # 0 .. F+2: past F+1 places the print pads (exact) or caps (inexact)
+    bad = [
+        (x, digits, x.decimal(digits))
+        for x in _inputs(F, 1 << (F + 2), 4)
+        for digits in (None, *range(F + 3))
+        if x.decimal(digits) != decimal_of_ends(x, digits)
+    ]
+    assert not bad, f"{len(bad)} prints differ, first {bad[:3]}"

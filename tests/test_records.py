@@ -53,8 +53,8 @@ RECORDS = {
     ),
     "EvalResult": (
         EvalResult,
-        (FixedReal(5, 8, 1), 70, 1),
-        (FixedReal(5, 8, 2), 71, 2),
+        (FixedReal(5, 8, 1), 70),
+        (FixedReal(5, 8, 2), 71),
         {},
         [],
     ),
@@ -169,3 +169,21 @@ def test_cli_import_leaves_dataclasses_out():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_fixedreal_repr_lists_its_fields_past_the_float_range():
+    # a value of 2**1936 has no float; the repr is the mantissa's
+    assert repr(FixedReal(1 << 2000, 64, 1)) == f"FixedReal(mantissa={1 << 2000}, frac_bits=64, err_ulp=1)"
+
+
+def test_repr_writes_ints_past_the_str_digit_limit_in_hex():
+    # t = 10**200 makes a base of about 8 000 digits and coefficients of
+    # up to 7 600, past the 4 300 that str(int) allows by default
+    f = family_coeffs(10**200).formula
+    text = repr(f)
+    assert text.startswith("BbpFormula(degree=1, base=0x")
+    one = BbpFormula(1, 2, 1, (10**5000,), Fraction(1))
+    for rec in (f, one):
+        assert eval(repr(rec), {"BbpFormula": BbpFormula, "Fraction": Fraction}) == rec
+    small = Fraction(1, 10**5000 + 1)
+    assert repr(FamilyInstance(1, f, small)).endswith(f"lhs_arg=Fraction(1, {hex(small.denominator)}))")
