@@ -44,10 +44,10 @@ Cost caps, each checked before any work starts (2 vCPU Xeon, Python
 - eval and verify: --bits at most MAX_BITS = 300 000.  At the cap eval
   takes 2.9 s for golden and 2.3 s for log2 end to end, the full decimal
   print 0.17 s of it (best of 3), and one verify check 5.5 s
-  (corollary), 4.3-5.8 s (theorem, t = -50 and 1) or 0.63-0.67 s
-  (decomposition, t = -50 and 1, two runs each; 1.20-1.26 s in the same
-  session while its radicands took seven square roots beyond sqrt(5))
-  by its ms= field; the time grows about quadratically in --bits.
+  (corollary), 4.3-5.8 s (theorem, t = -50 and 1) or 0.44-0.45 s
+  (decomposition, t = -50 and 1, two runs each; 0.70-0.79 s in the same
+  session while it compared the log arguments by two divisions) by its
+  ms= field; the time grows about quadratically in --bits.
 - digits: --count at most MAX_WINDOW_BITS = 4096 bits.  Golden at bit
   position 2*10**5 on one CPU (best of 5) took 163, 151, 141, 209 and
   399 ms for 64, 256, 1024, 4096 and 16 384 bits: up to the cap a window
@@ -90,12 +90,16 @@ Cost caps, each checked before any work starts (2 vCPU Xeon, Python
   --pos (extract_bits alone on both CPUs, one run each, two for the
   ones).  With the cap, the copies of degree 2 and 5 take 1.1 and 1.7
   times golden's time at the caps.
-- Neither cap weighs the size of the coefficients or of the prefactor:
-  eval's K and the spigot's k_end grow with log_b max|p * a_j| for the
+- eval's K and the spigot's k_end grow with log_b max|p * a_j| for the
   prefactor p/q, so a large p buys levels as a large coefficient does.
-  The base-2 file of 128 ones with prefactor 10**4299 took 7.9 s at
-  --bits 64 (eval_P alone, one run), as its 4 300-digit p adds about
-  14 300 levels.
+  eval's term cap counts those levels: it takes the span as --bits plus
+  the bits that _truncation's majorant adds, bitlen(max(|p|, q) *
+  max|a_j|) - bitlen(q) when positive (golden 19, log2 0, so both keep
+  their place at the cap).  The base-2 file of 128 ones with prefactor
+  10**4299 took 7.9 s at --bits 64 (eval_P alone, one run) before, as
+  its 4 300-digit p adds about 14 300 levels; it now exits 64 at once.
+  The digits cap does not weigh them yet, and neither cap weighs the
+  cost of a term's size.
 - A --t range is lazy and has no cap: verify runs one check per t in
   turn, printing as it goes, for as long as the range asks.
 """
@@ -228,9 +232,10 @@ def _check_terms(parser: _Parser, f: BbpFormula, span_bits: int, cap: int, what:
 
     It counts span_bits // floor(log2 base) + 1 levels; the library sums
     a few more (``_truncation``'s K, the spigot's k_end), and both also
-    grow with log_b max|p * a_j| for the prefactor p/q, which this count
-    does not weigh.  The caps were sized by this same rule for golden, so
-    it weighs every formula on golden's scale."""
+    grow with log_b max|p * a_j| for the prefactor p/q.  eval passes
+    those bits in ``span_bits``, digits does not.  The caps were sized by
+    this same rule for golden, so it weighs every formula on golden's
+    scale."""
     nonzero = sum(1 for a in f.coeffs if a)
     if nonzero > MAX_NONZERO:
         parser.error(f"the formula has {nonzero} nonzero coefficients; at most {MAX_NONZERO} are allowed")
@@ -333,7 +338,10 @@ def _cmd_eval(args: argparse.Namespace, parser: _Parser) -> int:
     if args.digits is not None and args.digits < 1:
         parser.error("--digits must be positive")
     f = _load_formula(args)
-    _check_terms(parser, f, args.bits, MAX_EVAL_TERMS, f"--bits {args.bits}")
+    # _truncation's majorant adds the bits of max(|p|, q) * max|a_j| over q
+    p, q = abs(f.prefactor.numerator), f.prefactor.denominator
+    extra = max(0, (max(p, q) * max(map(abs, f.coeffs))).bit_length() - q.bit_length())
+    _check_terms(parser, f, args.bits + extra, MAX_EVAL_TERMS, f"--bits {args.bits}")
     result = eval_P(f, args.bits)
     value = result.value
     print(

@@ -18,14 +18,12 @@ A truncation charges that ulp only when it drops something, and it
 learns so from the remainder of its own division (``divmod``) or from
 the bits its own shift drops, never by multiplying the quotient back.
 Every ceiling of a division by a power of two is a shift, and
-:func:`_tshift` reads the whole field its shift drops.  Two fast paths
-first look at one machine word, the low or leading ``_WORD`` bits of a
-big integer, and fall back to the whole integer only when the word
-leaves the answer open: the exactness test of :func:`fx_sqrt` and
-division's error ceiling in :func:`_ceil_scaled_ratio`.  Each path
-returns the exact integer or flag either way, so no bound here depends
-on the word size, and a test may lower it to one bit to run every
-branch at small widths.
+:func:`_tshift` reads the whole field its shift drops.  One fast path
+first looks at one machine word, the low ``_WORD`` bits of a big
+integer, and falls back to the whole integer only when the word leaves
+the answer open: the exactness test of :func:`fx_sqrt`.  It returns the
+exact flag either way, so no bound here depends on the word size, and a
+test may lower it to one bit to run both branches at small widths.
 
 The logarithm reduces x itself by repeated square roots; it splits off
 no power of two, so no ln 2 constant is needed.  It then sums the atanh
@@ -73,31 +71,6 @@ def _tshift(a: int, k: int) -> tuple[int, bool]:
     m = abs(a)
     q = m >> k
     return (q if a >= 0 else -q), m & ((1 << k) - 1) != 0
-
-
-def _ceil_scaled_ratio(c: int, F: int, a: int, b: int) -> int:
-    """ceil(c * 2**F / (a*b)) for c >= 0 and a, b > 0: division's error
-    ceiling, bounded first from the word-sized leading bits of a and b.
-
-    With s_a = max(0, bitlen(a) - the word) and h_a = a >> s_a, h_a *
-    2**s_a <= a < (h_a + 1) * 2**s_a, and a = h_a * 2**s_a when s_a = 0;
-    b likewise.  So a*b lies in [lo, hi] * 2**s, s = s_a + s_b, with lo
-    = h_a * h_b and hi the product of h_a and h_b, each plus one when its
-    shift is positive, and the result lies between ceil(c * 2**(F-s) /
-    hi) and ceil(c * 2**(F-s) / lo).  For s > F both are taken of ceil(c
-    / 2**(s-F)) instead, as ceil(ceil(x) / n) = ceil(x / n) for positive
-    integers n.  When the two agree, that is the result; only when they
-    differ is a*b formed.
-    """
-    sa = max(a.bit_length() - _WORD, 0)
-    sb = max(b.bit_length() - _WORD, 0)
-    ha, hb = a >> sa, b >> sb
-    d = F - sa - sb
-    n = c << d if d >= 0 else -(-c >> -d)
-    up = -(-n // (ha * hb))
-    if up == -(-n // ((ha + (sa > 0)) * (hb + (sb > 0)))):
-        return up
-    return -(-(c << F) // (a * b))
 
 
 class FixedReal(Record):
@@ -208,7 +181,8 @@ class FixedReal(Record):
     def __truediv__(self, other: "FixedReal") -> "FixedReal":
         # |a/b - m1/m2| = |d1*m2 - d2*m1| / (|b|*|m2|)
         #             <= (e1*|m2| + e2*|m1|) * u / ((|m2| - e2)*u * |m2|)
-        # requires the divisor interval to exclude zero.
+        # requires the divisor interval to exclude zero; charged as the
+        # exact ceiling of that in ulps.
         self._check_compatible(other)
         F = self.frac_bits
         m2, e2 = other.mantissa, other.err_ulp
@@ -217,7 +191,7 @@ class FixedReal(Record):
             raise PrecisionError("divisor interval contains zero")
         m, inexact = _tdivmod(self.mantissa << F, m2)
         cross = self.err_ulp * a2 + e2 * abs(self.mantissa)
-        return FixedReal(m, F, _ceil_scaled_ratio(cross, F, a2, a2 - e2) + inexact)
+        return FixedReal(m, F, -(-(cross << F) // (a2 * (a2 - e2))) + inexact)
 
     def rescale(self, frac_bits: int) -> "FixedReal":
         """Convert to another precision (exact when widening)."""

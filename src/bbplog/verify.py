@@ -3,10 +3,10 @@
 Each check computes both sides of an identity along independent code
 paths at the target precision plus 88 guard bits and reports how many
 leading bits provably agree.  The decomposition's two sides are halves
-of logs, so its check bounds their gap from the logs' two arguments and
-takes no log; :func:`verify_decomposition` states that bound.  The right
-side's four radicands need sqrt(2) times four cosines of multiples of
-pi/20.  Each angle is, up to sign, pi/4 plus or minus pi/5 or pi/10, so
+of logs, so its check bounds their gap from cross products of the logs'
+two arguments and takes no log; :func:`verify_decomposition` states
+that bound.  The right side's four radicands need sqrt(2) times four
+cosines of multiples of pi/20.  Each angle is, up to sign, pi/4 plus or minus pi/5 or pi/10, so
 the angle-sum formula builds them from sqrt(5) and two more square roots.
 Reports serialize one per line as
 
@@ -142,31 +142,39 @@ def verify_decomposition(t: int, target_bits: int) -> VerificationReport:
     atanh(a) = sign(a) * ln(X)/2 for X = (1+|a|)/(1-|a|), and the right
     side -1/2 sum_i (-1)**i ln R_i is ln(R_1 R_3 / (R_0 R_2))/2.  Y is
     that quotient when a >= 0 and its inverse otherwise, so |lhs - rhs|
-    = |ln X - ln Y|/2 for either sign.  For positive X and Y the mean
-    value theorem gives |ln X - ln Y| = |X - Y|/xi for some xi between
-    them; with mantissas X_m, Y_m and bounds e_X, e_Y in ulps 2**-F,
+    = |ln X - ln Y|/2 for either sign.  Write Y = C/E with (E, C) =
+    (R_0 R_2, R_1 R_3), swapped when a < 0: then X/Y = P/Q for the cross
+    products P = (1+|a|) E and Q = (1-|a|) C, and no division is needed.
+    For positive P and Q the mean value theorem gives |ln P - ln Q| =
+    |P - Q|/xi for some xi between them; with mantissas P_m, Q_m and
+    bounds e_P, e_Q in ulps 2**-W,
 
-        |lhs - rhs| <= (|X_m - Y_m| + e_X + e_Y) / (2 min(X_m - e_X, Y_m - e_Y))
+        |lhs - rhs| <= (|P_m - Q_m| + e_P + e_Q) / (2 min(P_m - e_P, Q_m - e_Q))
 
     whether or not the identity holds, so a false one still fails.  The
-    report counts F - bitlen(ceil(2**F * bound)) bits, as
-    :func:`agreement_bits` does.
+    ratio does not depend on W; the report counts F - bitlen(ceil(2**F *
+    bound)) bits, as :func:`agreement_bits` does.  The products are
+    taken at W = F + 4 bits, from a and the radicands widened exactly, so
+    each of their roundings weighs a sixteenth of an ulp of 2**-F.
 
     The lower end is positive for every nonzero t at F >= 89 bits (a
     target of 1 bit or more), so the PrecisionError below is never
-    raised.  X >= 1 and e_X < 400: for u = N/D, 2D - 5|N| >= 0 at every
-    nonzero integer t (it is 8t^4 - 14t^3 + 11t^2 - 7t + 2 for t > 0 and
-    8s^4 - 6s^3 + s^2 - 3s + 2 with s = -t for t < 0), so |a| <= 2/sqrt(5)
-    and 1 - |a| > 0.105.
-    Y > 2**-11 and e_Y < 2**23: each R_i lies in [(1-|q|)^2, (1+|q|)^2]
-    with |q| <= 1/sqrt(2), so Y >= ((1-|q|)/(1+|q|))^4 > 8e-4 and each
-    product lies in [0.0073, 8.5].  sqrt(5) carries 1 ulp, cos(pi/5) and
-    sin(pi/10) 2 each, and cos(pi/10) and sin(pi/5) 4 and 5 (a square
+    raised.  P > 0.0073 and Q > 7.7e-4: for u = N/D, 2D - 5|N| >= 0 at
+    every nonzero integer t (it is 8t^4 - 14t^3 + 11t^2 - 7t + 2 for
+    t > 0 and 8s^4 - 6s^3 + s^2 - 3s + 2 with s = -t for t < 0), so
+    |a| <= 2/sqrt(5) and 1 - |a| > 0.1055.  Each R_i lies in
+    [(1-|q|)^2, (1+|q|)^2] with |q| <= 1/sqrt(2), so each product lies
+    in [0.00735, 8.5], and 1 + |a| >= 1.
+    e_P < 1500 and e_Q < 900: sqrt(5) carries 1 ulp of 2**-F, cos(pi/5)
+    and sin(pi/10) 2 each, and cos(pi/10) and sin(pi/5) 4 and 5 (a square
     root adds 1 to ceil(2/sqrt(x)) for its argument x, which carries 2).
     So each sqrt(2)*cos x_i carries at most 7 ulps and each R_i at most
-    ceil(7/|t|) + 1 <= 8.  R_0 + R_2 and R_1 + R_3 stay below 4.62, so
-    each product carries at most ceil(8 * 4.62) + 1 < 40 ulps, and e_Y <
-    1 + 40 * (8.5 + 0.0073) / 0.0073**2 < 2**23.
+    ceil(7/|t|) + 1 <= 8, so 128 ulps of 2**-W; a carries ceil(|u|) + 1
+    = 2, so 32.  R_0 + R_2 and R_1 + R_3 stay below 4.62, so each product
+    carries at most ceil(128 * 4.62) + 1 < 600 ulps, and with 1 + |a| <
+    1.9 and 1 - |a| <= 1, e_P <= ceil(1.9 * 600 + 8.5 * 32) + 1 < 1500
+    and e_Q <= ceil(600 + 8.5 * 32) + 1 < 900.  So the lower end is at
+    least 7.7e-4 * 2**W - 2 * 1500 > 0 for W >= 93.
     """
     started = time.perf_counter()
     work = _work_bits(target_bits)
@@ -174,15 +182,15 @@ def verify_decomposition(t: int, target_bits: int) -> VerificationReport:
         raise DomainError("t must be a nonzero integer")
     s5 = fx_sqrt(FixedReal.from_int(5, work))
     a = s5.mul_fraction(_lhs_argument(t))
-    r0, r1, r2, r3 = _decomposition_radicands(t, s5)
-    num, den = r0 * r2, r1 * r3
-    one = FixedReal.from_int(1, work)
-    x = (one + abs(a)) / (one - abs(a))
-    y = den / num if a.mantissa >= 0 else num / den
-    low = min(x.mantissa - x.err_ulp, y.mantissa - y.err_ulp)
+    wide = work + 4
+    r0, r1, r2, r3 = (r.rescale(wide) for r in _decomposition_radicands(t, s5))
+    e, c = (r0 * r2, r1 * r3) if a.mantissa >= 0 else (r1 * r3, r0 * r2)
+    one, abs_a = FixedReal.from_int(1, wide), abs(a).rescale(wide)
+    P, Q = (one + abs_a) * e, (one - abs_a) * c
+    low = min(P.mantissa - P.err_ulp, Q.mantissa - Q.err_ulp)
     if low <= 0:
-        raise PrecisionError("decomposition quotient interval reaches zero")
-    spread = abs(x.mantissa - y.mantissa) + x.err_ulp + y.err_ulp
+        raise PrecisionError("decomposition product interval reaches zero")
+    spread = abs(P.mantissa - Q.mantissa) + P.err_ulp + Q.err_ulp
     worst = -(-(spread << work) // (2 * low))
     agree = work - worst.bit_length()
     return _report(f"decomposition(t={t})", agree, target_bits, started)

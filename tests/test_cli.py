@@ -207,6 +207,39 @@ def test_eval_term_cap_weights_the_degree(capsys, monkeypatch, tmp_path):
     assert calls == [cli.MAX_BITS] * len(within)
 
 
+def test_eval_term_cap_counts_the_prefactor_bits(capsys, monkeypatch, tmp_path):
+    # eval's K grows with the bits of max(|p|, q) * max|a_j| over q for the
+    # prefactor p/q: the base-2 file of 128 ones with prefactor 10**4299
+    # ran 7.9 s in eval_P at --bits 64 before the cap counted them
+    calls = []
+    log2 = formula.eval_P(formula.parse_formula(LOG2_TEXT), 64)
+
+    def evaluate(f, bits):
+        calls.append(f.prefactor)
+        return log2
+
+    monkeypatch.setattr(cli, "eval_P", evaluate)
+
+    def ones(name, pre):
+        path = tmp_path / f"{name}.bbp"
+        path.write_text(f"bbp 1\ns 1\nb 2\nl 128\npre {pre}\nA{' 1' * 128}\n", encoding="utf-8")
+        return str(path)
+
+    # 64 + 2747 bits make 2 812 levels of 128 terms, within 360 024; one
+    # bit more is not, and a large q adds no bits
+    for name, pre, message in (
+        ("e4299", f"{10**4299}/1", "--bits 64 takes 1836160 terms"),
+        ("p2748", f"{2**2748}/1", "--bits 64 takes 360064 terms"),
+    ):
+        code, err = run_usage_error(capsys, "eval", "--bits", "64", "--formula", ones(name, pre))
+        assert code == 64
+        assert message in err
+    assert calls == []
+    for name, pre in (("p2747", f"{2**2747}/1"), ("q3000", f"1/{2**3000}")):
+        assert run(capsys, "eval", "--bits", "64", "--formula", ones(name, pre))[0] == 0, name
+    assert len(calls) == 2
+
+
 def test_digits_caps_the_nonzero_coefficients_times_the_degree(capsys, monkeypatch, tmp_path):
     # a block's modulus holds nonzero * s factors per level: a copy of
     # golden of degree 5 (120 factors) is within the caps, one of degree 6

@@ -1,6 +1,6 @@
 """Exhaustive small-width checks of FixedReal's truncating operations,
-fx_sqrt, agreement_bits, the block floor ``formula._floor_at`` and
-``FixedReal.decimal``.
+fx_sqrt, fx_log, agreement_bits, the block floor ``formula._floor_at``
+and ``FixedReal.decimal``.
 
 At F = 2 every FixedReal(m, 2, e) with |m| <= 16 and 0 <= e <= 4 is an
 input, and each result's interval must hold the exact ``Fraction``
@@ -8,14 +8,14 @@ image of every corner of its inputs' intervals.  Each operation is
 monotone in each argument there, or bilinear, so the image of the input
 box lies between its corner images and the corners suffice.
 
-The fast paths in ``bbplog.numerics`` read one word of a big integer and
-fall back to the whole integer when the word leaves the answer open.
-Only division (its error ceiling) and fx_sqrt read the word, so the
-``word`` fixture runs those two checks with that word lowered to one
-bit, where the fallbacks run, and again at the default word, where the
-word alone decides, so both sides of every word test run; the other
-operations run at the default word only.  The slow variant does the same
-at F = 3 with |m| <= 24 and e <= 5.
+The fast path in ``bbplog.numerics`` reads one word of a big integer and
+falls back to the whole integer when the word leaves the answer open.
+Only fx_sqrt (its exactness test) reads the word, so the ``word``
+fixture runs its check with that word lowered to one bit, where the
+fallback runs, and again at the default word, where the word alone
+decides, so both sides of the word test run; the other operations run
+at the default word only.  The slow variant does the same at F = 3 with
+|m| <= 24 and e <= 5.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import pytest
 
 from bbplog import numerics
 from bbplog.formula import _floor_at
-from bbplog.numerics import FixedReal, agreement_bits, fx_sqrt
+from bbplog.numerics import FixedReal, agreement_bits, fx_log, fx_sqrt
 
 from _oracles import decimal_of_ends
 
@@ -132,9 +132,8 @@ def _violations(name: str, xs: list[FixedReal]) -> tuple[int, list]:
     return count, bad
 
 
-# the checks whose operation reads the word: truediv (_ceil_scaled_ratio)
-# and fx_sqrt (its exactness test)
-WORD_READERS = ("truediv", "fx_sqrt")
+# the checks whose operation reads the word: fx_sqrt (its exactness test)
+WORD_READERS = ("fx_sqrt",)
 
 
 @pytest.mark.parametrize(
@@ -152,6 +151,30 @@ def test_every_input_at_small_width(F, M, E, name, word):
     count, bad = _violations(name, _inputs(F, M, E))
     assert count > 0
     assert not bad, f"{len(bad)} of {count} results miss a corner, first {bad[:3]}"
+
+
+def _raw_fraction(raw) -> Fraction:
+    """An mpmath raw mpf (sign, man, exp, bc) of a finite value, exactly."""
+    sign, man, exp, _ = raw
+    v = man * Fraction(2) ** exp
+    return -v if sign else v
+
+
+@pytest.mark.parametrize("F", [1, 2, 3, *(pytest.param(F, marks=pytest.mark.slow) for F in (4, 5, 6))])
+def test_fx_log_of_every_small_input(F, monkeypatch):
+    # every 0 < m - e with m <= 2**(F+2) and e <= 4: ln is increasing, so
+    # the result's interval must hold mpmath's certified enclosures of ln
+    # at both ends of the input's
+    iv = pytest.importorskip("mpmath").iv
+    monkeypatch.setattr(iv, "prec", 100)
+    bad = []
+    for x in (FixedReal(m, F, e) for m in range(1, (1 << (F + 2)) + 1) for e in range(min(4, m - 1) + 1)):
+        lo, hi = _ends(fx_log(x))
+        for end in (x.mantissa - x.err_ulp, x.mantissa + x.err_ulp):
+            a, b = map(_raw_fraction, iv.log(iv.mpf(end) / (1 << F))._mpi_)
+            if not lo <= a <= b <= hi:
+                bad.append((x, end))
+    assert not bad, f"{len(bad)} inputs, first {bad[:3]}"
 
 
 def test_agreement_bits_of_every_pair_at_small_width():
