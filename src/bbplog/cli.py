@@ -92,14 +92,14 @@ Cost caps, each checked before any work starts (2 vCPU Xeon, Python
   times golden's time at the caps.
 - eval's K and the spigot's k_end grow with log_b max|p * a_j| for the
   prefactor p/q, so a large p buys levels as a large coefficient does.
-  eval's term cap counts those levels: it takes the span as --bits plus
-  the bits that _truncation's majorant adds, bitlen(max(|p|, q) *
-  max|a_j|) - bitlen(q) when positive (golden 19, log2 0, so both keep
-  their place at the cap).  The base-2 file of 128 ones with prefactor
-  10**4299 took 7.9 s at --bits 64 (eval_P alone, one run) before, as
-  its 4 300-digit p adds about 14 300 levels; it now exits 64 at once.
-  The digits cap does not weigh them yet, and neither cap weighs the
-  cost of a term's size.
+  Both term caps count those levels: each takes the span as --bits, or
+  the bit position, plus the bits that _truncation's majorant adds,
+  bitlen(max(|p|, q) * max|a_j|) - bitlen(q) when positive (golden 19,
+  log2 0, so both keep their place at the caps).  The base-2 file of 128
+  ones with prefactor 10**4299 took 7.9 s at --bits 64 (eval_P alone,
+  one run) before, as its 4 300-digit p adds 14 280 bits; eval of it
+  now exits 64 at once, and digits from --pos 266 970 on.  Neither cap
+  weighs the cost of a term's size.
 - A --t range is lazy and has no cap: verify runs one check per t in
   turn, printing as it goes, for as long as the range asks.
 """
@@ -230,16 +230,18 @@ def _check_terms(parser: _Parser, f: BbpFormula, span_bits: int, cap: int, what:
     value, each weighted by the degree up to MAX_DEGREE (a formula of
     higher degree is refused before any work).
 
-    It counts span_bits // floor(log2 base) + 1 levels; the library sums
-    a few more (``_truncation``'s K, the spigot's k_end), and both also
-    grow with log_b max|p * a_j| for the prefactor p/q.  eval passes
-    those bits in ``span_bits``, digits does not.  The caps were sized by
-    this same rule for golden, so it weighs every formula on golden's
-    scale."""
+    ``_truncation``'s K and the spigot's k_end both grow with
+    log_b max|p * a_j| for the prefactor p/q, so the span takes the bits
+    of max(|p|, q) * max|a_j| over q as well, when positive, and counts
+    (span_bits + extra) // floor(log2 base) + 1 levels; the library sums
+    a few more.  The caps were sized by this same rule for golden, so it
+    weighs every formula on golden's scale."""
     nonzero = sum(1 for a in f.coeffs if a)
     if nonzero > MAX_NONZERO:
         parser.error(f"the formula has {nonzero} nonzero coefficients; at most {MAX_NONZERO} are allowed")
-    levels = span_bits // (f.base.bit_length() - 1) + 1
+    p, q = abs(f.prefactor.numerator), f.prefactor.denominator
+    extra = max(0, (max(p, q) * max(map(abs, f.coeffs))).bit_length() - q.bit_length())
+    levels = (span_bits + extra) // (f.base.bit_length() - 1) + 1
     terms = levels * nonzero * min(f.degree, MAX_DEGREE)
     if terms > cap:
         parser.error(f"{what} takes {terms} terms with this formula (each counted once per degree); at most {cap} are allowed")
@@ -338,10 +340,7 @@ def _cmd_eval(args: argparse.Namespace, parser: _Parser) -> int:
     if args.digits is not None and args.digits < 1:
         parser.error("--digits must be positive")
     f = _load_formula(args)
-    # _truncation's majorant adds the bits of max(|p|, q) * max|a_j| over q
-    p, q = abs(f.prefactor.numerator), f.prefactor.denominator
-    extra = max(0, (max(p, q) * max(map(abs, f.coeffs))).bit_length() - q.bit_length())
-    _check_terms(parser, f, args.bits + extra, MAX_EVAL_TERMS, f"--bits {args.bits}")
+    _check_terms(parser, f, args.bits, MAX_EVAL_TERMS, f"--bits {args.bits}")
     result = eval_P(f, args.bits)
     value = result.value
     print(

@@ -240,6 +240,34 @@ def test_eval_term_cap_counts_the_prefactor_bits(capsys, monkeypatch, tmp_path):
     assert len(calls) == 2
 
 
+def test_digits_head_cap_counts_the_prefactor_bits(capsys, monkeypatch, tmp_path):
+    # the spigot's k_end grows with the same bits as eval's K: the base-2
+    # file of 128 ones with prefactor 10**4299 has 14 280 of them, so at
+    # --pos 266 969 its 281 250 levels of 128 terms are within 36 000 024
+    # and one position more is not; a large q adds no bits
+    calls = []
+
+    def extract(plan, n, count):
+        calls.append(n)
+        return DigitWindow(bits="0" * count, certified=count)
+
+    monkeypatch.setattr(cli, "extract_bits", extract)
+
+    def ones(name, pre):
+        path = tmp_path / f"{name}.bbp"
+        path.write_text(f"bbp 1\ns 1\nb 2\nl 128\npre {pre}\nA{' 1' * 128}\n", encoding="utf-8")
+        return str(path)
+
+    big_p, big_q = ones("e4299", f"{10**4299}/1"), ones("q3000", f"1/{2**3000}")
+    code, err = run_usage_error(capsys, "digits", "--formula", big_p, "--pos", "266970")
+    assert code == 64
+    assert "--pos 266970 takes 36000128 terms" in err
+    assert calls == []
+    for path, pos in ((big_p, 266_969), (big_q, 281_249)):
+        assert run(capsys, "digits", "--formula", path, "--pos", str(pos))[0] == 0, path
+    assert calls == [266_969, 281_249]
+
+
 def test_digits_caps_the_nonzero_coefficients_times_the_degree(capsys, monkeypatch, tmp_path):
     # a block's modulus holds nonzero * s factors per level: a copy of
     # golden of degree 5 (120 factors) is within the caps, one of degree 6
@@ -262,7 +290,10 @@ def test_digits_caps_the_nonzero_coefficients_times_the_degree(capsys, monkeypat
         f" per degree (degree 6); at most {cli.MAX_NONZERO} are allowed\n"
     ) in err
     assert calls == []
-    last_pos = (cli.MAX_HEAD_TERMS // (24 * 5) - 1) * 20 + 19
+    # golden's prefactor and coefficients add 19 span bits, which carry
+    # positions 20m+1..20m+19 into the next level: the last level's first
+    # position is the last one within the cap
+    last_pos = (cli.MAX_HEAD_TERMS // (24 * 5) - 1) * 20
     for pos in (0, last_pos):
         assert run(capsys, "digits", "--formula", str(paths[5]), "--pos", str(pos))[0] == 0
     assert calls == [(5, 0), (5, last_pos)]
@@ -293,6 +324,26 @@ def test_handler_usage_error_shows_its_subcommand(capsys, tmp_path):
     assert code == 64
     assert err.startswith("usage: bbplog digits ")
     assert "bbplog digits: error: the formula has 4000 nonzero coefficients" in err
+
+
+# BBP's pi formula, pi = P(1, 16, 8, (4, 0, 0, -2, -1, -1, 0, 0)): its
+# hex digits are published, so they check digits from outside the code
+PI_TEXT = "bbp 1\ns 1\nb 16\nl 8\npre 1/1\nA 4 0 0 -2 -1 -1 0 0\n"
+
+
+@pytest.mark.parametrize("pos, digits", [
+    ("0", "243f6a8885a308d3"),  # pi = 3.243f6a8885a308d3...
+    # the position-10**6 entry in the table of Bailey, Borwein & Plouffe,
+    # Math. Comp. 66 (1997): the table counts hex digits from 1 after the
+    # point, --pos from 0, so its position 10**6 is --pos 999999
+    pytest.param("999999", "26c65e52cb4593", marks=pytest.mark.slow),
+])
+def test_digits_of_pi_match_the_published_hex_digits(capsys, tmp_path, pos, digits):
+    path = tmp_path / "pi.bbp"
+    path.write_text(PI_TEXT, encoding="utf-8")
+    code, out, _ = run(capsys, "digits", "--formula", str(path), "--radix", "16", "--pos", pos, "--count", "64")
+    assert code == 0
+    assert re.fullmatch(f"pos={pos} radix=16 digits={digits}[0-9a-f]* certified=16\n", out)
 
 
 def test_digits_unsupported_formula_exits_2(capsys, tmp_path):
