@@ -355,12 +355,13 @@ def _atanh_small(z: FixedReal) -> FixedReal:
     is nondecreasing with steps t = delta_{b+1} - delta_b <= c.  The
     widths fall about linearly to zero over the blocks, as nb*c ~ F.
 
-    * Block sum: S_b = floor(sum_j (pm_j >> delta_b) * (D/d_j) / D),
-      over d_j = 2(b*s+j)+1 and D = prod d_j, stands for sum_j y**j/d_j.
-      Term j is off by at most pe_j/2**delta_b from the shift of the
-      true y**j, plus one when the shift drops a set bit, all over d_j:
-      charged ceil(sum_j (ceil(pe_j/2**delta_b) + dropped_j) * (D/d_j)
-      / D), plus one ulp if the floor leaves a remainder.
+    * Term: block b adds S_b = sum_j floor((pm_j >> delta_b) / d_j) over
+      its terms, d_j = 2(b*s+j)+1, each standing for y**j/d_j.  The
+      shift pm_j >> delta_b is off from the true y**j by at most
+      ceil(pe_j/2**delta_b), plus one when it drops a set bit, so the
+      term is charged ceil((ceil(pe_j/2**delta_b) + dropped_j) / d_j),
+      plus one ulp if its floor leaves a remainder.  Each divisor d_j <=
+      2n-1 <= F fits one 30-bit CPython digit.
     * Horner step: acc_b = floor(acc_{b+1} * Y_m / 2**(F-t)) + S_b.
       err_{b+1} ulp of block b+1, times |Y|, is below err_{b+1} ulp of
       block b, as |Y| * 2**t < 1, so it is carried unchanged; the
@@ -394,7 +395,9 @@ def _atanh_horner(pm: list[int], pe: list[int], n: int, F: int) -> tuple[int, in
     """The tapered Horner sum of :func:`_atanh_small`, whose docstring
     states its bound: sum_{k<n} y_k/(2k+1) in units of 2**-F and its
     err_ulp, from mantissas pm >= 0 and errors pe of y**0..y**s, s =
-    len(pm) - 1, with y_k = y**(k mod s) * (y**s)**(k div s)."""
+    len(pm) - 1, with y_k = y**(k mod s) * (y**s)**(k div s).  Every
+    term is floored by its own 2k+1, so no block has a common
+    denominator."""
     s = len(pm) - 1
     Ym, Ye = pm[s], pe[s]
     c = F - (Ym + Ye).bit_length()
@@ -411,16 +414,11 @@ def _atanh_horner(pm: list[int], pe: list[int], n: int, F: int) -> tuple[int, in
         acc = prod >> shift
         if acc << shift != prod:
             err += 1
-        ks = range(b * s, min(b * s + s, n))
-        D = math.prod(2 * k + 1 for k in ks)
-        num = es = 0
-        for j, k in enumerate(ks):
-            q = D // (2 * k + 1)
-            num += (pm[j] >> delta) * q
-            es += (-(-pe[j] >> delta) + (delta > tz[j])) * q
-        S, rem = divmod(num, D)
-        acc += S
-        err += -(-es // D) + (rem != 0)
+        for j, d in enumerate(range(2 * b * s + 1, 2 * min(b * s + s, n), 2)):
+            S, rem = divmod(pm[j] >> delta, d)
+            acc += S
+            e = -(-pe[j] >> delta) + (delta > tz[j])
+            err += -(-e // d) + (rem != 0)
         above = delta
     return acc, err
 

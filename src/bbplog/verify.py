@@ -175,6 +175,15 @@ def verify_decomposition(t: int, target_bits: int) -> VerificationReport:
     1.9 and 1 - |a| <= 1, e_P <= ceil(1.9 * 600 + 8.5 * 32) + 1 < 1500
     and e_Q <= ceil(600 + 8.5 * 32) + 1 < 900.  So the lower end is at
     least 7.7e-4 * 2**W - 2 * 1500 > 0 for W >= 93.
+
+    The roots' propagated parts, ceil(2/sqrt(x)), are margin in the
+    radicands.  The floor sqrt(5) is under 1 ulp below the truth, so
+    (5 + sqrt5)/8 is under 1 ulp below it and (5 - sqrt5)/8 under 7/8
+    ulp below and 1/8 above it; at F >= 89 their roots (x > 0.90 and x >
+    0.34) then add under 0.53 and 0.75 ulp to their own truncation.  And
+    cos(pi/5) and sin(pi/10) lie under their charge less 1 ulp below the
+    truth.  So each sum and difference that makes a sqrt(2)*cos x_i is
+    off by less than the charge it keeps without the propagated parts.
     """
     started = time.perf_counter()
     work = _work_bits(target_bits)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import decimal
 import functools
 import hashlib
+import itertools
 import math
 import random
 import re
@@ -500,7 +501,8 @@ def _assert_horner_holds(pm: list[int], pe: list[int], n: int, F: int) -> None:
 
 def test_atanh_horner_charges_each_inexact_floor():
     F = 64
-    # one block, exact shifts: only the block's floor, by 3, is inexact
+    # one block, exact shifts: only the terms' floors, by 3 and by 5, are
+    # inexact
     _assert_horner_holds([1 << F, 1 << 50, 1 << 40, 1 << 20], [0] * 4, 3, F)
     # s = 1, three blocks at delta 0, 8, 16: every block sum is exact, and
     # only the two Horner floors lose (almost) a whole ulp each
@@ -528,6 +530,36 @@ def test_atanh_horner_holds_exact_sums_at_its_corners(F):
             pm[s] >>= 1
             pe[s] >>= 1
         _assert_horner_holds(pm, pe, rng.randint(1, 12 * s), F)
+
+
+def _small_horner_inputs(F: int, s: int):
+    """Every (pm, pe) of s + 1 powers at width F with pm_j <= 2**F, pe_j <=
+    3 and Y_m + Y_e < 2**F; at s = 2, y**0 is the exact one of
+    _atanh_small, as s = 1 already runs every y**0."""
+    pairs = list(itertools.product(range((1 << F) + 1), range(4)))
+    tops = [(m, e) for m, e in pairs if m + e < 1 << F]
+    heads = [[p] for p in pairs] if s == 1 else [[(1 << F, 0), p] for p in pairs]
+    for head in heads:
+        for top in tops:
+            pm, pe = zip(*head, top)
+            yield list(pm), list(pe)
+
+
+@pytest.mark.parametrize("s", [1, 2])
+@pytest.mark.parametrize(
+    "F",
+    [
+        1, 2, 3, 4,
+        pytest.param(5, marks=pytest.mark.slow),
+        pytest.param(6, marks=pytest.mark.slow),
+    ],
+)
+def test_atanh_horner_holds_every_small_case(F, s):
+    # exhaustive at small widths, where each floor and each charge is a
+    # sizeable part of an ulp: 1 <= n <= 3s covers one to three blocks
+    for pm, pe in _small_horner_inputs(F, s):
+        for n in range(1, 3 * s + 1):
+            _assert_horner_holds(pm, pe, n, F)
 
 
 def test_atanh_series_rejects_half_and_keeps_exact_zero():

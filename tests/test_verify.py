@@ -210,12 +210,15 @@ def test_decomposition_reads_no_lower_than_its_two_logs(bits):
         assert verify_decomposition(t, bits).agreement_bits >= agreement_bits(lhs, rhs), t
 
 
-@pytest.mark.parametrize("work", [64, 1088])
+@pytest.mark.parametrize("work", [*range(1, 65), 1088])
 def test_decomposition_radicands_hold_the_half_angle_oracle(monkeypatch, work):
     # the library takes the angle-sum route, the decimal oracle the
     # half-angle chain: every R_i interval must hold the oracle's radicand,
     # widened by its bound, and carry at most the 8 ulps that
-    # verify_decomposition's docstring states
+    # verify_decomposition's docstring states.  Up to 64 bits the widths
+    # bring some R_i's error near its bound, so every charge of the chain
+    # fails here when dropped, but the square roots' propagated parts,
+    # which that docstring shows are margin
     ctx = decimal.Context(prec=work * 30103 // 100000 + 12)
     s5 = fx_sqrt(FixedReal.from_int(5, work))
     for t in [*range(-50, 0), *range(1, 51)]:
