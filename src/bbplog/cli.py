@@ -28,9 +28,9 @@ multiple of 4 and --pos counts four bits per hex digit.  The library sees
 a value only once the formula is loaded, so with a bad formula file as
 well the file's error (65, or 2 if unsupported) is the one reported.
 The formula caps are checked once the formula is loaded, and for digits
-once its plan is built, before any extraction or evaluation; so digits
-reports a degree above MAX_DEGREE (2) before the caps, and eval only for
-a formula within them.
+once its plan is built, before any extraction or evaluation; a formula
+of degree above MAX_DEGREE skips them, so eval and digits both report
+it as unsupported (2) at any flag value.
 
 verify prints each REPORT line as soon as its check finishes: first every
 theorem check, then the corollary, then every decomposition check.  The
@@ -227,8 +227,9 @@ class _DataError(Exception):
 def _check_terms(parser: _Parser, f: BbpFormula, span_bits: int, cap: int, what: str) -> None:
     """The formula caps: its nonzero coefficients, and the terms that its
     levels over ``span_bits`` bits make for ``what``, a flag and its
-    value, each weighted by the degree up to MAX_DEGREE (a formula of
-    higher degree is refused before any work).
+    value, each weighted by the degree.  A formula of degree above
+    MAX_DEGREE passes unweighed, so that the library's refusal (exit 2)
+    comes before any cap, for eval as for digits.
 
     ``_truncation``'s K and the spigot's k_end both grow with
     log_b max|p * a_j| for the prefactor p/q, so the span takes the bits
@@ -236,13 +237,15 @@ def _check_terms(parser: _Parser, f: BbpFormula, span_bits: int, cap: int, what:
     (span_bits + extra) // floor(log2 base) + 1 levels; the library sums
     a few more.  The caps were sized by this same rule for golden, so it
     weighs every formula on golden's scale."""
+    if f.degree > MAX_DEGREE:
+        return
     nonzero = sum(1 for a in f.coeffs if a)
     if nonzero > MAX_NONZERO:
         parser.error(f"the formula has {nonzero} nonzero coefficients; at most {MAX_NONZERO} are allowed")
     p, q = abs(f.prefactor.numerator), f.prefactor.denominator
     extra = max(0, (max(p, q) * max(map(abs, f.coeffs))).bit_length() - q.bit_length())
     levels = (span_bits + extra) // (f.base.bit_length() - 1) + 1
-    terms = levels * nonzero * min(f.degree, MAX_DEGREE)
+    terms = levels * nonzero * f.degree
     if terms > cap:
         parser.error(f"{what} takes {terms} terms with this formula (each counted once per degree); at most {cap} are allowed")
 

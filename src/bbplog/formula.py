@@ -261,24 +261,19 @@ def _truncation(f: BbpFormula, frac_bits: int) -> int:
     den is strictly increasing; let r solve log2 den(r) = log2 top.
     Dropping the factor (K*l+1)**s gives y = log2(top/(q*(b-1))) / log2 b
     >= r, and putting y into that factor gives x = y - s*log2(y*l+1) /
-    log2 b <= r, close below r when K is large against s.  From K =
-    ceil(x), in floats, b**K is computed once; exact comparisons then
-    step K down while den(K-1) > top and up while den(K) <= top, dividing
-    or multiplying that power by b, so K is exact whatever the rounding.
+    log2 b <= r, close below r when K is large against s.  The exact K
+    is floor(r) + 1, so floor(x) <= K whenever the floats err by less
+    than a level (math.log2 of these ints errs by about 1e-10).  From
+    K = floor(x), b**K is computed once; exact comparisons then step K up
+    while den(K) <= top, multiplying that power by b, so K is exact.
     """
     length, degree, b, q = f.length, f.degree, f.base, f.prefactor.denominator
     top = max(abs(f.prefactor.numerator), q) * max(abs(a) for a in f.coeffs) * length * b << frac_bits
-
-    def den(K: int, bK: int) -> int:
-        return (K * length + 1) ** degree * bK * (b - 1) * q
-
     lb = math.log2(b)
     y = (math.log2(top) - math.log2((b - 1) * q)) / lb
-    K = max(0, math.ceil(y - degree * math.log2(max(0.0, y) * length + 1) / lb))
+    K = max(0, math.floor(y - degree * math.log2(max(0.0, y) * length + 1) / lb))
     bK = b**K
-    while K and top < den(K - 1, bK // b):
-        K, bK = K - 1, bK // b
-    while top >= den(K, bK):
+    while top >= (K * length + 1) ** degree * bK * (b - 1) * q:
         K, bK = K + 1, bK * b
     return K
 

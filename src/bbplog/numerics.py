@@ -11,8 +11,12 @@ holds for every value an operation returns.  Integer and rational
 arithmetic are exact (Python ``int`` / ``fractions.Fraction``); rounding
 happens only when a result is folded back into a mantissa, always by
 truncation toward zero, and every truncation charges at most one ulp to
-the error bound.  The bounds are proved by the per-operation ulp algebra
-documented inline, never estimated.
+the error bound.  Four ``FixedReal`` operations truncate: ``div_int``,
+``rescale``, ``*`` and ``/``.  Every other one is exact or a composition
+of these and the exact ones, so it carries their charges and adds none:
+``from_fraction`` and ``mul_fraction`` divide through ``div_int``, and
+``-`` adds the negation.  The bounds are proved by the per-operation ulp
+algebra documented inline, never estimated.
 
 A truncation charges that ulp only when it drops something, and it
 learns so from the remainder of its own division (``divmod``) or from
@@ -103,8 +107,7 @@ class FixedReal(Record):
     def from_fraction(cls, value: Fraction | int, frac_bits: int) -> "FixedReal":
         """Truncate an exact rational into fixed point (err <= 1 ulp)."""
         value = Fraction(value)
-        m, inexact = _tdivmod(value.numerator << frac_bits, value.denominator)
-        return cls(m, frac_bits, int(inexact))
+        return cls.from_int(value.numerator, frac_bits).div_int(value.denominator)
 
     # -- inspection ---------------------------------------------------
 
@@ -141,12 +144,7 @@ class FixedReal(Record):
         )
 
     def __sub__(self, other: "FixedReal") -> "FixedReal":
-        self._check_compatible(other)
-        return FixedReal(
-            self.mantissa - other.mantissa,
-            self.frac_bits,
-            self.err_ulp + other.err_ulp,
-        )
+        return self + -other
 
     def mul_int(self, c: int) -> "FixedReal":
         return FixedReal(self.mantissa * c, self.frac_bits, self.err_ulp * abs(c))
@@ -172,11 +170,9 @@ class FixedReal(Record):
         return FixedReal(m, self.frac_bits, -(-self.err_ulp // abs(d)) + inexact)
 
     def mul_fraction(self, fr: Fraction | int) -> "FixedReal":
-        """Multiply by an exact rational (err <= e*|p|/q + 1 ulp)."""
+        """Multiply by an exact rational p/q (err <= ceil(e*|p|/q) + 1 ulp)."""
         fr = Fraction(fr)
-        p, q = fr.numerator, fr.denominator
-        m, inexact = _tdivmod(self.mantissa * p, q)
-        return FixedReal(m, self.frac_bits, -(-self.err_ulp * abs(p) // q) + inexact)
+        return self.mul_int(fr.numerator).div_int(fr.denominator)
 
     def __truediv__(self, other: "FixedReal") -> "FixedReal":
         # |a/b - m1/m2| = |d1*m2 - d2*m1| / (|b|*|m2|)

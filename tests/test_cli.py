@@ -304,10 +304,17 @@ def test_digits_caps_the_nonzero_coefficients_times_the_degree(capsys, monkeypat
 
 
 def test_digits_degree_above_max_exits_2_as_eval_does(capsys, tmp_path):
+    # at any flag value: the term caps, which weigh the degree, must not
+    # report such a formula first, as they did for eval at --bits 300000
     path = tmp_path / "deg129.bbp"
     path.write_text(f"bbp 1\ns {formula.MAX_DEGREE + 1}\nb 2\nl 1\npre 1/1\nA 1\n", encoding="utf-8")
-    for command, word in (("digits", "extraction"), ("eval", "eval")):
-        code, out, err = run(capsys, command, "--formula", str(path))
+    for command, word, flags in (
+        ("digits", "extraction", ()),
+        ("digits", "extraction", ("--pos", "30000000")),
+        ("eval", "eval", ()),
+        ("eval", "eval", ("--bits", "300000")),
+    ):
+        code, out, err = run(capsys, command, "--formula", str(path), *flags)
         assert code == 2
         assert out == ""
         assert err == (

@@ -216,7 +216,17 @@ def test_eval_needs_the_tail_ulp_and_reads_a_factor_in_either_place():
     assert 2 < gap - rest and gap + rest <= 3
 
 
-def test_truncation_matches_walk():
+def test_truncation_matches_walk(monkeypatch):
+    # K is stepped up, never down, from its float seed floor(x), and the
+    # docstring's x <= r < K leaves that seed at least a level below K:
+    # on this set it is one to four levels below
+    seeds = []
+
+    def floor(x):
+        seeds.append(math.floor(x))
+        return seeds[-1]
+
+    monkeypatch.setattr(formula_mod, "math", types.SimpleNamespace(log2=math.log2, floor=floor))
     rng = random.Random(20261018)
     formulas = []
     for F in (64, 65, 300, 1000, 4096):
@@ -241,15 +251,23 @@ def test_truncation_matches_walk():
         for F in (64, 1000, 10_000, 100_000)
     ]
     for f, F in formulas:
-        assert _truncation(f, F) == truncation_walk(f, F), (f, F)
+        K = _truncation(f, F)
+        assert K == truncation_walk(f, F), (f, F)
+        assert seeds[-1] < K, (f, F)
 
 
-@pytest.mark.parametrize("shift", [5, -5])
+@pytest.mark.parametrize("shift", [5, -1, -5])
 def test_truncation_steps_to_the_walk_from_a_misplaced_estimate(monkeypatch, shift):
-    # the float estimate only seeds K: a ceil 5 levels too high must be
-    # stepped down, 5 too low stepped up, to the same exact K
-    misplaced = types.SimpleNamespace(log2=math.log2, ceil=lambda x: math.ceil(x) + shift)
-    monkeypatch.setattr(formula_mod, "math", misplaced)
+    # the float estimate only seeds K: a floor too low is stepped up to
+    # the same exact K; one 5 levels too high is kept as it is, since K
+    # is never stepped down, and only sums more terms than the walk needs
+    seeds = []
+
+    def floor(x):
+        seeds.append(math.floor(x) + shift)
+        return seeds[-1]
+
+    monkeypatch.setattr(formula_mod, "math", types.SimpleNamespace(log2=math.log2, floor=floor))
     formulas = (
         golden_formula(),
         load_preset("log2"),
@@ -258,7 +276,11 @@ def test_truncation_steps_to_the_walk_from_a_misplaced_estimate(monkeypatch, shi
     )
     for f in formulas:
         for F in (64, 1000, 8088):
-            assert _truncation(f, F) == truncation_walk(f, F), (f, F)
+            K, walk = _truncation(f, F), truncation_walk(f, F)
+            if shift < 0:
+                assert K == walk, (f, F)
+            else:
+                assert K == seeds[-1] > walk, (f, F)
 
 
 def test_truncation_stops_only_below_the_majorant():

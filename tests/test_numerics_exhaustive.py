@@ -1,6 +1,7 @@
-"""Exhaustive small-width checks of FixedReal's truncating operations,
-fx_sqrt, fx_log, agreement_bits, the block floor ``formula._floor_at``
-and ``FixedReal.decimal``.
+"""Exhaustive small-width checks of FixedReal's arithmetic (its four
+truncating operations, the compositions built on them and the exact
+ones they compose), fx_sqrt, fx_log, agreement_bits, the block floor
+``formula._floor_at`` and ``FixedReal.decimal``.
 
 At F = 2 every FixedReal(m, 2, e) with |m| <= 16 and 0 <= e <= 4 is an
 input, and each result's interval must hold the exact ``Fraction``
@@ -59,6 +60,23 @@ def _misses(r: FixedReal, points) -> bool:
     return not all(lo <= p <= hi for p in points)
 
 
+def _add(xs):
+    boxes = [(x, _ends(x)) for x in xs]
+    for (x, ex), (y, ey) in product(boxes, boxes):
+        yield (x, y), x + y, [a + b for a in ex for b in ey]
+
+
+def _sub(xs):
+    boxes = [(x, _ends(x)) for x in xs]
+    for (x, ex), (y, ey) in product(boxes, boxes):
+        yield (x, y), x - y, [a - b for a in ex for b in ey]
+
+
+def _neg(xs):
+    for x in xs:
+        yield x, -x, [-a for a in _ends(x)]
+
+
 def _mul(xs):
     boxes = [(x, _ends(x)) for x in xs]
     for (x, ex), (y, ey) in product(boxes, boxes):
@@ -112,6 +130,9 @@ def _sqrt_misses(r: FixedReal, points) -> bool:
 
 
 CHECKS = {
+    "add": _add,
+    "sub": _sub,
+    "neg": _neg,
     "mul": _mul,
     "truediv": _truediv,
     "div_int": _div_int,
