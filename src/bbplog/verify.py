@@ -5,9 +5,10 @@ paths at the target precision plus 88 guard bits and reports how many
 leading bits provably agree.  The decomposition's two sides are halves
 of logs, so its check bounds their gap from cross products of the logs'
 two arguments and takes no log; :func:`verify_decomposition` states
-that bound.  The right side's four radicands need sqrt(2) times four
-cosines of multiples of pi/20.  Each angle is, up to sign, pi/4 plus or minus pi/5 or pi/10, so
-the angle-sum formula builds them from sqrt(5) and two more square roots.
+that bound.  The right side's four radicands enter it only as two
+products of pairs, and each pair's sqrt(2)cos x_i have their sum and
+product in Q(sqrt5), so each product is a quadratic in sqrt(5) with
+integer coefficients in t, and the check takes one square root.
 Reports serialize one per line as
 
     REPORT <subject> passed=<true|false> bits=<int> ms=<int>
@@ -105,28 +106,15 @@ def verify_corollary(target_bits: int) -> VerificationReport:
     return _report("corollary", agree, target_bits, started, extra_ok=spigot_ok)
 
 
-def _decomposition_cosines(s5: FixedReal) -> tuple[FixedReal, ...]:
-    """sqrt(2)*cos(k*pi/20) for k = 1, 7, 9, 17 from a certified sqrt(5).
-
-    The angles are pi/4 - pi/5, pi/4 + pi/10, pi/4 + pi/5 and
-    pi - (pi/4 - pi/10), and sqrt(2)*cos(pi/4 -+ y) = cos y +- sin y.
-    cos(pi/5) = (sqrt5+1)/4 and sin(pi/10) = (sqrt5-1)/4 are linear in
-    sqrt(5); cos(pi/10) = sqrt((5+sqrt5)/8) and sin(pi/5) =
-    sqrt((5-sqrt5)/8) take one square root each.
-    """
-    one = FixedReal.from_int(1, s5.frac_bits)
-    five = FixedReal.from_int(5, s5.frac_bits)
-    cos10 = fx_sqrt((five + s5).div_int(8))
-    sin5 = fx_sqrt((five - s5).div_int(8))
-    cos5, sin10 = (s5 + one).div_int(4), (s5 - one).div_int(4)
-    return cos5 + sin5, cos10 - sin10, cos5 - sin5, -(cos10 + sin10)
-
-
-def _decomposition_radicands(t: int, s5: FixedReal) -> tuple[FixedReal, ...]:
-    """R_i = 1 - 2q cos x_i + q^2 with q = 1/(t*sqrt(2)), one per cosine,
-    as (2t^2 + 1 - 2t * sqrt(2)cos x_i) / (2t^2): one rounding each."""
-    top = FixedReal.from_int(2 * t * t + 1, s5.frac_bits)
-    return tuple((top - c.mul_int(2 * t)).div_int(2 * t * t) for c in _decomposition_cosines(s5))
+def _radicand_products(t: int, s5: FixedReal) -> tuple[FixedReal, FixedReal]:
+    """16t^4 R_0 R_2 and 16t^4 R_1 R_3 from a certified sqrt(5), as
+    (m - t sqrt5)^2 - 2t^2 (5 - sqrt5) and (m + t sqrt5)^2 - 2t^2 (5 +
+    sqrt5) with m = 4t^2 - t + 2: exact but for the two squarings."""
+    F = s5.frac_bits
+    m, ts5 = FixedReal.from_int(4 * t * t - t + 2, F), s5.mul_int(t)
+    five, w = FixedReal.from_int(5, F), 2 * t * t
+    e, c = m - ts5, m + ts5
+    return e * e - (five - s5).mul_int(w), c * c - (five + s5).mul_int(w)
 
 
 def verify_decomposition(t: int, target_bits: int) -> VerificationReport:
@@ -134,56 +122,57 @@ def verify_decomposition(t: int, target_bits: int) -> VerificationReport:
 
     The right side is the alternating sum of Re Li_1[q e^{i x_i}] =
     -ln(R_i)/2 for x_i = k*pi/20, k in {1, 7, 9, 17}, with the radicands
-    R_i = |1 - q e^{i x_i}|**2 = 1 - 2q cos x_i + q^2 and q = 1/(t*sqrt(2)),
-    each built from its closed-form sqrt(2)*cos x_i.
+    R_i = |1 - q e^{i x_i}|**2 = 1 - 2q cos x_i + q^2 and q = 1/(t*sqrt(2)).
+    It needs only the products R_0 R_2 and R_1 R_3.  With A = 2t^2 + 1,
+    2t^2 R_i = A - 2t c_i for c_i = sqrt(2)cos x_i.  The angles are pi/4
+    -+ pi/5 for i = 0, 2 and pi/4 + pi/10, pi - (pi/4 - pi/10) for i = 1,
+    3, and sqrt(2)cos(pi/4 -+ y) = cos y +- sin y, so c_0 + c_2 =
+    2cos(pi/5) = (sqrt5+1)/2, c_0 c_2 = cos(2pi/5) = (sqrt5-1)/4, c_1 + c_3
+    = -2sin(pi/10) = -(sqrt5-1)/2 and c_1 c_3 = -cos(pi/5) = -(sqrt5+1)/4.
+    Multiplied out, with m = 2A - t = 4t^2 - t + 2,
+
+        16t^4 R_0 R_2 = (m - t sqrt5)^2 - 2t^2 (5 - sqrt5)
+        16t^4 R_1 R_3 = (m + t sqrt5)^2 - 2t^2 (5 + sqrt5)
+
+    and :func:`_radicand_products` returns these two, E and C.
 
     Both sides are halves of logs, so the check compares the logs'
     arguments and takes no log.  With a = u(t)*sqrt(5) the left side is
     atanh(a) = sign(a) * ln(X)/2 for X = (1+|a|)/(1-|a|), and the right
-    side -1/2 sum_i (-1)**i ln R_i is ln(R_1 R_3 / (R_0 R_2))/2.  Y is
-    that quotient when a >= 0 and its inverse otherwise, so |lhs - rhs|
-    = |ln X - ln Y|/2 for either sign.  Write Y = C/E with (E, C) =
-    (R_0 R_2, R_1 R_3), swapped when a < 0: then X/Y = P/Q for the cross
-    products P = (1+|a|) E and Q = (1-|a|) C, and no division is needed.
-    For positive P and Q the mean value theorem gives |ln P - ln Q| =
-    |P - Q|/xi for some xi between them; with mantissas P_m, Q_m and
-    bounds e_P, e_Q in ulps 2**-W,
+    side -1/2 sum_i (-1)**i ln R_i is ln(R_1 R_3 / (R_0 R_2))/2 =
+    ln(C/E)/2.  Y is C/E when a >= 0 and E/C otherwise, so |lhs - rhs| =
+    |ln X - ln Y|/2 for either sign.  Swap E and C when a < 0: then X/Y
+    = P/Q for the cross products P = (1+|a|) E and Q = (1-|a|) C, the
+    common 16t^4 cancels, and no division is needed.  For positive P and
+    Q the mean value theorem gives |ln P - ln Q| = |P - Q|/xi for some
+    xi between them; with mantissas P_m, Q_m and bounds e_P, e_Q in
+    ulps 2**-F,
 
         |lhs - rhs| <= (|P_m - Q_m| + e_P + e_Q) / (2 min(P_m - e_P, Q_m - e_Q))
 
     whether or not the identity holds, so a false one still fails.  The
-    ratio does not depend on W; the report counts F - bitlen(ceil(2**F *
-    bound)) bits, as :func:`agreement_bits` does.  The products are
-    taken at W = F + 4 bits, from a and the radicands widened exactly, so
-    each of their roundings weighs a sixteenth of an ulp of 2**-F.
+    report counts F - bitlen(ceil(2**F * bound)) bits, as
+    :func:`agreement_bits` does.
+
+    Each product carries at most 2|t|(m -+ t sqrt5) + 4t^2 + 2 <= 25|t|^3
+    ulps.  sqrt(5) carries 1 ulp, so t sqrt(5) and m -+ t sqrt(5) carry
+    |t|.  Both m -+ t sqrt(5) = 4t^2 - (1 +- sqrt5)t + 2 are positive
+    (their discriminants are negative) and at most 9.24t^2, and their
+    mantissas are at most 2**F (m -+ t sqrt5 + |t| 2**-F), so a squaring
+    carries at most 2|t|(m -+ t sqrt5) + 3t^2 2**-F + 2 ulps; 2t^2 (5 -+
+    sqrt5) carries 2t^2.
 
     The lower end is positive for every nonzero t at F >= 89 bits (a
     target of 1 bit or more), so the PrecisionError below is never
-    raised.  P > 0.0073 and Q > 7.7e-4: for u = N/D, 2D - 5|N| >= 0 at
-    every nonzero integer t (it is 8t^4 - 14t^3 + 11t^2 - 7t + 2 for
-    t > 0 and 8s^4 - 6s^3 + s^2 - 3s + 2 with s = -t for t < 0), so
-    |a| <= 2/sqrt(5) and 1 - |a| > 0.1055.  Each R_i lies in
-    [(1-|q|)^2, (1+|q|)^2] with |q| <= 1/sqrt(2), so each product lies
-    in [0.00735, 8.5], and 1 + |a| >= 1.
-    e_P < 1500 and e_Q < 900: sqrt(5) carries 1 ulp of 2**-F, cos(pi/5)
-    and sin(pi/10) 2 each, and cos(pi/10) and sin(pi/5) 4 and 5 (a square
-    root adds 1 to ceil(2/sqrt(x)) for its argument x, which carries 2).
-    So each sqrt(2)*cos x_i carries at most 7 ulps and each R_i at most
-    ceil(7/|t|) + 1 <= 8, so 128 ulps of 2**-W; a carries ceil(|u|) + 1
-    = 2, so 32.  R_0 + R_2 and R_1 + R_3 stay below 4.62, so each product
-    carries at most ceil(128 * 4.62) + 1 < 600 ulps, and with 1 + |a| <
-    1.9 and 1 - |a| <= 1, e_P <= ceil(1.9 * 600 + 8.5 * 32) + 1 < 1500
-    and e_Q <= ceil(600 + 8.5 * 32) + 1 < 900.  So the lower end is at
-    least 7.7e-4 * 2**W - 2 * 1500 > 0 for W >= 93.
-
-    The roots' propagated parts, ceil(2/sqrt(x)), are margin in the
-    radicands.  The floor sqrt(5) is under 1 ulp below the truth, so
-    (5 + sqrt5)/8 is under 1 ulp below it and (5 - sqrt5)/8 under 7/8
-    ulp below and 1/8 above it; at F >= 89 their roots (x > 0.90 and x >
-    0.34) then add under 0.53 and 0.75 ulp to their own truncation.  And
-    cos(pi/5) and sin(pi/10) lie under their charge less 1 ulp below the
-    truth.  So each sum and difference that makes a sqrt(2)*cos x_i is
-    off by less than the charge it keeps without the propagated parts.
+    raised.  For u = N/D, 2D - 5|N| >= 0 at every nonzero integer t (it
+    is 8t^4 - 14t^3 + 11t^2 - 7t + 2 for t > 0 and 8s^4 - 6s^3 + s^2 -
+    3s + 2 with s = -t for t < 0), so |a| <= 2/sqrt(5) and 1 - |a| >
+    0.1055.  Each R_i lies in [(1-|q|)^2, (1+|q|)^2] with |q| <=
+    1/sqrt(2), so E and C lie in 16t^4 [0.00735, 8.5], and P >= E and Q
+    > 0.0124 t^4.  a carries ceil(|u|) + 1 = 2 ulps, and so does 1 +-
+    |a|, so with 1 + |a| < 1.9, e_P <= 1.9 * 25t^4 + 2 * 136t^4 + 3 <
+    330t^4 and e_Q < 310t^4.  So the lower end is at least t^4 (0.0124 *
+    2**F - 660) > 0 for F >= 16.
     """
     started = time.perf_counter()
     work = _work_bits(target_bits)
@@ -191,10 +180,9 @@ def verify_decomposition(t: int, target_bits: int) -> VerificationReport:
         raise DomainError("t must be a nonzero integer")
     s5 = fx_sqrt(FixedReal.from_int(5, work))
     a = s5.mul_fraction(_lhs_argument(t))
-    wide = work + 4
-    r0, r1, r2, r3 = (r.rescale(wide) for r in _decomposition_radicands(t, s5))
-    e, c = (r0 * r2, r1 * r3) if a.mantissa >= 0 else (r1 * r3, r0 * r2)
-    one, abs_a = FixedReal.from_int(1, wide), abs(a).rescale(wide)
+    e, c = _radicand_products(t, s5)
+    e, c = (e, c) if a.mantissa >= 0 else (c, e)
+    one, abs_a = FixedReal.from_int(1, work), abs(a)
     P, Q = (one + abs_a) * e, (one - abs_a) * c
     low = min(P.mantissa - P.err_ulp, Q.mantissa - Q.err_ulp)
     if low <= 0:

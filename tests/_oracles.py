@@ -126,23 +126,22 @@ def li1_decomposition_sides(t: int, work: int):
     bits, as FixedReals, each side taking its own log.
 
     Left side: ``fx_atanh`` of a = u(t)*sqrt(5).  Right side: -1/2 sum_i
-    (-1)**i ln R_i over the radicands R_i of
-    ``bbplog.verify._decomposition_radicands``, taken as one log of one
-    quotient, sum_i (-1)**i ln R_i = ln(R_0 R_2 / (R_1 R_3)), oriented to
-    be >= 1 (the larger product over the smaller, the sign flipped), as
+    (-1)**i ln R_i, taken as one log of one quotient, sum_i (-1)**i ln R_i
+    = ln(E / C) over the products E = 16t^4 R_0 R_2 and C = 16t^4 R_1 R_3
+    of ``bbplog.verify._radicand_products`` (the 16t^4 cancels), oriented
+    to be >= 1 (the larger product over the smaller, the sign flipped), as
     ``fx_atanh`` does.  Unlike the rest of this module it shares the
-    radicands with the check; it is the two-log reference that
+    products with the check; it is the two-log reference that
     ``verify_decomposition``'s log-free bound must never read below, and
     the decimal oracle above checks its right side.
     """
     from bbplog.family import _lhs_argument
     from bbplog.numerics import FixedReal, fx_atanh, fx_log, fx_sqrt
-    from bbplog.verify import _decomposition_radicands
+    from bbplog.verify import _radicand_products
 
     s5 = fx_sqrt(FixedReal.from_int(5, work))
     lhs = fx_atanh(s5.mul_fraction(_lhs_argument(t)))
-    r0, r1, r2, r3 = _decomposition_radicands(t, s5)
-    num, den = r0 * r2, r1 * r3
+    num, den = _radicand_products(t, s5)
     if num.mantissa >= den.mantissa:
         return lhs, fx_log(num / den).div_int(-2)
     return lhs, fx_log(den / num).div_int(2)

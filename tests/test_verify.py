@@ -56,14 +56,13 @@ def test_decomposition_at_100000_bits(t):
 
 
 # agreement bits of verify_theorem and verify_decomposition at 1000 bits;
-# every check passes, theorem reads 1085 throughout and decomposition 1085
+# every check passes, theorem reads 1085 throughout and decomposition 1086
 # for every t not listed here.  The decomposition's bits come from the
 # mean-value bound on the cross products of its two log arguments.
 DECOMPOSITION_BITS_AT_1000 = {
-    **dict.fromkeys((-48, -38, -34, -29, -25, -21, -6, -5, -4, -3, -2), 1084),
-    -1: 1083,
-    1: 1082,
-    **dict.fromkeys((2, 3, 4, 5, 6, 13, 14, 28, 30, 32), 1084),
+    **dict.fromkeys((-34, -4, -3, -2, 2, 4, 5), 1085),
+    -1: 1084,
+    1: 1083,
 }
 
 
@@ -72,7 +71,7 @@ def test_theorem_and_decomposition_match_recorded_lines():
         theorem = verify_theorem(t, 1000)
         decomposition = verify_decomposition(t, 1000)
         assert (theorem.passed, theorem.agreement_bits) == (True, 1085), t
-        expected = DECOMPOSITION_BITS_AT_1000.get(t, 1085)
+        expected = DECOMPOSITION_BITS_AT_1000.get(t, 1086)
         assert (decomposition.passed, decomposition.agreement_bits) == (True, expected), t
 
 
@@ -80,7 +79,7 @@ def test_theorem_and_decomposition_match_recorded_lines():
 # the corollary and then theorem and decomposition for t = -50..-1, 1..50,
 # at 200, 1000 and 3000 bits in turn.  Any change to the arithmetic that
 # moves one verdict or agreement count changes it.
-REPORT_DIGEST = "54c85f584d968694b4ca5cfd219b04e5d5ce11251183422fe9d893fa00cad2da"
+REPORT_DIGEST = "bfd0095da08a84bc8367731f35de4e74bcc3eab7c7a12220e2d83371b7eb1860"
 
 
 def test_report_lines_match_recorded_digest():
@@ -160,16 +159,16 @@ def test_corollary_fails_on_a_window_certified_short_of_32_bits(monkeypatch):
 
 
 def test_decomposition_refuses_a_quotient_interval_that_reaches_zero(monkeypatch):
-    # R_1 keeps its positive mantissa, but its error reaches 0: so do the
-    # interval of R_1 R_3 and of the cross product it enters, where the
+    # C = 16t^4 R_1 R_3 keeps its positive mantissa, but its error reaches
+    # 0: so does the interval of the cross product it enters, where the
     # mean-value bound has no lower end
-    real = verify_mod._decomposition_radicands
+    real = verify_mod._radicand_products
 
     def reaching_zero(t, s5):
-        r0, r1, r2, r3 = real(t, s5)
-        return r0, FixedReal(r1.mantissa, r1.frac_bits, r1.mantissa), r2, r3
+        e, c = real(t, s5)
+        return e, FixedReal(c.mantissa, c.frac_bits, c.mantissa)
 
-    monkeypatch.setattr(verify_mod, "_decomposition_radicands", reaching_zero)
+    monkeypatch.setattr(verify_mod, "_radicand_products", reaching_zero)
     with pytest.raises(PrecisionError, match="reaches zero"):
         verify_decomposition(1, 64)
 
@@ -212,22 +211,33 @@ def test_decomposition_reads_no_lower_than_its_two_logs(bits):
 
 @pytest.mark.parametrize("work", [*range(1, 65), 1088])
 def test_decomposition_radicands_hold_the_half_angle_oracle(monkeypatch, work):
-    # the library takes the angle-sum route, the decimal oracle the
-    # half-angle chain: every R_i interval must hold the oracle's radicand,
-    # widened by its bound, and carry at most the 8 ulps that
-    # verify_decomposition's docstring states.  Up to 64 bits the widths
-    # bring some R_i's error near its bound, so every charge of the chain
-    # fails here when dropped, but the square roots' propagated parts,
-    # which that docstring shows are margin
+    # the library multiplies the radicands out in pairs over sqrt(5), the
+    # decimal oracle takes each from the half-angle chain: both product
+    # intervals must hold 16t^4 times the oracle's products, widened by
+    # their bound, and carry at most the 25|t|^3 ulps that
+    # verify_decomposition's docstring states; so must a = u sqrt(5) hold
+    # the decimal one, with at most 2 ulps.  Up to 64 bits the widths
+    # bring some product's error and a's near their charges, so the
+    # charges of the chain fail here when dropped
     ctx = decimal.Context(prec=work * 30103 // 100000 + 12)
     s5 = fx_sqrt(FixedReal.from_int(5, work))
+    root5 = Fraction(ctx.sqrt(5))
     for t in [*range(-50, 0), *range(1, 51)]:
+        u = verify_mod._lhs_argument(t)
+        a = s5.mul_fraction(u)
+        assert a.err_ulp <= 2, t
+        assert abs(u * root5 - a.value) <= a.err + Fraction(1, 1 << work) / 10**10, t
         refs, ref_err = li1_radicands_decimal(t, ctx)
         assert Fraction(ref_err) < Fraction(1, 1 << work)
-        for i, (r, ref) in enumerate(zip(verify_mod._decomposition_radicands(t, s5), refs)):
-            assert r.err_ulp <= 8, (t, i)
-            assert abs(Fraction(ref) - r.value) <= r.err + Fraction(ref_err), (t, i)
-    # one check takes three square roots: sqrt(5), cos(pi/10), sin(pi/5)
+        r0, r1, r2, r3 = map(Fraction, refs)
+        d, scale = Fraction(ref_err), 16 * t**4
+        products = verify_mod._radicand_products(t, s5)
+        for i, (p, x, y) in enumerate(zip(products, (r0, r1), (r2, r3))):
+            # |x'y' - xy| <= d(|x| + |y|) + d^2 for |x' - x|, |y' - y| <= d
+            ref_bound = scale * (d * (abs(x) + abs(y)) + d * d)
+            assert p.err_ulp <= 25 * abs(t) ** 3, (t, i)
+            assert abs(scale * x * y - p.value) <= p.err + ref_bound, (t, i)
+    # one check takes one square root, sqrt(5)
     calls = []
     real = numerics_mod.fx_sqrt
 
@@ -240,7 +250,7 @@ def test_decomposition_radicands_hold_the_half_angle_oracle(monkeypatch, work):
     for t in (1, -2, 50):
         calls.clear()
         assert verify_decomposition(t, work).passed
-        assert len(calls) == 3, t
+        assert len(calls) == 1, t
 
 
 def _move_lhs_argument(monkeypatch, t, k):
@@ -288,21 +298,22 @@ def test_decomposition_bound_holds_far_from_the_identity(monkeypatch):
 
 @pytest.mark.parametrize("t", [1, 2, -3, 7])
 def test_decomposition_bits_hold_at_every_corner_of_wide_radicands(monkeypatch, t):
-    # each radicand's error raised by 2**20 ulps makes Y's error dominate
-    # the bound.  For X' and Y' at any corners of the exact intervals that
-    # hold X and Y, |X' - Y'| / (2 max(X', Y')) <= |ln X' - ln Y'|/2, which
-    # the reported bits must bound
-    real = verify_mod._decomposition_radicands
+    # each product's error raised by 16t^4 * 2**20 ulps, about what 2**20
+    # ulps of each radicand would add, makes Y's error dominate the bound.  For X'
+    # and Y' at any corners of the exact intervals that hold X and Y,
+    # |X' - Y'| / (2 max(X', Y')) <= |ln X' - ln Y'|/2, which the reported
+    # bits must bound
+    real = verify_mod._radicand_products
     seen = {}
 
     def widened(t, s5):
         seen["s5"] = s5
-        seen["r"] = tuple(
-            FixedReal(r.mantissa, r.frac_bits, r.err_ulp + (1 << 20)) for r in real(t, s5)
+        seen["p"] = tuple(
+            FixedReal(p.mantissa, p.frac_bits, p.err_ulp + (16 * t**4 << 20)) for p in real(t, s5)
         )
-        return seen["r"]
+        return seen["p"]
 
-    monkeypatch.setattr(verify_mod, "_decomposition_radicands", widened)
+    monkeypatch.setattr(verify_mod, "_radicand_products", widened)
     report = verify_decomposition(t, 200)
 
     def ends(v):
@@ -310,9 +321,9 @@ def test_decomposition_bits_hold_at_every_corner_of_wide_radicands(monkeypatch, 
 
     u = verify_mod._lhs_argument(t)
     xs = [(1 + abs(u) * s) / (1 - abs(u) * s) for s in ends(seen["s5"])]
-    (lo0, hi0), (lo1, hi1), (lo2, hi2), (lo3, hi3) = map(ends, seen["r"])
-    assert min(lo0, lo1, lo2, lo3) > 0
-    ys = [lo1 * lo3 / (hi0 * hi2), hi1 * hi3 / (lo0 * lo2)]
+    (lo_e, hi_e), (lo_c, hi_c) = map(ends, seen["p"])
+    assert min(lo_e, lo_c) > 0
+    ys = [lo_c / hi_e, hi_c / lo_e]
     if u < 0:
         ys = [1 / y for y in ys]
     bound = Fraction(1, 1 << report.agreement_bits)
@@ -323,17 +334,19 @@ def test_decomposition_bits_hold_at_every_corner_of_wide_radicands(monkeypatch, 
 
 @pytest.mark.parametrize("i", range(4))
 def test_decomposition_fails_with_a_wrong_cosine(monkeypatch, i):
-    # sqrt(2)*cos x_i off by 2**-500 moves R_i by 2**-500/|t| and the right
-    # side by 2**-501/(|t| R_i), between 2**-507 and 2**-497 for these t:
-    # far above a 1000-bit target
-    real = verify_mod._decomposition_cosines
+    # sqrt(5) moved by -+2**-500 inside product i // 2 alone, which is
+    # both cosines of that pair moved by multiples of it: the product
+    # moves by 2**-500 |2t^2 - 2t(m -+ t sqrt5)|, and the right side by
+    # between 2**-508 and 2**-500 for these t: far above a 1000-bit target
+    real = verify_mod._radicand_products
 
-    def wrong(s5):
-        cosines = list(real(s5))
-        cosines[i] += FixedReal.from_fraction(Fraction(1, 1 << 500), s5.frac_bits)
-        return tuple(cosines)
+    def wrong(t, s5):
+        step = FixedReal.from_fraction(Fraction((-1) ** i, 1 << 500), s5.frac_bits)
+        products = list(real(t, s5))
+        products[i // 2] = real(t, s5 + step)[i // 2]
+        return tuple(products)
 
-    monkeypatch.setattr(verify_mod, "_decomposition_cosines", wrong)
+    monkeypatch.setattr(verify_mod, "_radicand_products", wrong)
     for t in (1, -2, 50):
         report = verify_decomposition(t, 1000)
         assert not report.passed, t
