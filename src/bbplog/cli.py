@@ -90,12 +90,18 @@ Cost caps, each checked before any work starts (2 vCPU Xeon, Python
   --pos (extract_bits alone on both CPUs, one run each, two for the
   ones).  With the cap, the copies of degree 2 and 5 take 1.1 and 1.7
   times golden's time at the caps.
-- eval's K and the spigot's k_end grow with log_b max|p * a_j| for the
-  prefactor p/q, so a large p buys levels as a large coefficient does.
-  Both term caps count those levels: each takes the span as --bits, or
+- eval and digits both take their level count from the one tail rule,
+  formula._truncation, at --bits bits for eval and at the window's
+  end, position + count + 64 bits, for digits.  It grows with
+  log_b max|p * a_j| for the prefactor p/q, so a large p buys levels as
+  a large coefficient does.  The term caps keep their own estimate of
+  those levels, on golden's scale: each takes the span as --bits, or
   the bit position, plus the bits that _truncation's majorant adds,
   bitlen(max(|p|, q) * max|a_j|) - bitlen(q) when positive (golden 19,
-  log2 0, so both keep their place at the caps).  The base-2 file of 128
+  log2 0), and counts span // floor(log2 base) + 1 levels.  For golden,
+  the cap and eval_P both count 15 001 levels at --bits 300 000; at
+  --pos 3*10**7 the cap counts 1 500 001 and the spigot sums a few more
+  for its window (1 500 007 for 64 bits).  The base-2 file of 128
   ones with prefactor 10**4299 took 7.9 s at --bits 64 (eval_P alone,
   one run) before, as its 4 300-digit p adds 14 280 bits; eval of it
   now exits 64 at once, and digits from --pos 266 970 on.  Neither cap
@@ -231,12 +237,14 @@ def _check_terms(parser: _Parser, f: BbpFormula, span_bits: int, cap: int, what:
     MAX_DEGREE passes unweighed, so that the library's refusal (exit 2)
     comes before any cap, for eval as for digits.
 
-    ``_truncation``'s K and the spigot's k_end both grow with
-    log_b max|p * a_j| for the prefactor p/q, so the span takes the bits
-    of max(|p|, q) * max|a_j| over q as well, when positive, and counts
-    (span_bits + extra) // floor(log2 base) + 1 levels; the library sums
-    a few more.  The caps were sized by this same rule for golden, so it
-    weighs every formula on golden's scale."""
+    Both engines take their level count from ``formula._truncation``,
+    which grows with log_b max|p * a_j| for the prefactor p/q.  The caps
+    keep their own estimate of it: the span takes the bits of
+    max(|p|, q) * max|a_j| over q as well, when positive, and counts
+    (span_bits + extra) // floor(log2 base) + 1 levels, where a digits
+    window sums a few more (module docstring).  The caps were sized by
+    this same rule for golden, so it weighs every formula on golden's
+    scale."""
     if f.degree > MAX_DEGREE:
         return
     nonzero = sum(1 for a in f.coeffs if a)

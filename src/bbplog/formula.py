@@ -247,14 +247,17 @@ def _floor_at(num: int, den: int, w: int) -> int:
     return num // (den << -w)
 
 
-def _truncation(f: BbpFormula, frac_bits: int) -> int:
-    """Terms K to sum, so that what is left out is under one ulp.
+def _truncation(f: BbpFormula, bits: int) -> int:
+    """The levels K to sum so that the levels past them add under 2**-bits
+    to the constant: the one tail rule of both engines, eval_P at its F
+    bits and the spigot at W + n bits for a W-bit window at position n.
 
-    Tail for k >= K:  |p/q| * max|a_j| * l / (K*l+1)**s * b**-K * b/(b-1),
-    prefactor p/q, using (k*l+1) >= (K*l+1) and the geometric sum of
-    b**-k.  K is the first level where the majorant with max(|p|, q) in
-    place of |p| drops below one ulp:
-    top = max(|p|, q) * max|a_j| * l * b * 2**frac_bits
+    Tail.  Whatever their signs, the levels k >= K add at most
+    |p/q| * max|a_j| * l / (K*l+1)**s * b**-K * b/(b-1) in size, prefactor
+    p/q, using (k*l+j) >= (K*l+1) and the geometric sum of b**-k.  K is
+    the first level where the majorant with max(|p|, q) in place of |p|
+    drops below 2**-bits:
+    top = max(|p|, q) * max|a_j| * l * b * 2**bits
         < den(K) = q * (K*l+1)**s * b**K * (b-1),
     which for |p| <= q is the prefactor-free majorant, so K is the same
     for any such prefactor.
@@ -264,15 +267,18 @@ def _truncation(f: BbpFormula, frac_bits: int) -> int:
     log2 b <= r, close below r when K is large against s.  The exact K
     is floor(r) + 1, so floor(x) <= K whenever the floats err by less
     than a level (math.log2 of these ints errs by about 1e-10).  From
-    K = floor(x), b**K is computed once; exact comparisons then step K up
-    while den(K) <= top, multiplying that power by b, so K is exact.
+    K = floor(x), b**K = o**K * 2**(v*K) (b = 2**v * o, o odd) is computed
+    once, a shift alone for a power-of-two base; exact comparisons then
+    step K up while den(K) <= top, multiplying that power by b, so K is
+    exact.
     """
     length, degree, b, q = f.length, f.degree, f.base, f.prefactor.denominator
-    top = max(abs(f.prefactor.numerator), q) * max(abs(a) for a in f.coeffs) * length * b << frac_bits
+    top = max(abs(f.prefactor.numerator), q) * max(abs(a) for a in f.coeffs) * length * b << bits
     lb = math.log2(b)
     y = (math.log2(top) - math.log2((b - 1) * q)) / lb
     K = max(0, math.floor(y - degree * math.log2(max(0.0, y) * length + 1) / lb))
-    bK = b**K
+    v = (b & -b).bit_length() - 1
+    bK = (b >> v) ** K << v * K
     while top >= (K * length + 1) ** degree * bK * (b - 1) * q:
         K, bK = K + 1, bK * b
     return K

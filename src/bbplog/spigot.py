@@ -19,8 +19,8 @@ base 2**beta, degree s and the pairs (j, c_j * 2**(s_j - s_min)), s_min
 the smallest s_j: the fraction that ``eval_P``'s fold gives too, stepped
 by packed finite differences in a long range, with the exactness
 argument in the Stepping paragraph of ``bbplog.formula``.  The levels
-run from 0 to a cutoff as one range of blocks, the last one cut at the
-cutoff.  Each block's denominator takes q' here, M' = q' * M, and every
+run from 0 to k_end (Bound) as one range of blocks, the last one cut at
+k_end.  Each block's denominator takes q' here, M' = q' * M, and every
 block is floored at the accumulator's width through
 ``formula._floor_at``, the floor ``eval_P`` uses too.  When a block's
 e >= 0, every exponent in it is nonnegative and its fractional part is
@@ -28,25 +28,19 @@ the exact rational (N * 2**e mod M') / M', reduced by one builtin
 three-argument ``pow`` on the multi-digit modulus M' before the floor;
 when e < 0, N/M' * 2**e is floored directly.  The odd part q' joins the modulus, not the exponent,
 because frac(x/q') is not a function of frac(x).
-None of q', s_min, the pairs, L or the cutoff depends on n, so
+None of q', s_min, the pairs or L depends on n, so
 :func:`build_plan` computes them once per formula.
 
 Bound.  Every block enters a W-bit accumulator mod 1 through one floor
 division, which loses less than one ulp, exact or not; each block is
 charged that ulp, so the summed blocks exceed the accumulator by less
-than their count.  The discarded levels beyond the cutoff have mixed
-signs: the first one is at most 2**(cutoff - 1) * nonzero * max|p*a_j|
-< 1/4 ulp in size, and each later one at least 2**beta times smaller,
-so together they lie in (-1/2, 1/2) ulp.  Each term's denominator only
-grows with s, as (k*l + j)**s >= k*l + j, so no term exceeds its
-degree-1 size, and the cutoff, the width and this bound hold for every
-degree.  The true accumulator is therefore in (acc - 1, acc + budget],
-with budget the block count plus one ulp for the discarded levels: a
-number fixed by the plan, n and W before any block is summed.  Both ends
-of that interval certify the returned digits.  The tail's ulp and the
-cutoff's factor 2 are margin: without either, or both, the true value
-is still in (acc - 1, acc + blocks + 1) and its floor in
-[acc - 1, acc + budget].
+than their count.  The levels are summed up to
+k_end = ``formula._truncation(f, W + n)``, whose tail bound keeps the
+levels past it under 2**-(W+n) in size, whatever their signs, so under
+one ulp of the W-bit window of 2**n * C.  The true accumulator is
+therefore in (acc - 1, acc + budget], with budget the block count plus
+one ulp for those levels: a number fixed by the plan, n and W before any
+block is summed.  Both ends of that interval certify the returned digits.
 W is the digit count plus 64 guard bits.  The budget stays below 2**32,
 leaving 32 bits of slack, for every n below about 2**32 * beta * L;
 past that a window may certify fewer bits, never a wrong one.
@@ -68,7 +62,7 @@ import threading
 
 from ._record import Record
 from .errors import UnsupportedFormulaError, ValidationError
-from .formula import _FOLD_TERMS, MAX_DEGREE, BbpFormula, _block_fractions, _floor_at
+from .formula import _FOLD_TERMS, MAX_DEGREE, BbpFormula, _block_fractions, _floor_at, _truncation
 
 __all__ = ["SpigotPlan", "DigitWindow", "build_plan", "extract_bits"]
 
@@ -98,7 +92,6 @@ class SpigotPlan(Record):
         "terms",  # (j, c_j * 2**(s_j - s_min))
         "s_min",
         "levels",  # per block
-        "cutoff",  # the last level k summed has W + n - beta*k >= cutoff
     )
 
 
@@ -119,7 +112,6 @@ def build_plan(f: BbpFormula) -> SpigotPlan:
     # leaves c_j * 2**(s_j - s_min) = p*a_j / 2**(min x_j)
     w = (q & -q).bit_length() - 1
     x_min = min((p * a & -(p * a)).bit_length() - 1 for _, a in nonzero)
-    max_pa = max(abs(p * a) for _, a in nonzero)
     return SpigotPlan(
         formula=f,
         beta=f.base.bit_length() - 1,
@@ -128,7 +120,6 @@ def build_plan(f: BbpFormula) -> SpigotPlan:
         terms=tuple((j, p * a >> x_min) for j, a in nonzero),
         s_min=x_min - w,
         levels=-(-_FOLD_TERMS // (len(nonzero) * f.degree)),
-        cutoff=-(2 * len(nonzero) * max_pa).bit_length(),
     )
 
 
@@ -270,8 +261,7 @@ def extract_bits(plan: SpigotPlan, n: int, count: int) -> DigitWindow:
     if n < 0:
         raise ValidationError("position: must be nonnegative")
     width = count + 64
-    # up to the last level k with W + n - beta*k >= cutoff
-    k_end = (width + n - plan.cutoff) // plan.beta + 1
+    k_end = _truncation(plan.formula, width + n)
     # one ulp per block, the last one cut at k_end, and one for the discarded levels
     budget = -(-k_end // plan.levels) + 1
 

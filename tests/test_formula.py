@@ -109,6 +109,27 @@ def test_truncation_bound_is_sound_on_random_formulas():
             # under 2K + 1 <= 2**(G-2) ulp at F+G after the division by q,
             # so 2 after the rescale to F, and 1 for the tail
             assert res.value.err_ulp <= 3
+    # the spigot's case: a window of count bits at position n sums the
+    # levels of 2**n * C up to _truncation(f, W + n), W = count + 64, so
+    # their tail must stay under one ulp of the W-bit window, for
+    # power-of-two bases and prefactors with |p| >> q, |p| << q and an odd q
+    prefactors = (
+        lambda: Fraction(rng.randrange(10**30, 10**45), rng.randrange(1, 100, 2)),
+        lambda: Fraction(rng.randint(1, 9), rng.randrange(1, 100) << rng.randint(30, 80)),
+        lambda: Fraction(rng.randint(1, 99), 3 ** rng.randint(20, 60)),
+    )
+    for prefactor in prefactors:
+        for _ in range(4):
+            f = _random_formula(rng, degrees=(1, 2, 3), bases=(2, 4, 16, 2**20))
+            f = BbpFormula(f.degree, f.base, f.length, f.coeffs, rng.choice((-1, 1)) * prefactor())
+            for count in (1, 64):
+                W = count + 64
+                for n in (0, 1, 37, 500):
+                    K = _truncation(f, W + n)
+                    s_k = bbp_sum_exact(f.degree, f.base, f.coeffs, f.prefactor, K)
+                    s_k10 = bbp_sum_exact(f.degree, f.base, f.coeffs, f.prefactor, K + 10)
+                    tail = abs(s_k10 - s_k) + _tail_majorant(f, K + 10)
+                    assert tail * 2**n < Fraction(1, 1 << W), (f, count, n)
 
 
 @pytest.mark.parametrize("base", [2, 3, 16, pytest.param(2**20 * 3**40, id="2**20*3**40")])

@@ -60,8 +60,8 @@ RECORDS = {
     ),
     "SpigotPlan": (
         SpigotPlan,
-        (LOG2, 1, ((1, 1),), 1, ((1, 1),), 0, 16, -2),
-        (T2.formula, 20, ((1, 2),), 3, ((1, 2),), 1, 8, -3),
+        (LOG2, 1, ((1, 1),), 1, ((1, 1),), 0, 16),
+        (T2.formula, 20, ((1, 2),), 3, ((1, 2),), 1, 8),
         {},
         [],
     ),

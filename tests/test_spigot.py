@@ -204,7 +204,7 @@ def test_power_of_two_split_matches_exact_sum(case):
 
 def _serial_block_sums(monkeypatch, plan, n):
     """One serial extraction and the arguments of its one _sum_blocks call,
-    which sums every level from 0 to the cutoff."""
+    which sums every level from 0 to k_end."""
     calls = []
     real = spigot_mod._sum_blocks
     with monkeypatch.context() as m:
@@ -324,8 +324,8 @@ def test_certificate_interval_holds_the_true_floor(monkeypatch):
 def test_budget_covers_blocks_that_each_lose_almost_an_ulp(formula, monkeypatch):
     # stubbed block fractions whose every floor at the W-bit accumulator
     # loses 1 - 2**-40 ulp, with e >= 0 (reduced mod 1) and e < 0 blocks
-    # alike, and levels past the cutoff that add 2**-20 ulp, well inside
-    # the half ulp the Bound paragraph allows them.  The floors sum to
+    # alike, and levels past k_end that add 2**-20 ulp, well inside the
+    # one ulp the Bound paragraph allows them.  The floors sum to
     # acc = top - blocks, so the true W-bit floor is top = (P + 1) << 64:
     # acc + blocks, one past a budget two ulps short, whose certificate
     # would print P's last bit
@@ -455,7 +455,7 @@ def _no_child_left():
 
 
 def test_forked_head_equals_serial(golden_plan, monkeypatch):
-    n = 41_000  # 49 392 terms to the cutoff, enough for three parts
+    n = 41_000  # 49 368 terms to k_end, enough for three parts
     default = extract_bits(golden_plan, n, 64)
     forks = []
     real_fork = os.fork
