@@ -44,10 +44,10 @@ Cost caps, each checked before any work starts (2 vCPU Xeon, Python
 - eval and verify: --bits at most MAX_BITS = 300 000.  At the cap eval
   takes 2.9 s for golden and 2.3 s for log2 end to end, the full decimal
   print 0.17 s of it (best of 3), and one verify check 5.5 s
-  (corollary), 4.3-5.8 s (theorem, t = -50 and 1) or 0.16-0.17 s
-  (decomposition, t = -50 and 1, three runs each on the 2 vCPU Xeon;
-  0.39-0.42 s, measured alongside, while it took three square roots) by
-  its ms= field; the time grows about quadratically in --bits.
+  (corollary) or 4.3-5.8 s (theorem, t = -50 and 1) by its ms= field;
+  the time grows about quadratically in --bits.  The exact decomposition
+  check costs the same at any width: 5-8 us for t = -50 and 1 at the cap
+  (median of 41, three runs), 7-9 ms for a 4000-digit t.
 - digits: --count at most MAX_WINDOW_BITS = 4096 bits.  Golden at bit
   position 2*10**5 on one CPU (best of 5) took 163, 151, 141, 209 and
   399 ms for 64, 256, 1024, 4096 and 16 384 bits: up to the cap a window

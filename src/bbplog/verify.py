@@ -1,15 +1,13 @@
 """Verification harness: identity checks with machine-readable reports.
 
-Each check computes both sides of an identity along independent code
-paths at the target precision plus 88 guard bits and reports how many
-leading bits provably agree.  The decomposition's two sides are halves
-of logs, so its check bounds their gap from cross products of the logs'
-two arguments and takes no log; :func:`verify_decomposition` states
-that bound.  The right side's four radicands enter it only as two
-products of pairs, and each pair's sqrt(2)cos x_i have their sum and
-product in Q(sqrt5), so each product is a quadratic in sqrt(5) with
-integer coefficients in t, and the check takes one square root.
-Reports serialize one per line as
+The theorem and corollary checks compute both sides of an identity
+along independent code paths at the target precision plus 88 guard bits
+and report how many leading bits provably agree.  The decomposition's
+identity is algebra over Q(sqrt5): its four radicands enter only as two
+conjugate products of pairs, each with integer coefficients in t, so its
+check is one integer identity and two sign tests at t, exact, with no
+root or log; :func:`verify_decomposition` derives it.  A pass reports
+the same working width, a failure 0.  Reports serialize one per line as
 
     REPORT <subject> passed=<true|false> bits=<int> ms=<int>
 """
@@ -19,10 +17,10 @@ from __future__ import annotations
 import time
 
 from ._record import Record
-from .errors import DomainError, PrecisionError, ValidationError
+from .errors import DomainError, ValidationError
 from .family import _lhs_argument, family_coeffs, golden_constant, golden_formula, lhs_value
 from .formula import eval_P
-from .numerics import FixedReal, agreement_bits, fx_sqrt
+from .numerics import agreement_bits
 from .spigot import build_plan, extract_bits
 
 __all__ = [
@@ -106,19 +104,15 @@ def verify_corollary(target_bits: int) -> VerificationReport:
     return _report("corollary", agree, target_bits, started, extra_ok=spigot_ok)
 
 
-def _radicand_products(t: int, s5: FixedReal) -> tuple[FixedReal, FixedReal]:
-    """16t^4 R_0 R_2 and 16t^4 R_1 R_3 from a certified sqrt(5), as
-    (m - t sqrt5)^2 - 2t^2 (5 - sqrt5) and (m + t sqrt5)^2 - 2t^2 (5 +
-    sqrt5) with m = 4t^2 - t + 2: exact but for the two squarings."""
-    F = s5.frac_bits
-    m, ts5 = FixedReal.from_int(4 * t * t - t + 2, F), s5.mul_int(t)
-    five, w = FixedReal.from_int(5, F), 2 * t * t
-    e, c = m - ts5, m + ts5
-    return e * e - (five - s5).mul_int(w), c * c - (five + s5).mul_int(w)
+def _radicand_products(t: int) -> tuple[int, int]:
+    """The integers (e0, e1) with 16t^4 R_0 R_2 = e0 + e1 sqrt5 and 16t^4
+    R_1 R_3 = e0 - e1 sqrt5: m^2 - 5t^2 and 2t^2 - 2mt, m = 4t^2 - t + 2."""
+    m = 4 * t * t - t + 2
+    return m * m - 5 * t * t, 2 * t * t - 2 * m * t
 
 
 def verify_decomposition(t: int, target_bits: int) -> VerificationReport:
-    """atanh closed form vs the four-term polylogarithm decomposition.
+    """atanh closed form vs the four-term polylogarithm decomposition, exactly.
 
     The right side is the alternating sum of Re Li_1[q e^{i x_i}] =
     -ln(R_i)/2 for x_i = k*pi/20, k in {1, 7, 9, 17}, with the radicands
@@ -131,63 +125,29 @@ def verify_decomposition(t: int, target_bits: int) -> VerificationReport:
     = -2sin(pi/10) = -(sqrt5-1)/2 and c_1 c_3 = -cos(pi/5) = -(sqrt5+1)/4.
     Multiplied out, with m = 2A - t = 4t^2 - t + 2,
 
-        16t^4 R_0 R_2 = (m - t sqrt5)^2 - 2t^2 (5 - sqrt5)
-        16t^4 R_1 R_3 = (m + t sqrt5)^2 - 2t^2 (5 + sqrt5)
+        E = 16t^4 R_0 R_2 = (m^2 - 5t^2) + (2t^2 - 2mt) sqrt5 = e0 + e1 sqrt5
 
-    and :func:`_radicand_products` returns these two, E and C.
+    and C = 16t^4 R_1 R_3 = e0 - e1 sqrt5, its conjugate, for the
+    integers (e0, e1) of :func:`_radicand_products`.
 
-    Both sides are halves of logs, so the check compares the logs'
-    arguments and takes no log.  With a = u(t)*sqrt(5) the left side is
-    atanh(a) = sign(a) * ln(X)/2 for X = (1+|a|)/(1-|a|), and the right
-    side -1/2 sum_i (-1)**i ln R_i is ln(R_1 R_3 / (R_0 R_2))/2 =
-    ln(C/E)/2.  Y is C/E when a >= 0 and E/C otherwise, so |lhs - rhs| =
-    |ln X - ln Y|/2 for either sign.  Swap E and C when a < 0: then X/Y
-    = P/Q for the cross products P = (1+|a|) E and Q = (1-|a|) C, the
-    common 16t^4 cancels, and no division is needed.  For positive P and
-    Q the mean value theorem gives |ln P - ln Q| = |P - Q|/xi for some
-    xi between them; with mantissas P_m, Q_m and bounds e_P, e_Q in
-    ulps 2**-F,
-
-        |lhs - rhs| <= (|P_m - Q_m| + e_P + e_Q) / (2 min(P_m - e_P, Q_m - e_Q))
-
-    whether or not the identity holds, so a false one still fails.  The
-    report counts F - bitlen(ceil(2**F * bound)) bits, as
-    :func:`agreement_bits` does.
-
-    Each product carries at most 2|t|(m -+ t sqrt5) + 4t^2 + 2 <= 25|t|^3
-    ulps.  sqrt(5) carries 1 ulp, so t sqrt(5) and m -+ t sqrt(5) carry
-    |t|.  Both m -+ t sqrt(5) = 4t^2 - (1 +- sqrt5)t + 2 are positive
-    (their discriminants are negative) and at most 9.24t^2, and their
-    mantissas are at most 2**F (m -+ t sqrt5 + |t| 2**-F), so a squaring
-    carries at most 2|t|(m -+ t sqrt5) + 3t^2 2**-F + 2 ulps; 2t^2 (5 -+
-    sqrt5) carries 2t^2.
-
-    The lower end is positive for every nonzero t at F >= 89 bits (a
-    target of 1 bit or more), so the PrecisionError below is never
-    raised.  For u = N/D, 2D - 5|N| >= 0 at every nonzero integer t (it
-    is 8t^4 - 14t^3 + 11t^2 - 7t + 2 for t > 0 and 8s^4 - 6s^3 + s^2 -
-    3s + 2 with s = -t for t < 0), so |a| <= 2/sqrt(5) and 1 - |a| >
-    0.1055.  Each R_i lies in [(1-|q|)^2, (1+|q|)^2] with |q| <=
-    1/sqrt(2), so E and C lie in 16t^4 [0.00735, 8.5], and P >= E and Q
-    > 0.0124 t^4.  a carries ceil(|u|) + 1 = 2 ulps, and so does 1 +-
-    |a|, so with 1 + |a| < 1.9, e_P <= 1.9 * 25t^4 + 2 * 136t^4 + 3 <
-    330t^4 and e_Q < 310t^4.  So the lower end is at least t^4 (0.0124 *
-    2**F - 660) > 0 for F >= 16.
+    With a = u sqrt5 for u = N/D = :func:`_lhs_argument`, the left side is
+    atanh(a) = ln((1+a)/(1-a))/2 and the right side -1/2 sum_i (-1)**i ln
+    R_i = ln(C/E)/2.  The check passes iff D e1 + N e0 = 0, e0 > 0 and
+    e0^2 > 5 e1^2, all in integers.  The last two say e0 > |e1| sqrt5, so
+    E and C are positive; the first is (1 + a) E = (1 - a) C, as (1 + a) E
+    - (1 - a) C = 2 sqrt5 (e1 + u e0).  Then 1 + a and 1 - a have one sign
+    and sum to 2, so |a| < 1, both logs are real and the sides are equal.
+    An exact check agrees to every bit, so a pass reports the working
+    width target + GUARD_BITS, as many bits as the numeric checks carry,
+    and a failure reports 0.
     """
     started = time.perf_counter()
     work = _work_bits(target_bits)
     if t == 0:
         raise DomainError("t must be a nonzero integer")
-    s5 = fx_sqrt(FixedReal.from_int(5, work))
-    a = s5.mul_fraction(_lhs_argument(t))
-    e, c = _radicand_products(t, s5)
-    e, c = (e, c) if a.mantissa >= 0 else (c, e)
-    one, abs_a = FixedReal.from_int(1, work), abs(a)
-    P, Q = (one + abs_a) * e, (one - abs_a) * c
-    low = min(P.mantissa - P.err_ulp, Q.mantissa - Q.err_ulp)
-    if low <= 0:
-        raise PrecisionError("decomposition product interval reaches zero")
-    spread = abs(P.mantissa - Q.mantissa) + P.err_ulp + Q.err_ulp
-    worst = -(-(spread << work) // (2 * low))
-    agree = work - worst.bit_length()
+    u = _lhs_argument(t)
+    e0, e1 = _radicand_products(t)
+    holds = u.denominator * e1 + u.numerator * e0 == 0
+    positive = e0 > 0 and e0 * e0 > 5 * e1 * e1
+    agree = work if holds and positive else 0
     return _report(f"decomposition(t={t})", agree, target_bits, started)

@@ -9,7 +9,6 @@ multiplication.
 from __future__ import annotations
 
 import math
-from decimal import Decimal
 from fractions import Fraction
 
 
@@ -127,51 +126,35 @@ def li1_decomposition_sides(t: int, work: int):
 
     Left side: ``fx_atanh`` of a = u(t)*sqrt(5).  Right side: -1/2 sum_i
     (-1)**i ln R_i, taken as one log of one quotient, sum_i (-1)**i ln R_i
-    = ln(E / C) over the products E = 16t^4 R_0 R_2 and C = 16t^4 R_1 R_3
-    of ``bbplog.verify._radicand_products`` (the 16t^4 cancels), oriented
-    to be >= 1 (the larger product over the smaller, the sign flipped), as
-    ``fx_atanh`` does.  Unlike the rest of this module it shares the
-    products with the check; it is the two-log reference that
-    ``verify_decomposition``'s log-free bound must never read below, and
-    the decimal oracle above checks its right side.
+    = ln(E / C) over E = 4t^4 R_0 R_2 and C = 4t^4 R_1 R_3 (the 4t^4
+    cancels), oriented to be >= 1 (the larger product over the smaller,
+    the sign flipped), as ``fx_atanh`` does.  Each product comes from its
+    pair's sum s and product p of sqrt(2)cos x_i: with A = 2t^2 + 1,
+    2t^2 R_i = A - 2t sqrt(2)cos x_i, so 4t^4 R_i R_j = A^2 - 2tA*s +
+    4t^2*p, with s and p from a certified sqrt(5): a second route to the
+    pair products, not ``bbplog.verify``'s integer form in m = 4t^2 - t +
+    2.  It is the two-log reference for ``verify_decomposition``, and the
+    decimal oracle above checks its right side.
     """
     from bbplog.family import _lhs_argument
     from bbplog.numerics import FixedReal, fx_atanh, fx_log, fx_sqrt
-    from bbplog.verify import _radicand_products
 
     s5 = fx_sqrt(FixedReal.from_int(5, work))
+    one = FixedReal.from_int(1, work)
     lhs = fx_atanh(s5.mul_fraction(_lhs_argument(t)))
-    num, den = _radicand_products(t, s5)
+    A = 2 * t * t + 1
+    # (sum, product) of the pairs: 2cos(pi/5), cos(2pi/5); -2sin(pi/10), -cos(pi/5)
+    pairs = (
+        ((s5 + one).div_int(2), (s5 - one).div_int(4)),
+        ((one - s5).div_int(2), (s5 + one).div_int(-4)),
+    )
+    num, den = (
+        FixedReal.from_int(A * A, work) - s.mul_int(2 * t * A) + p.mul_int(4 * t * t)
+        for s, p in pairs
+    )
     if num.mantissa >= den.mantissa:
         return lhs, fx_log(num / den).div_int(-2)
     return lhs, fx_log(den / num).div_int(2)
-
-
-def atanh_sqrt5_gap_decimal(u0: Fraction, u1: Fraction, ctx):
-    """(value, error bound) of atanh(u1*sqrt5) - atanh(u0*sqrt5) as
-    Decimals in ``ctx``, for |u_i*sqrt5| <= 0.9 and u0, u1 close.
-
-    The gap is ln(W)/2 with W = (1+z1)(1-z0) / ((1-z1)(1+z0)), z_i =
-    u_i*sqrt5: one log, of a number near 1.  Decimal(int) is exact, so
-    each u_i rounds once.  Every intermediate value is below 10 in
-    magnitude, so each operation rounds by at most u/2, u = 10**(1 -
-    prec).  Then each z_i is off by under 2u, each factor (in [0.1, 1.9])
-    by under 2.5u, each product (in [0.01, 3.61]) by under 10u, W by
-    under 10u * 7.22 / 0.0099**2 < 7.4e5 u, and, with W in [1/2, 2]
-    (asserted), ln W by under 1.6e6 u; 10**6 u bounds the halved result.
-    """
-    s5 = ctx.sqrt(ctx.create_decimal(5))
-    z0, z1 = (
-        ctx.multiply(s5, ctx.divide(Decimal(u.numerator), Decimal(u.denominator)))
-        for u in (u0, u1)
-    )
-    assert max(abs(z0), abs(z1)) < Decimal("0.9")
-    w = ctx.divide(
-        ctx.multiply(ctx.add(1, z1), ctx.subtract(1, z0)),
-        ctx.multiply(ctx.subtract(1, z1), ctx.add(1, z0)),
-    )
-    assert Decimal("0.6") < w < Decimal("1.6")
-    return ctx.divide(ctx.ln(w), 2), ctx.scaleb(1, 7 - ctx.prec)
 
 
 def modpow_bruteforce(base: int, exp: int, m: int) -> int:

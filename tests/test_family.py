@@ -18,7 +18,7 @@ from bbplog.family import (
     lhs_value,
 )
 from bbplog.formula import eval_P
-from bbplog.numerics import FixedReal, agreement_bits, fx_sqrt
+from bbplog.numerics import agreement_bits
 from bbplog.verify import _radicand_products, verify_decomposition
 
 from _oracles import li1_decomposition_decimal, li1_decomposition_sides
@@ -190,14 +190,8 @@ def test_li1_oracle_takes_one_log_per_side(monkeypatch):
 
 
 def test_decomposition_radicands_stay_above_their_bound():
-    # the positivity bound: each R_i >= (1 - |q|)**2 with |q| <= 1/sqrt(2),
-    # so 16t^4 R_0 R_2 and 16t^4 R_1 R_3 are at least 16t^4 (1 - 1/sqrt2)**4
-    # = 16t^4 (17/4 - 3 sqrt2), and every interval's lower end stays above it
-    for t in (1, -1, 2, -50):
-        for work in (64, 1088):
-            s5 = fx_sqrt(FixedReal.from_int(5, work))
-            for p in _radicand_products(t, s5):
-                low = Fraction(p.mantissa - p.err_ulp, 1 << work) / (16 * t**4)
-                # low >= 17/4 - 3 sqrt2 > 0, i.e. (17/4 - low)**2 <= 18
-                assert 0 < low, (t, work)
-                assert low >= Fraction(17, 4) or (Fraction(17, 4) - low) ** 2 <= 18, (t, work)
+    # 16t^4 R_0 R_2 = e0 + e1 sqrt5 and 16t^4 R_1 R_3 = e0 - e1 sqrt5 are
+    # both positive, e0 > |e1| sqrt5, checked in integers
+    for t in [*range(-50, 0), *range(1, 51)]:
+        e0, e1 = _radicand_products(t)
+        assert e0 > 0 and e0 * e0 > 5 * e1 * e1, t

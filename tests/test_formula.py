@@ -10,12 +10,13 @@ from fractions import Fraction
 import pytest
 
 import bbplog.formula as formula_mod
-from bbplog.errors import ParseError, ValidationError
+from bbplog.errors import ParseError, UnsupportedFormulaError, ValidationError
 from bbplog.family import family_coeffs, golden_formula
-from bbplog.formula import BbpFormula, emit_formula, eval_P, parse_formula
+from bbplog.formula import MAX_DEGREE, BbpFormula, emit_formula, eval_P, parse_formula
 from bbplog.formula import _fold_levels, _truncation
 from bbplog.numerics import FixedReal, agreement_bits, fx_log
 from bbplog.presets import load_preset
+from bbplog.spigot import build_plan
 
 from _oracles import bbp_sum_exact, eval_P_folded, log2_series, truncation_walk
 
@@ -43,6 +44,26 @@ def test_eval_bound_does_not_grow_with_precision():
     # instead of counting one ulp per term
     errs = {eval_P(LOG2_FORMULA, F).value.err_ulp for F in (256, 1024, 4096)}
     assert len(errs) == 1
+
+
+def test_eval_needs_64_frac_bits():
+    with pytest.raises(ValidationError, match="frac_bits: must be >= 64"):
+        eval_P(LOG2_FORMULA, 63)
+    res = eval_P(LOG2_FORMULA, 64)
+    assert abs(res.value.value - 2 * math.log(2)) < 1e-15
+
+
+def test_eval_and_build_plan_take_degree_up_to_max_degree():
+    # sum_k 2**-k / (k+1)**128: the k = 0 term is 1, the next below 2**-129
+    def formula(degree):
+        return BbpFormula(degree=degree, base=2, length=1, coeffs=(1,), prefactor=Fraction(1))
+
+    top = formula(MAX_DEGREE)
+    res = eval_P(top, 64)
+    assert abs(res.value.value - 1) <= res.value.err + Fraction(1, 1 << 128)
+    assert build_plan(top).formula is top
+    with pytest.raises(UnsupportedFormulaError, match=f"eval needs degree <= {MAX_DEGREE}"):
+        eval_P(formula(MAX_DEGREE + 1), 64)
 
 
 def test_all_zero_coefficients_rejected():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import decimal
 import hashlib
+import math
 import re
 from fractions import Fraction
 
@@ -12,8 +13,8 @@ import pytest
 import bbplog.family as family_mod
 import bbplog.numerics as numerics_mod
 import bbplog.verify as verify_mod
-from bbplog.errors import DomainError, PrecisionError, ValidationError
-from bbplog.numerics import FixedReal, agreement_bits, fx_sqrt
+from bbplog.errors import DomainError, ValidationError
+from bbplog.numerics import FixedReal, agreement_bits
 from bbplog.spigot import DigitWindow
 from bbplog.verify import (
     GUARD_BITS,
@@ -22,7 +23,7 @@ from bbplog.verify import (
     verify_theorem,
 )
 
-from _oracles import atanh_sqrt5_gap_decimal, li1_decomposition_sides, li1_radicands_decimal
+from _oracles import li1_decomposition_sides, li1_radicands_decimal
 
 REPORT_RE = re.compile(r"^REPORT \S+ passed=(true|false) bits=-?\d+ ms=\d+$")
 
@@ -48,22 +49,18 @@ def test_theorem_t1_at_100000_bits():
 @pytest.mark.slow
 @pytest.mark.parametrize("t", [1, -50])
 def test_decomposition_at_100000_bits(t):
-    # the cross products of the two sides' log arguments; t = 1 has the
-    # smallest radicand, t = -50 the smallest |q|
+    # the exact check costs the same at any width; t = 1 has the smallest
+    # radicand, t = -50 the smallest |q|
     report = verify_decomposition(t, 100_000)
     assert report.passed
     assert report.agreement_bits >= 100_000
 
 
 # agreement bits of verify_theorem and verify_decomposition at 1000 bits;
-# every check passes, theorem reads 1085 throughout and decomposition 1086
-# for every t not listed here.  The decomposition's bits come from the
-# mean-value bound on the cross products of its two log arguments.
-DECOMPOSITION_BITS_AT_1000 = {
-    **dict.fromkeys((-34, -4, -3, -2, 2, 4, 5), 1085),
-    -1: 1084,
-    1: 1083,
-}
+# every check passes, theorem reads 1085 throughout, and the exact
+# decomposition check reads its working width, 1000 + GUARD_BITS, for
+# every t
+DECOMPOSITION_BITS_AT_1000 = 1088
 
 
 def test_theorem_and_decomposition_match_recorded_lines():
@@ -71,15 +68,15 @@ def test_theorem_and_decomposition_match_recorded_lines():
         theorem = verify_theorem(t, 1000)
         decomposition = verify_decomposition(t, 1000)
         assert (theorem.passed, theorem.agreement_bits) == (True, 1085), t
-        expected = DECOMPOSITION_BITS_AT_1000.get(t, 1086)
-        assert (decomposition.passed, decomposition.agreement_bits) == (True, expected), t
+        expected = (True, DECOMPOSITION_BITS_AT_1000)
+        assert (decomposition.passed, decomposition.agreement_bits) == expected, t
 
 
 # SHA-256 of every REPORT line without its ms= field, one line each, of
 # the corollary and then theorem and decomposition for t = -50..-1, 1..50,
 # at 200, 1000 and 3000 bits in turn.  Any change to the arithmetic that
 # moves one verdict or agreement count changes it.
-REPORT_DIGEST = "bfd0095da08a84bc8367731f35de4e74bcc3eab7c7a12220e2d83371b7eb1860"
+REPORT_DIGEST = "5c29847fd1970fa2ed6baf3e2da7fab65e4b46a04e138daaab557789fe977dc7"
 
 
 def test_report_lines_match_recorded_digest():
@@ -159,18 +156,12 @@ def test_corollary_fails_on_a_window_certified_short_of_32_bits(monkeypatch):
 
 
 def test_decomposition_refuses_a_quotient_interval_that_reaches_zero(monkeypatch):
-    # C = 16t^4 R_1 R_3 keeps its positive mantissa, but its error reaches
-    # 0: so does the interval of the cross product it enters, where the
-    # mean-value bound has no lower end
-    real = verify_mod._radicand_products
-
-    def reaching_zero(t, s5):
-        e, c = real(t, s5)
-        return e, FixedReal(c.mantissa, c.frac_bits, c.mantissa)
-
-    monkeypatch.setattr(verify_mod, "_radicand_products", reaching_zero)
-    with pytest.raises(PrecisionError, match="reaches zero"):
-        verify_decomposition(1, 64)
+    # E = C = 0 satisfies D e1 + N e0 = 0, but the quotient C/E of the
+    # radicand products is no positive number, so the check must fail on
+    # its positivity clause alone
+    monkeypatch.setattr(verify_mod, "_radicand_products", lambda t: (0, 0))
+    report = verify_decomposition(1, 64)
+    assert (report.passed, report.agreement_bits) == (False, 0), report.line()
 
 
 def test_decomposition_report():
@@ -180,13 +171,13 @@ def test_decomposition_report():
 
 
 def test_decomposition_check_takes_no_log(monkeypatch):
-    # the check compares the arguments of the two sides' logs
+    # the check is integer arithmetic: no log, and no fixed-point number
     calls = []
 
     def counting(real):
-        def wrapper(x):
+        def wrapper(*args, **kwargs):
             calls.append(real)
-            return real(x)
+            return real(*args, **kwargs)
 
         return wrapper
 
@@ -195,6 +186,7 @@ def test_decomposition_check_takes_no_log(monkeypatch):
         wrapped = counting(getattr(numerics_mod, name))
         for mod in (numerics_mod, family_mod, verify_mod):
             monkeypatch.setattr(mod, name, wrapped, raising=False)
+    monkeypatch.setattr(FixedReal, "__init__", counting(FixedReal.__init__))
     for t in (1, -1, 7):
         assert verify_decomposition(t, 1000).passed
     assert calls == []
@@ -202,8 +194,8 @@ def test_decomposition_check_takes_no_log(monkeypatch):
 
 @pytest.mark.parametrize("bits", [200, 1000])
 def test_decomposition_reads_no_lower_than_its_two_logs(bits):
-    # the two-log reference takes both logs; their agreement_bits is what
-    # the check's bound on the log arguments must reach
+    # the two-log reference takes both logs at the working width, so it
+    # can agree to no more than the width the exact check reads
     for t in [*range(-50, 0), *range(1, 51)]:
         lhs, rhs = li1_decomposition_sides(t, bits + GUARD_BITS)
         assert verify_decomposition(t, bits).agreement_bits >= agreement_bits(lhs, rhs), t
@@ -212,32 +204,24 @@ def test_decomposition_reads_no_lower_than_its_two_logs(bits):
 @pytest.mark.parametrize("work", [*range(1, 65), 1088])
 def test_decomposition_radicands_hold_the_half_angle_oracle(monkeypatch, work):
     # the library multiplies the radicands out in pairs over sqrt(5), the
-    # decimal oracle takes each from the half-angle chain: both product
-    # intervals must hold 16t^4 times the oracle's products, widened by
-    # their bound, and carry at most the 25|t|^3 ulps that
-    # verify_decomposition's docstring states; so must a = u sqrt(5) hold
-    # the decimal one, with at most 2 ulps.  Up to 64 bits the widths
-    # bring some product's error and a's near their charges, so the
-    # charges of the chain fail here when dropped
+    # decimal oracle takes each from the half-angle chain at about work
+    # bits: e0 -+ e1 sqrt5, with sqrt5 a correctly rounded Decimal, must
+    # hold 16t^4 times the oracle's products, widened by both roundings
     ctx = decimal.Context(prec=work * 30103 // 100000 + 12)
-    s5 = fx_sqrt(FixedReal.from_int(5, work))
     root5 = Fraction(ctx.sqrt(5))
+    root5_err = Fraction(ctx.scaleb(1, 1 - ctx.prec)) / 2
     for t in [*range(-50, 0), *range(1, 51)]:
-        u = verify_mod._lhs_argument(t)
-        a = s5.mul_fraction(u)
-        assert a.err_ulp <= 2, t
-        assert abs(u * root5 - a.value) <= a.err + Fraction(1, 1 << work) / 10**10, t
         refs, ref_err = li1_radicands_decimal(t, ctx)
         assert Fraction(ref_err) < Fraction(1, 1 << work)
         r0, r1, r2, r3 = map(Fraction, refs)
         d, scale = Fraction(ref_err), 16 * t**4
-        products = verify_mod._radicand_products(t, s5)
-        for i, (p, x, y) in enumerate(zip(products, (r0, r1), (r2, r3))):
+        e0, e1 = verify_mod._radicand_products(t)
+        for sign, x, y in ((1, r0, r2), (-1, r1, r3)):
             # |x'y' - xy| <= d(|x| + |y|) + d^2 for |x' - x|, |y' - y| <= d
             ref_bound = scale * (d * (abs(x) + abs(y)) + d * d)
-            assert p.err_ulp <= 25 * abs(t) ** 3, (t, i)
-            assert abs(scale * x * y - p.value) <= p.err + ref_bound, (t, i)
-    # one check takes one square root, sqrt(5)
+            product = e0 + sign * e1 * root5
+            assert abs(scale * x * y - product) <= abs(e1) * root5_err + ref_bound, (t, sign)
+    # the check takes no square root
     calls = []
     real = numerics_mod.fx_sqrt
 
@@ -246,111 +230,158 @@ def test_decomposition_radicands_hold_the_half_angle_oracle(monkeypatch, work):
         return real(x)
 
     for mod in (numerics_mod, family_mod, verify_mod):
-        monkeypatch.setattr(mod, "fx_sqrt", counting)
+        monkeypatch.setattr(mod, "fx_sqrt", counting, raising=False)
     for t in (1, -2, 50):
-        calls.clear()
         assert verify_decomposition(t, work).passed
-        assert len(calls) == 1, t
-
-
-def _move_lhs_argument(monkeypatch, t, k):
-    """Move u(t) by 2**-k; return the exact gap this opens between the
-    two sides, atanh(u'sqrt5) - atanh(u sqrt5), as Fractions
-    (magnitude, error bound) from the decimal oracle."""
-    real = verify_mod._lhs_argument
-    u = real(t)
-    moved = u + Fraction(1, 1 << k)
-    monkeypatch.setattr(verify_mod, "_lhs_argument", lambda s: moved if s == t else real(s))
-    ctx = decimal.Context(prec=(k + 60) * 30103 // 100000 + 10)
-    gap, gap_err = atanh_sqrt5_gap_decimal(u, moved, ctx)
-    gap, gap_err = abs(Fraction(gap)), Fraction(gap_err)
-    assert gap_err < gap / (1 << 40)
-    return gap, gap_err
-
-
-def _assert_bits_bracket_the_gap(report, gap, gap_err):
-    # the reported bits lie within 3 below -log2 of the true gap
-    bits = report.agreement_bits
-    assert gap + gap_err <= Fraction(1, 1 << bits), report.line()
-    assert gap - gap_err >= Fraction(1, 1 << (bits + 3)), report.line()
+    assert calls == []
 
 
 @pytest.mark.parametrize("k", [150, 300, 600])
 @pytest.mark.parametrize("t", [1, -2, 50])
 def test_decomposition_bound_is_sound_and_tight(monkeypatch, t, k):
-    # the check passes a few bits below k and fails once the target passes k
-    gap, gap_err = _move_lhs_argument(monkeypatch, t, k)
-    for target, passed in ((k - 8, True), (k + 1, False)):
+    # sound: u(t) moved by 2**-k fails at every target, whether above or
+    # below k, with no bit of agreement; tight: the true u(t) passes at
+    # each of those targets with its whole working width
+    real = verify_mod._lhs_argument
+    moved = real(t) + Fraction(1, 1 << k)
+    targets = (1, k - 8, k + 1, 10_000)
+    for target in targets:
+        assert verify_decomposition(t, target).agreement_bits == target + GUARD_BITS
+    monkeypatch.setattr(verify_mod, "_lhs_argument", lambda s: moved if s == t else real(s))
+    for target in targets:
         report = verify_decomposition(t, target)
-        _assert_bits_bracket_the_gap(report, gap, gap_err)
-        assert report.passed is passed, report.line()
-
-
-def test_decomposition_bound_holds_far_from_the_identity(monkeypatch):
-    # a gap of about 2**-2.8: X and Y differ by a quarter, so the mean
-    # value theorem's xi must be bounded by the smaller of the two (the
-    # larger would report 3 bits)
-    gap, gap_err = _move_lhs_argument(monkeypatch, 50, 4)
-    report = verify_decomposition(50, 10)
-    _assert_bits_bracket_the_gap(report, gap, gap_err)
-    assert not report.passed
-
-
-@pytest.mark.parametrize("t", [1, 2, -3, 7])
-def test_decomposition_bits_hold_at_every_corner_of_wide_radicands(monkeypatch, t):
-    # each product's error raised by 16t^4 * 2**20 ulps, about what 2**20
-    # ulps of each radicand would add, makes Y's error dominate the bound.  For X'
-    # and Y' at any corners of the exact intervals that hold X and Y,
-    # |X' - Y'| / (2 max(X', Y')) <= |ln X' - ln Y'|/2, which the reported
-    # bits must bound
-    real = verify_mod._radicand_products
-    seen = {}
-
-    def widened(t, s5):
-        seen["s5"] = s5
-        seen["p"] = tuple(
-            FixedReal(p.mantissa, p.frac_bits, p.err_ulp + (16 * t**4 << 20)) for p in real(t, s5)
-        )
-        return seen["p"]
-
-    monkeypatch.setattr(verify_mod, "_radicand_products", widened)
-    report = verify_decomposition(t, 200)
-
-    def ends(v):
-        return v.value - v.err, v.value + v.err
-
-    u = verify_mod._lhs_argument(t)
-    xs = [(1 + abs(u) * s) / (1 - abs(u) * s) for s in ends(seen["s5"])]
-    (lo_e, hi_e), (lo_c, hi_c) = map(ends, seen["p"])
-    assert min(lo_e, lo_c) > 0
-    ys = [lo_c / hi_e, hi_c / lo_e]
-    if u < 0:
-        ys = [1 / y for y in ys]
-    bound = Fraction(1, 1 << report.agreement_bits)
-    for x in xs:
-        for y in ys:
-            assert abs(x - y) / (2 * max(x, y)) < bound, report.line()
+        assert (report.passed, report.agreement_bits) == (False, 0), report.line()
 
 
 @pytest.mark.parametrize("i", range(4))
 def test_decomposition_fails_with_a_wrong_cosine(monkeypatch, i):
-    # sqrt(5) moved by -+2**-500 inside product i // 2 alone, which is
-    # both cosines of that pair moved by multiples of it: the product
-    # moves by 2**-500 |2t^2 - 2t(m -+ t sqrt5)|, and the right side by
-    # between 2**-508 and 2**-500 for these t: far above a 1000-bit target
+    # a wrong cosine moves a coefficient of the pair products in Z[sqrt5]:
+    # e0 (i = 0, 1) or e1 (i = 2, 3) moved by +-1 breaks D e1 + N e0 = 0,
+    # by N or D, neither of which is 0 at a nonzero integer t
     real = verify_mod._radicand_products
 
-    def wrong(t, s5):
-        step = FixedReal.from_fraction(Fraction((-1) ** i, 1 << 500), s5.frac_bits)
-        products = list(real(t, s5))
-        products[i // 2] = real(t, s5 + step)[i // 2]
+    def wrong(t):
+        products = list(real(t))
+        products[i // 2] += (-1) ** i
         return tuple(products)
 
     monkeypatch.setattr(verify_mod, "_radicand_products", wrong)
     for t in (1, -2, 50):
         report = verify_decomposition(t, 1000)
-        assert not report.passed, t
-        assert 480 < report.agreement_bits < 520, (t, report.agreement_bits)
+        assert (report.passed, report.agreement_bits) == (False, 0), t
+
+
+# -- the decomposition's algebra, exactly, in Q(sqrt5) ----------------------
+#
+# a + b sqrt5 is the pair (a, b) of Fractions; a polynomial is its list of
+# integer coefficients, constant first.  These facts do not depend on t,
+# so the runtime check takes them as given and this suite proves them.
+
+
+def _q5(a, b=0):
+    return Fraction(a), Fraction(b)
+
+
+def _q5_add(x, y):
+    return x[0] + y[0], x[1] + y[1]
+
+
+def _q5_mul(x, y):
+    return x[0] * y[0] + 5 * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _q5_positive(x):
+    # a + b sqrt5 > 0, decided exactly: compare a^2 with 5b^2 when the
+    # signs of a and b differ
+    a, b = x
+    if a >= 0 and b >= 0:
+        return a > 0 or b > 0
+    if a <= 0 and b <= 0:
+        return False
+    return (a * a > 5 * b * b) == (a > 0)
+
+
+def _poly_at(coeffs, x):
+    value = _q5(0)
+    for c in reversed(coeffs):
+        value = _q5_add(_q5_mul(value, x), _q5(c))
+    return value
+
+
+def _poly_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+T5 = [0, 5, 0, -20, 0, 16]  # the Chebyshev polynomial: T5(cos y) = cos 5y
+COS_PI_5 = _q5(Fraction(1, 4), Fraction(1, 4))  # (1 + sqrt5)/4
+COS_2PI_5 = _q5(Fraction(-1, 4), Fraction(1, 4))  # (sqrt5 - 1)/4
+# verify_decomposition's pair facts, (sum, product) of sqrt(2)cos x_i over
+# i = 0, 2 and over i = 1, 3: (sqrt5+1)/2, (sqrt5-1)/4; -(sqrt5-1)/2, -(sqrt5+1)/4
+PAIRS = (
+    (_q5(Fraction(1, 2), Fraction(1, 2)), _q5(Fraction(-1, 4), Fraction(1, 4))),
+    (_q5(Fraction(1, 2), Fraction(-1, 2)), _q5(Fraction(-1, 4), Fraction(-1, 4))),
+)
+
+
+def test_decomposition_cosines_are_the_roots_of_t5():
+    # T5(x) + 1 = (x + 1)(4x^2 - 2x - 1)^2, and cos(pi/5), in (0, 1), is a
+    # root of it other than -1; 4x^2 - 2x - 1 has roots of product -1/4,
+    # so only one positive root, which must be cos(pi/5).  Likewise T5(x) -
+    # 1 = (x - 1)(4x^2 + 2x - 1)^2 for cos(2pi/5), in (0, 1)
+    for cos, side, quadratic in ((COS_PI_5, -1, [-1, -2, 4]), (COS_2PI_5, 1, [-1, 2, 4])):
+        shifted = [T5[0] - side, *T5[1:]]
+        assert shifted == _poly_mul([-side, 1], _poly_mul(quadratic, quadratic))
+        assert quadratic[0] * quadratic[2] < 0
+        assert _poly_at(quadratic, cos) == _q5(0)
+        assert _q5_positive(cos)
+        assert _poly_at(T5, cos) == _q5(side)
+
+
+def test_decomposition_pair_facts_hold():
+    # sqrt(2)cos(pi/4 -+ y) = cos y +- sin y: over i = 0, 2 (y = pi/5) the
+    # sum is 2cos y and the product cos 2y = 2cos^2 y - 1; over i = 1, 3
+    # (y = pi/10, x_3 = pi - (pi/4 - y)) the sum is -2sin(pi/10) =
+    # -2cos(2pi/5) and the product -cos(pi/5) = -(1 - 2sin^2(pi/10))
+    two, minus = _q5(2), _q5(-1)
+    (s02, p02), (s13, p13) = PAIRS
+    assert s02 == _q5_mul(two, COS_PI_5)
+    assert p02 == _q5_add(_q5_mul(two, _q5_mul(COS_PI_5, COS_PI_5)), minus) == COS_2PI_5
+    assert s13 == _q5_mul(_q5(-2), COS_2PI_5)
+    assert p13 == _q5_add(_q5_mul(two, _q5_mul(COS_2PI_5, COS_2PI_5)), minus)
+    assert p13 == _q5_mul(minus, COS_PI_5)
+    # and the angles k*pi/20, k = 1, 9 and 7, 17, are those pairs, in floats
+    root5 = math.sqrt(5)
+    for (i, j), (s, p) in zip(((1, 9), (7, 17)), PAIRS):
+        ci, cj = (math.sqrt(2) * math.cos(k * math.pi / 20) for k in (i, j))
+        assert math.isclose(ci + cj, float(s[0] + s[1] * root5), abs_tol=1e-12)
+        assert math.isclose(ci * cj, float(p[0] + p[1] * root5), abs_tol=1e-12)
+
+
+def test_decomposition_products_multiply_out_from_the_pairs():
+    # 16t^4 R_i R_j = 4(A^2 - 2tA s + 4t^2 p) for A = 2t^2 + 1 and each
+    # pair's sum s and product p; both sides are polynomials in t of
+    # degree <= 4, so agreeing at nine t they agree at every t
+    for t in range(-4, 5):
+        e0, e1 = verify_mod._radicand_products(t)
+        A = 2 * t * t + 1
+        for (s, p), sign in zip(PAIRS, (1, -1)):
+            quarter = _q5_add(
+                _q5_add(_q5(A * A), _q5_mul(_q5(-2 * t * A), s)), _q5_mul(_q5(4 * t * t), p)
+            )
+            assert _q5_mul(_q5(4), quarter) == _q5(e0, sign * e1), t
+
+
+def test_decomposition_products_are_4d_and_minus_4n():
+    # e0 = 4D and e1 = -4N for the unreduced u = N/D of the family: both
+    # sides are polynomials of degree <= 4, checked at nine t
+    for t in range(-4, 5):
+        n = t * (1 - t + 2 * t * t)
+        d = 1 - t + 3 * t * t - 2 * t**3 + 4 * t**4
+        assert verify_mod._radicand_products(t) == (4 * d, -4 * n), t
 
 
 @pytest.mark.parametrize("t", [1, -2, 50])
