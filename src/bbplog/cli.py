@@ -19,7 +19,10 @@ Identical flags produce byte-identical stdout for digits, family, and
 eval; verify lines include wall-clock milliseconds by design.  digits,
 like eval, prints only certified digits: a window certified short of
 --count prints its first `certified` digits (bits, or whole hex digits
-for --radix 16), then `~`, and still exits 0.
+for --radix 16), then `~`, and still exits 0.  The whole hex digits are
+the certified-digits rule of numerics._certified_digits at r = 16: as
+floor(x * 16**c) = floor(x * 2**(4c)), c hex digits are certified
+exactly when 4c bits are, so --radix 16 prints certified // 4 of them.
 
 Each argument rule has one home.  The library checks the domain of its
 own arguments; this module holds the cost caps and one unit rule: digits

@@ -33,8 +33,10 @@ The logarithm reduces x itself by repeated square roots; it splits off
 no power of two, so no ln 2 constant is needed.  It then sums the atanh
 series by rectangular splitting, each block at a width that shrinks
 with its depth, with the number of terms fixed and proven before
-summing.  Values are immutable, the module keeps no cache, and every
-function here is pure and thread-safe.
+summing.  Every certified print, here and in the spigot, keeps the
+digits that :func:`_certified_digits` certifies, the one rule for which
+digits an interval defends.  Values are immutable, the module keeps no
+cache, and every function here is pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -204,15 +206,15 @@ class FixedReal(Record):
     def decimal(self, digits: int | None = None) -> str:
         """Decimal string holding only digits the error bound defends.
 
-        The printed string is the longest common prefix of the decimal
-        expansions of the interval endpoints, truncated to ``digits``
-        fractional places (default: the full capacity of the precision;
-        a negative count raises :class:`ValidationError`).
-        A trailing ``~`` marks a request for digits that could not be
-        certified.  When the two ends have different integer parts, not
-        even the integer part is defended and the print is ``~`` alone;
-        an interval across zero prints ``0~`` only when both ends are
-        below 1 in magnitude.
+        The printed digits are those that :func:`_certified_digits`, the
+        one certified-digits rule, certifies in radix 10 for both ends of
+        the interval, up to ``digits`` fractional places (default: the
+        full capacity of the precision; a negative count raises
+        :class:`ValidationError`).  A trailing ``~`` marks a request for
+        digits that could not be certified.  When the two ends have
+        different integer parts, not even the integer part is defended
+        and the print is ``~`` alone; an interval across zero prints
+        ``0~`` only when both ends are below 1 in magnitude.
 
         Only the digits that can matter are computed: endpoints 2 ulp or
         more apart differ within the first F+1 fractional digits, and an
@@ -236,37 +238,63 @@ class FixedReal(Record):
         if hi < 0:
             sign = "-"
             lo, hi = -hi, -lo
-        scale = 10**digits
-        lo_scaled = lo * scale
-        lo10 = lo_scaled >> F
-        hi10 = (lo_scaled + 2 * self.err_ulp * scale) >> F
-        # Decimal converts ints of any size; str(int) stops at 4300 digits
-        s_lo = str(Decimal(lo10))
-        width = max(len(s_lo), digits + 1)
-        s_lo = s_lo.zfill(width)
-        # the common prefix is width - k digits long for the least k with
-        # lo10 // 10**k == hi10 // 10**k.  k starts below the digit length
-        # of hi10 - lo10, where they cannot agree, and rises while they
-        # differ by two or more; once they differ by one, they first agree
-        # past the nines that end lo10 // 10**k.  common < 0 when no digit
-        # is shared, as when the carry gives hi10 more digits than width.
-        diff = hi10 - lo10
-        k = (diff.bit_length() - 1) * 30102 // 100000 if diff else 0
-        while (gap := hi10 // 10**k - lo10 // 10**k) > 1:
-            k += 1
-        common = width - k
-        if gap:
-            common = len(s_lo[: max(common, 0)].rstrip("9")) - 1
-        if common < width - digits:
+        c, q = _certified_digits(lo, hi, F, 10, digits)
+        if c < 0:
             return "~"
-        int_part = s_lo[: width - digits]
-        frac_part = s_lo[width - digits : common]
-        out = f"{sign}{int_part.lstrip('0') or '0'}"
-        if frac_part:
-            out += "." + frac_part + "0" * pad
-        if common < width:
-            out += "~"
-        return out
+        # Decimal converts ints of any size; str(int) stops at 4300 digits
+        s = str(Decimal(q)).zfill(c + 1)
+        out = sign + s[: len(s) - c]
+        if c:
+            out += "." + s[len(s) - c :] + "0" * pad
+        return out + ("~" if c < digits else "")
+
+
+def _certified_digits(lo: int, hi: int, F: int, r: int, count: int) -> tuple[int, int]:
+    """(c, floor(lo * r**c / 2**F)) for the largest c <= count with
+    floor(lo * r**c / 2**F) = floor(hi * r**c / 2**F), for lo <= hi and
+    r >= 2; (-1, floor(lo / 2**F)) when even the integer parts differ.
+
+    This is the rule every certified print rests on: the integer part and
+    first c radix-r fraction digits of every value in [lo, hi] * 2**-F
+    are certified exactly when the two ends agree on them.  Those digits
+    of x are floor(x * r**c), which only grows with x, so every x between
+    the ends takes a value between the ends' ones: the two ends decide.
+    Agreement at c gives agreement at every smaller c, as floor(y / r) =
+    floor(floor(y) / r), so the certified digits are a prefix.
+
+    With L and H the ends' floors at count digits, c = count - k for the
+    least k with L // r**k = H // r**k; once the integer parts agree, the
+    first test, k = count qualifies.  The quotients differ while r**k <=
+    H - L, so k starts one below log_r(H - L) and steps while they differ
+    by two or more.  Once they differ by one, q = H // r**k, and the two
+    first agree at k + v + 1 for v the trailing zero digits of q, as
+    (q - 1) // r**j = q // r**j unless r**j divides q; q > 0, as the
+    integer parts agree.  v is stripped in chunks r, r**2, r**4, ... that
+    double while they divide q and then halve.  hi * r**count is formed
+    as lo * r**count plus (hi - lo) * r**count, one full product.
+    """
+    if lo >> F != hi >> F:
+        return -1, lo >> F
+    scale = r**count
+    low = lo * scale
+    H = low + (hi - lo) * scale >> F
+    L = low >> F
+    k = max(0, int(math.log(H - L, r)) - 1) if H > L else 0
+    while (gap := H // (p := r**k) - (q := L // p)) >= 2:
+        k += 1
+    if gap:
+        q, chunks = q + 1, [r]
+        while (qr := divmod(q, chunks[-1]))[1] == 0:
+            q = qr[0]
+            chunks.append(chunks[-1] * chunks[-1])
+        for i in reversed(range(len(chunks) - 1)):
+            d, rest = divmod(q, chunks[i])
+            if rest == 0:
+                q, k = d, k + (1 << i)
+        # the j = len(chunks) - 1 doubling chunks stripped 2**j - 1 digits,
+        # and the ends first agree one digit past the strip
+        k, q = k + (1 << len(chunks) - 1), q // r
+    return count - k, q
 
 
 def agreement_bits(a: FixedReal, b: FixedReal) -> int:

@@ -40,12 +40,13 @@ levels past it under 2**-(W+n) in size, whatever their signs, so under
 one ulp of the W-bit window of 2**n * C.  The true accumulator is
 therefore in (acc - 1, acc + budget], with budget the block count plus
 one ulp for those levels: a number fixed by the plan, n and W before any
-block is summed.  Both ends of that interval certify the returned digits.
-W is the digit count plus 64 guard bits.  The budget stays below 2**32,
-leaving 32 bits of slack, for every n below about 2**32 * beta * L;
-past that a window may certify fewer bits, never a wrong one.
-``certified`` is the longest prefix that no value in the interval
-changes: it is computed, never assumed.
+block is summed.  ``certified`` is what ``numerics._certified_digits``,
+the one certified-digits rule, gives at r = 2 for the ends acc - 1 and
+acc + budget at scale 2**-W, or 0 when their integer parts differ: a
+borrow below acc = 0, or a carry out of the top.  It is computed, never
+assumed.  W is the digit count plus 64 guard bits.  The budget stays
+below 2**32, leaving 32 bits of slack, for every n below about 2**32 *
+beta * L; past that a window may certify fewer bits, never a wrong one.
 
 Partition.  The accumulator is an integer sum over the blocks, taken
 before the mask, so cutting the block range into contiguous parts and
@@ -63,6 +64,7 @@ import threading
 from ._record import Record
 from .errors import UnsupportedFormulaError, ValidationError
 from .formula import _FOLD_TERMS, MAX_DEGREE, BbpFormula, _block_fractions, _floor_at, _truncation
+from .numerics import _certified_digits
 
 __all__ = ["SpigotPlan", "DigitWindow", "build_plan", "extract_bits"]
 
@@ -121,21 +123,6 @@ def build_plan(f: BbpFormula) -> SpigotPlan:
         s_min=x_min - w,
         levels=-(-_FOLD_TERMS // (len(nonzero) * f.degree)),
     )
-
-
-def _certified_prefix(acc: int, width: int, count: int, budget: int) -> int:
-    """Leading bits of the width-bit fraction acc that no true value in
-    (acc - 1, acc + budget] can change: no borrow below, no carry above.
-
-    A true value's floor lies in [acc - 1, acc + budget], and its leading
-    c bits, which only grow with the floor, are the same all across that
-    range exactly when its two ends agree on them: when their xor has bit
-    length at most width - c (a carry out of the top makes it width + 1).
-    With acc = 0 a true value just below it borrows from every bit.
-    """
-    if acc == 0:
-        return 0
-    return max(0, min(count, width - ((acc - 1) ^ (acc + budget)).bit_length()))
 
 
 # A forked part has to pay for its process.  Fork, pipe and waitpid take
@@ -270,7 +257,7 @@ def extract_bits(plan: SpigotPlan, n: int, count: int) -> DigitWindow:
     if hasattr(os, "fork") and threading.active_count() == 1:
         parts = max(1, min(_usable_cpus(), k_end * len(plan.terms) // _MIN_PART_TERMS))
     acc = _partitioned_sum(plan, n + plan.s_min, width, k_end, parts) & (1 << width) - 1
-    certified = _certified_prefix(acc, width, count, budget)
+    certified, _ = _certified_digits(acc - 1, acc + budget, width, 2, count)
     bits = format(acc >> (width - count), f"0{count}b")
-    return DigitWindow(bits=bits, certified=certified)
+    return DigitWindow(bits=bits, certified=max(0, certified))
 

@@ -20,7 +20,7 @@ from ._record import Record
 from .errors import DomainError, ValidationError
 from .family import _lhs_argument, family_coeffs, golden_constant, golden_formula, lhs_value
 from .formula import eval_P
-from .numerics import agreement_bits
+from .numerics import _certified_digits, agreement_bits
 from .spigot import build_plan, extract_bits
 
 __all__ = [
@@ -83,8 +83,9 @@ def verify_corollary(target_bits: int) -> VerificationReport:
     """sqrt(5)*log(phi) from sqrt/log vs the evaluated golden formula.
 
     Also cross-checks the first spigot window at position 0 against the
-    leading fraction bits of both ends of the oracle interval; a mismatch,
-    or ends that disagree, fails the report outright.
+    oracle's first 32 fraction bits, certified for both ends of its
+    interval by ``numerics._certified_digits``; a mismatch, or fewer than
+    32 bits certified on either side, fails the report outright.
     """
     started = time.perf_counter()
     work = _work_bits(target_bits)
@@ -93,12 +94,9 @@ def verify_corollary(target_bits: int) -> VerificationReport:
     evaluated = eval_P(formula, work).value
 
     window = extract_bits(build_plan(formula), 0, 32)
-    mask = (1 << work) - 1
-    lo_bits, hi_bits = (
-        format(((oracle.mantissa + d) & mask) >> (work - 32), "032b")
-        for d in (-oracle.err_ulp, oracle.err_ulp)
-    )
-    spigot_ok = window.certified >= 32 and lo_bits == hi_bits == window.bits
+    ends = oracle.mantissa - oracle.err_ulp, oracle.mantissa + oracle.err_ulp
+    c, q = _certified_digits(*ends, work, 2, 32)
+    spigot_ok = window.certified >= 32 and c == 32 and format(q % (1 << 32), "032b") == window.bits
 
     agree = agreement_bits(oracle, evaluated)
     return _report("corollary", agree, target_bits, started, extra_ok=spigot_ok)

@@ -227,6 +227,32 @@ def decimal_of_ends(x, digits: int | None) -> str:
     return out + ("~" if common < width else "")
 
 
+def radix_digits(v: Fraction, r: int, count: int) -> list[int]:
+    """v's integer part, then its first ``count`` radix-r fraction digits,
+    one at a time."""
+    digits = [math.floor(v)]
+    v -= digits[0]
+    for _ in range(count):
+        v *= r
+        digits.append(math.floor(v))
+        v -= digits[-1]
+    return digits
+
+
+def common_digits(a: list[int], b: list[int], r: int, count: int) -> tuple[int, int]:
+    """``numerics._certified_digits`` read digit by digit from two ends'
+    :func:`radix_digits`: (c, the prefix's value) for c the number of
+    fraction digits they share after a shared integer part, at most
+    ``count``, or (-1, a's integer part) when the integer parts differ."""
+    c = -1
+    while c < count and a[c + 1] == b[c + 1]:
+        c += 1
+    q = a[0]
+    for d in a[1 : c + 1]:
+        q = q * r + d
+    return c, q
+
+
 def sqrt5_pair_pow(a: int, b: int, n: int) -> tuple[int, int]:
     """(a + b*sqrt5)**n in Z[sqrt5], returned as a coefficient pair."""
     ra, rb = 1, 0

@@ -567,6 +567,15 @@ def test_eval_stdout_matches_pinned_digests(capsys, tmp_path):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (name, bits)
 
 
+@pytest.mark.slow
+def test_eval_stdout_at_the_cap_matches_its_pinned_digest(capsys):
+    # golden at --bits 300000, 90 307 certified fraction digits, recorded before
+    # FixedReal.decimal's digit search moved into numerics._certified_digits
+    code, out, _ = run(capsys, "eval", "--bits", "300000")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == "05f33c00879043524ef64a76d788d0153485618956f9787d7976cee7b43205ac"
+
+
 def test_eval_bits_below_64_is_usage_error(capsys):
     # eval_P rejects the width; main maps its ValidationError to 64
     code, out, err = run(capsys, "eval", "--preset", "log2", "--bits", "63")

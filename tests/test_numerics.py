@@ -21,6 +21,7 @@ from bbplog.numerics import (
     _atanh_horner,
     _atanh_small,
     _atanh_terms,
+    _certified_digits,
     agreement_bits,
     fx_atanh,
     fx_log,
@@ -821,11 +822,39 @@ def test_decimal_undefended_integer_part_prints_tilde_alone():
     assert FixedReal((2 << F) - 1, F, 1).decimal(3) == "~"
 
 
+def test_certified_digits_of_ends_with_different_integer_parts():
+    # (-1, lo's integer part) however far apart the integer parts are, and
+    # whatever count is asked: the integer-part test decides before any
+    # digit is searched
+    F = 8
+    for r in (2, 3, 10, 16):
+        for lo, hi in ((0, 1 << F), (0, 2 << F), (5, 9 << F), (3 << F, (17 << F) + 5), (255, 256)):
+            for count in (0, 1, F, F + 2, 40):
+                assert _certified_digits(lo, hi, F, r, count) == (-1, lo >> F), (lo, hi, r, count)
+
+
 def test_decimal_full_capacity_beyond_int_str_limit():
     # 6020 digits, past the 4300 that str(int) allows by default; the last
     # one is not defended by the 1-ulp bound and is marked, not printed
     s = FixedReal.from_fraction(Fraction(1, 3), 20000).decimal()
     assert re.fullmatch(r"0\.3{6000,}~?", s)
+
+
+# prints at the 300 000-bit cap, recorded before decimal's digit search
+# moved into numerics._certified_digits
+@pytest.mark.slow
+def test_decimal_prints_at_the_cap_are_unchanged():
+    F = 300_000
+    # 1/2 -+ 3 ulps: the ends differ in their first digit, past which one
+    # runs on in nines and the other in zeros for about 90 300 digits
+    assert FixedReal(1 << (F - 1), F, 3).decimal() == "0~"
+    # 1/10 - 10**-60000 -+ 3 ulps: 59 998 nines certified, then the ends
+    # differ, one of them in a run of zeros, the other in a run of nines
+    v = Fraction(1, 10) - Fraction(1, 10**60000)
+    s = FixedReal(v.numerator * 2**F // v.denominator, F, 3).decimal()
+    assert s == "0.0" + "9" * 59998 + "~"
+    # 1/3 at full capacity: 90 308 threes, the last one not defended
+    assert FixedReal.from_fraction(Fraction(1, 3), F).decimal() == "0." + "3" * 90308 + "~"
 
 
 def test_decimal_beyond_precision_matches_uncapped_print():

@@ -1,7 +1,8 @@
 """Exhaustive small-width checks of FixedReal's arithmetic (its four
 truncating operations, the compositions built on them and the exact
 ones they compose), fx_sqrt, fx_log, agreement_bits, the block floor
-``formula._floor_at`` and ``FixedReal.decimal``.
+``formula._floor_at``, the certified-digits rule
+``numerics._certified_digits`` and ``FixedReal.decimal``.
 
 At F = 2 every FixedReal(m, 2, e) with |m| <= 16 and 0 <= e <= 4 is an
 input, and each result's interval must hold the exact ``Fraction``
@@ -29,9 +30,9 @@ import pytest
 
 from bbplog import numerics
 from bbplog.formula import _floor_at
-from bbplog.numerics import FixedReal, agreement_bits, fx_log, fx_sqrt
+from bbplog.numerics import FixedReal, _certified_digits, agreement_bits, fx_log, fx_sqrt
 
-from _oracles import decimal_of_ends
+from _oracles import common_digits, decimal_of_ends, radix_digits
 
 DIVISORS = (1, -1, 2, 3, -3, 7)
 FACTORS = sorted(
@@ -216,6 +217,26 @@ def test_floor_at_every_small_input():
         if _floor_at(num, den, w) != math.floor(Fraction(num, den) * Fraction(2) ** w)
     ]
     assert not bad, f"{len(bad)} inputs, first {bad[:3]}"
+
+
+@pytest.mark.parametrize("F", [*range(1, 7), *(pytest.param(F, marks=pytest.mark.slow) for F in (7, 8))])
+@pytest.mark.parametrize("r", [2, 3, 10, 16, 18])
+def test_certified_digits_of_every_small_interval(F, r):
+    # every lo <= hi in -1 .. 2**F, so ends of integer part -1 (the
+    # spigot's borrow), 0 and 1, and every count 0 .. F+2, against the
+    # rule read digit by digit: the ends' longest common prefix of integer
+    # part and fraction digits, -1 when the integer parts differ, and the
+    # prefix's value
+    ends = range(-1, (1 << F) + 1)
+    digits = {v: radix_digits(Fraction(v, 1 << F), r, F + 2) for v in ends}
+    bad = [
+        (lo, hi, count)
+        for lo in ends
+        for hi in range(lo, (1 << F) + 1)
+        for count in range(F + 3)
+        if _certified_digits(lo, hi, F, r, count) != common_digits(digits[lo], digits[hi], r, count)
+    ]
+    assert not bad, f"{len(bad)} intervals, first {bad[:3]}"
 
 
 @pytest.mark.parametrize("F", [1, 2, 3, 4, *(pytest.param(F, marks=pytest.mark.slow) for F in (5, 6, 7, 8))])

@@ -1,9 +1,11 @@
 """Property-based checks of FixedReal against earlier forms of its code.
 
-``decimal`` converts only the low end of the interval to a decimal
-string and finds the common prefix with the high end by integer
-division.  The oracle below is the earlier form, which converts both
-ends and compares the strings.
+``decimal`` converts only the certified prefix of the low end to a
+decimal string, the prefix that ``numerics._certified_digits`` finds by
+integer division.  The oracle below is an earlier form, which converts
+both ends and compares the strings; the rule itself is checked against
+its digit-by-digit reading from Fractions at widths past the exhaustive
+ones, with long runs of zero digits to strip.
 
 The truncating operations learn whether they dropped anything from
 their own remainder or shift, and division bounds its error ceiling
@@ -25,7 +27,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 import _oracles as first  # noqa: E402
 from bbplog.errors import PrecisionError  # noqa: E402
-from bbplog.numerics import FixedReal  # noqa: E402
+from bbplog.numerics import FixedReal, _certified_digits  # noqa: E402
 
 
 def _decimal_two_conversions(x: FixedReal, digits: int | None = None) -> str:
@@ -114,6 +116,39 @@ def test_decimal_matches_two_conversions_past_the_int_str_limit():
         x = FixedReal(m, 20000, err)
         for digits in (None, 6020, 20001):
             assert x.decimal(digits) == _decimal_two_conversions(x, digits)
+
+
+@st.composite
+def _intervals(draw) -> tuple[int, int, int, int, int]:
+    """(lo, hi, F, r, count) around a radix-r boundary a * r**-j, so that
+    the ends straddle a long run of zero digits (r - 1 digits below it),
+    or agree on it, in any radix up to 40 and at widths up to 400 bits."""
+    F = draw(st.integers(1, 400))
+    r = draw(st.integers(2, 40))
+    j = draw(st.integers(0, F // r.bit_length() + 2))
+    a = draw(st.integers(0, 3 * r**j))
+    lo = (a << F) // r**j + draw(st.integers(-(1 << 8), 1 << 8))
+    hi = lo + draw(st.one_of(st.integers(0, 1 << 8), st.integers(0, 1 << F)))
+    return lo, hi, F, r, draw(st.integers(0, F + 2))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(case=_intervals())
+# 1/2 -+ 3 * 2**-F: no fraction digit certified, past about 120 zero
+# digits in radix 10 at F = 400 and about 1 200 at F = 4000, and as many
+# in radix 2 and 16
+@example(case=((1 << 399) - 3, (1 << 399) + 3, 400, 10, 121))
+@example(case=((1 << 3999) - 3, (1 << 3999) + 3, 4000, 10, 1204))
+@example(case=((1 << 3999) - 3, (1 << 3999) + 3, 4000, 2, 3996))
+@example(case=((1 << 3999) - 3, (1 << 3999) + 3, 4000, 16, 999))
+# just above 1/2: both ends read 5 and then about 1 200 zeros
+@example(case=((1 << 3999) + 1, (1 << 3999) + 7, 4000, 10, 1200))
+# the spigot's borrow: acc = 0, so lo = -1
+@example(case=(-1, 5, 72, 2, 8))
+def test_certified_digits_match_their_digit_by_digit_reading(case):
+    lo, hi, F, r, count = case
+    ends = (first.radix_digits(Fraction(v, 1 << F), r, count) for v in (lo, hi))
+    assert _certified_digits(lo, hi, F, r, count) == first.common_digits(*ends, r, count)
 
 
 # -- truncating operations against their first forms ------------------------

@@ -283,13 +283,14 @@ def test_certificate_interval_holds_the_true_floor(monkeypatch):
     # from the sum seldom reaches.
     rng = random.Random(20261019)
     claims = []
-    real = spigot_mod._certified_prefix
+    real = spigot_mod._certified_digits
 
-    def certified_prefix(acc, width, count, budget):
-        claims.append((acc, width, budget))
-        return real(acc, width, count, budget)
+    def certified_digits(lo, hi, width, r, count):
+        # the spigot passes its interval's ends, acc - 1 and acc + budget
+        claims.append((lo + 1, width, hi - lo - 1))
+        return real(lo, hi, width, r, count)
 
-    monkeypatch.setattr(spigot_mod, "_certified_prefix", certified_prefix)
+    monkeypatch.setattr(spigot_mod, "_certified_digits", certified_digits)
     violations = []
 
     def coefficient():  # nonzero, of 1 to 31 bits
@@ -328,7 +329,9 @@ def test_budget_covers_blocks_that_each_lose_almost_an_ulp(formula, monkeypatch)
     # one ulp the Bound paragraph allows them.  The floors sum to
     # acc = top - blocks, so the true W-bit floor is top = (P + 1) << 64:
     # acc + blocks, one past a budget two ulps short, whose certificate
-    # would print P's last bit
+    # would print P's last bit.  The certificate's interval is the Bound
+    # paragraph's (acc - 1, acc + budget], one ulp per summed block and one
+    # for the levels past k_end
     plan = build_plan(formula)
     n, count, P = 1000, 8, 0b10110100
     width = count + 64
@@ -336,10 +339,11 @@ def test_budget_covers_blocks_that_each_lose_almost_an_ulp(formula, monkeypatch)
     e0 = n + plan.s_min
     exact = Fraction(1, 1 << (width + 20))  # the tail
     claims = []
-    real = spigot_mod._certified_prefix
+    summed = 0
+    real = spigot_mod._certified_digits
 
     def block_fractions(base, degree, length, terms, levels, k0, k1):
-        nonlocal exact
+        nonlocal exact, summed
         blocks = -(-(k1 - k0) // levels)
         for k in range(k0, k1, levels):
             e = e0 - plan.beta * (min(k + levels, k1) - 1)
@@ -347,19 +351,21 @@ def test_budget_covers_blocks_that_each_lose_almost_an_ulp(formula, monkeypatch)
             value = ulps / Fraction(2) ** (e + width)
             num, den = value.numerator * plan.q_odd, value.denominator
             exact += Fraction(num, den * plan.q_odd) * Fraction(2) ** e  # below 1: its own part mod 1
+            summed += 1
             yield num, den
 
-    def certified_prefix(acc, width, count, budget):
-        claims.append((acc, budget))
-        return real(acc, width, count, budget)
+    def certified_digits(lo, hi, width, r, count):
+        claims.append((lo + 1, hi - lo - 1))
+        return real(lo, hi, width, r, count)
 
     monkeypatch.setattr(spigot_mod, "_usable_cpus", lambda: 1)
     monkeypatch.setattr(spigot_mod, "_block_fractions", block_fractions)
-    monkeypatch.setattr(spigot_mod, "_certified_prefix", certified_prefix)
+    monkeypatch.setattr(spigot_mod, "_certified_digits", certified_digits)
     window = extract_bits(plan, n, count)
     [(acc, budget)] = claims
     floor = exact.numerator * 2**width // exact.denominator
     assert floor == top
+    assert budget == summed + 1
     assert acc - 1 <= floor <= acc + budget
     assert window.certified == count - 1
     assert window.bits[: window.certified] == format(floor >> 64, f"0{count}b")[: window.certified]
@@ -570,14 +576,26 @@ def test_children_leave_the_parents_stdout_buffer_alone():
     assert proc.stdout == b"x"
 
 
+def _certified_prefix(acc, width, count, budget):
+    """``certified`` as ``extract_bits`` computes it: the rule of
+    ``numerics._certified_digits`` at r = 2 over the ends acc - 1 and
+    acc + budget of the true accumulator's interval, at least 0."""
+    return max(0, spigot_mod._certified_digits(acc - 1, acc + budget, width, 2, count)[0])
+
+
 def test_certified_prefix_checks_borrow_and_carry():
     # width 64, 8 requested bits: the low 56 bits decide both sides
     top = 0b10110011 << 56
-    assert spigot_mod._certified_prefix(top | 1 << 40, 64, 8, 5) == 8
+    assert _certified_prefix(top | 1 << 40, 64, 8, 5) == 8
     # all-zero low word: a true value just below acc borrows from bit 8
-    assert spigot_mod._certified_prefix(top, 64, 8, 5) < 8
+    assert _certified_prefix(top, 64, 8, 5) < 8
     # low word within the budget of overflowing: the carry reaches bit 8
-    assert spigot_mod._certified_prefix(top | (1 << 56) - 3, 64, 8, 5) < 8
+    assert _certified_prefix(top | (1 << 56) - 3, 64, 8, 5) < 8
+    # acc = 0: a true value just below it borrows from every bit, and the
+    # ends' integer parts, -1 and 0, differ
+    assert _certified_prefix(0, 64, 8, 5) == 0
+    # a carry out of the top: the ends' integer parts, 0 and 1, differ
+    assert _certified_prefix((1 << 64) - 3, 64, 8, 5) == 0
 
 
 def _certified_prefix_by_loop(acc, width, count, budget):
@@ -609,7 +627,7 @@ def test_certified_prefix_equals_the_bit_by_bit_rule():
             budget = rng.choice((0, 1, rng.randrange(1 << 12), rng.randrange(1 << width)))
             cases.append((rng.randrange(1 << width), width, count, budget))
     for case in cases:
-        assert spigot_mod._certified_prefix(*case) == _certified_prefix_by_loop(*case), case
+        assert _certified_prefix(*case) == _certified_prefix_by_loop(*case), case
 
 
 def test_certified_prefix_equals_a_brute_force_at_small_widths():
@@ -631,7 +649,7 @@ def test_certified_prefix_equals_a_brute_force_at_small_widths():
                     last = format(top, f"0{width}b")
                     agreed = min(agreed, next((i for i in range(width) if first[i] != last[i]), width))
                 for count in range(1, width + 1):
-                    if spigot_mod._certified_prefix(acc, width, count, budget) != min(agreed, count):
+                    if _certified_prefix(acc, width, count, budget) != min(agreed, count):
                         mismatches.append((acc, width, count, budget))
     assert mismatches == []
 

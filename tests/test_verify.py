@@ -53,7 +53,7 @@ def test_decomposition_at_100000_bits(t):
     # radicand, t = -50 the smallest |q|
     report = verify_decomposition(t, 100_000)
     assert report.passed
-    assert report.agreement_bits >= 100_000
+    assert report.agreement_bits == 100_000 + GUARD_BITS
 
 
 # agreement bits of verify_theorem and verify_decomposition at 1000 bits;
@@ -192,13 +192,16 @@ def test_decomposition_check_takes_no_log(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("bits", [200, 1000])
+@pytest.mark.parametrize("bits", [64, 200, 1000, 3000])
 def test_decomposition_reads_no_lower_than_its_two_logs(bits):
-    # the two-log reference takes both logs at the working width, so it
-    # can agree to no more than the width the exact check reads
+    # the two-log reference takes both logs at the working width W and its
+    # sides agree to W - 3 .. W - 6 bits for these t at every width here;
+    # the exact check reads W itself, never less
+    W = bits + GUARD_BITS
     for t in [*range(-50, 0), *range(1, 51)]:
-        lhs, rhs = li1_decomposition_sides(t, bits + GUARD_BITS)
-        assert verify_decomposition(t, bits).agreement_bits >= agreement_bits(lhs, rhs), t
+        lhs, rhs = li1_decomposition_sides(t, W)
+        assert agreement_bits(lhs, rhs) >= W - 8, t
+        assert verify_decomposition(t, bits).agreement_bits == W, t
 
 
 @pytest.mark.parametrize("work", [*range(1, 65), 1088])
