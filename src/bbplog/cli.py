@@ -65,11 +65,12 @@ Cost caps, each checked before any work starts (2 vCPU Xeon, Python
 - digits and eval with any formula: at most MAX_NONZERO = 128 nonzero
   coefficients, and at most golden's term count at the caps above, each
   term counted once per degree s (up to MAX_DEGREE, above which eval
-  and digits refuse the formula before any work): for digits
-  (pos // beta + 1) * nonzero * s <= MAX_HEAD_TERMS = 36 000 024 head
-  terms (pos in bits, base 2**beta), for eval
-  (bits // c + 1) * nonzero * s <= MAX_EVAL_TERMS = 360 024 terms
-  (c = floor(log2 base)).  The time per term grows with the nonzero
+  and digits refuse the formula before any work):
+  K * nonzero * s <= MAX_HEAD_TERMS = 36 000 024 head terms for digits
+  and <= MAX_EVAL_TERMS = 360 024 terms for eval, with K the levels of
+  formula._truncation (below) at the bit position or at --bits.  Golden
+  counts 36 000 000 head terms at the --pos cap and 360 024 terms at the
+  --bits cap.  The time per term grows with the nonzero
   count: at the head-term cap, base-2 files of N ones took 41 s
   (N = 24, position 1.5*10**6), 56 s (N = 64), 88 s (N = 128) and 116 s
   (N = 256) for 64 bits on one CPU, against 51 s for golden at the
@@ -79,9 +80,12 @@ Cost caps, each checked before any work starts (2 vCPU Xeon, Python
   2.1 s for log2 at --bits 300 000 (eval_P alone, one run each).  The
   time per term grows with the degree too: a copy of golden of degree
   128 took 6.4 s at --bits 20 000 (golden: 17 ms); the cap allows it
-  at most 2 339 bits.  At the cap, copies of golden, log2 and the t = 2
-  and 9 files with s = 2, 3, 8, 32 and 128 took 0.09-1.7 s (eval_P
-  alone, one run each), the slowest t = 2 at s = 3 and t = 9 at s = 8.
+  at most 3 876 bits.  At their last --bits within the cap, copies of
+  golden, log2 and the t = 2 and 9 files with s = 2, 3, 8, 32 and 128
+  took 0.14-1.5 s, the slowest t = 2 at s = 3 and t = 9 at s = 8, and
+  files of 24 ones in bases 3, 6 and 243 took 0.24-0.86 s, against
+  1.8-2.0 s for golden at --bits 300 000 (eval_P alone, best of 2, one
+  session).
 - digits with any formula: at most MAX_NONZERO = 128 nonzero
   coefficients times the degree, checked after the caps above.  A
   block's modulus holds nonzero * s factors per level, so a level costs
@@ -93,22 +97,19 @@ Cost caps, each checked before any work starts (2 vCPU Xeon, Python
   --pos (extract_bits alone on both CPUs, one run each, two for the
   ones).  With the cap, the copies of degree 2 and 5 take 1.1 and 1.7
   times golden's time at the caps.
-- eval and digits both take their level count from the one tail rule,
-  formula._truncation, at --bits bits for eval and at the window's
-  end, position + count + 64 bits, for digits.  It grows with
+- eval, digits and their term caps take their level count from the one
+  tail rule, formula._truncation: eval and its cap at --bits bits, the
+  digits cap at the bit position, and the spigot at the window's end,
+  position + count + 64 bits, so a window sums up to
+  ceil((count + 64) / beta) levels more than its cap counts.  The count grows with
   log_b max|p * a_j| for the prefactor p/q, so a large p buys levels as
-  a large coefficient does.  The term caps keep their own estimate of
-  those levels, on golden's scale: each takes the span as --bits, or
-  the bit position, plus the bits that _truncation's majorant adds,
-  bitlen(max(|p|, q) * max|a_j|) - bitlen(q) when positive (golden 19,
-  log2 0), and counts span // floor(log2 base) + 1 levels.  For golden,
-  the cap and eval_P both count 15 001 levels at --bits 300 000; at
-  --pos 3*10**7 the cap counts 1 500 001 and the spigot sums a few more
-  for its window (1 500 007 for 64 bits).  The base-2 file of 128
-  ones with prefactor 10**4299 took 7.9 s at --bits 64 (eval_P alone,
-  one run) before, as its 4 300-digit p adds 14 280 bits; eval of it
-  now exits 64 at once, and digits from --pos 266 970 on.  Neither cap
-  weighs the cost of a term's size.
+  a large coefficient does.  For golden, the cap and eval_P both count
+  15 001 levels at --bits 300 000; at --pos 3*10**7 the cap counts
+  1 500 000 and the spigot sums 1 500 007 for 64 bits.  The base-2 file
+  of 128 ones with prefactor 10**4299 took 7.9 s at --bits 64 (eval_P
+  alone, one run) before the caps counted p; eval of it exits 64 at
+  once, and digits from --pos 266 987 on.  Neither cap weighs the cost
+  of a term's size.
 - A --t range is lazy and has no cap: verify runs one check per t in
   turn, printing as it goes, for as long as the range asks.
 """
@@ -123,7 +124,7 @@ from itertools import chain
 
 from .errors import DomainError, ParseError, UnsupportedFormulaError, ValidationError
 from .family import family_coeffs, golden_formula
-from .formula import MAX_DEGREE, BbpFormula, emit_formula, eval_P, parse_formula
+from .formula import MAX_DEGREE, BbpFormula, _truncation, emit_formula, eval_P, parse_formula
 from .presets import PRESETS, load_preset
 from .spigot import build_plan, extract_bits
 from .verify import verify_corollary, verify_decomposition, verify_theorem
@@ -240,23 +241,16 @@ def _check_terms(parser: _Parser, f: BbpFormula, span_bits: int, cap: int, what:
     MAX_DEGREE passes unweighed, so that the library's refusal (exit 2)
     comes before any cap, for eval as for digits.
 
-    Both engines take their level count from ``formula._truncation``,
-    which grows with log_b max|p * a_j| for the prefactor p/q.  The caps
-    keep their own estimate of it: the span takes the bits of
-    max(|p|, q) * max|a_j| over q as well, when positive, and counts
-    (span_bits + extra) // floor(log2 base) + 1 levels, where a digits
-    window sums a few more (module docstring).  The caps were sized by
-    this same rule for golden, so it weighs every formula on golden's
-    scale."""
+    The levels are ``formula._truncation``'s at ``span_bits``, the count
+    that eval_P sums at those bits; a digits window's head, base 2**beta,
+    sums up to ceil((count + 64) / beta) more.  A span below zero passes as
+    zero, so that the library's own ValidationError reports it."""
     if f.degree > MAX_DEGREE:
         return
     nonzero = sum(1 for a in f.coeffs if a)
     if nonzero > MAX_NONZERO:
         parser.error(f"the formula has {nonzero} nonzero coefficients; at most {MAX_NONZERO} are allowed")
-    p, q = abs(f.prefactor.numerator), f.prefactor.denominator
-    extra = max(0, (max(p, q) * max(map(abs, f.coeffs))).bit_length() - q.bit_length())
-    levels = (span_bits + extra) // (f.base.bit_length() - 1) + 1
-    terms = levels * nonzero * f.degree
+    terms = _truncation(f, max(span_bits, 0)) * nonzero * f.degree
     if terms > cap:
         parser.error(f"{what} takes {terms} terms with this formula (each counted once per degree); at most {cap} are allowed")
 

@@ -38,12 +38,13 @@ than their count.  The levels are summed up to
 k_end = ``formula._truncation(f, W + n)``, whose tail bound keeps the
 levels past it under 2**-(W+n) in size, whatever their signs, so under
 one ulp of the W-bit window of 2**n * C.  The true accumulator is
-therefore in (acc - 1, acc + budget], with budget the block count plus
+therefore in (acc - 1, acc + budget), with budget the block count plus
 one ulp for those levels: a number fixed by the plan, n and W before any
-block is summed.  ``certified`` is what ``numerics._certified_digits``,
-the one certified-digits rule, gives at r = 2 for the ends acc - 1 and
-acc + budget at scale 2**-W, or 0 when their integer parts differ: a
-borrow below acc = 0, or a carry out of the top.  It is computed, never
+block is summed.  Its floor is in the integer interval
+[acc - 1, acc + budget - 1].  ``certified`` is what
+``numerics._certified_digits``, the one certified-digits rule, gives at
+r = 2 for those two ends at scale 2**-W, or 0 when their integer parts
+differ: a borrow below acc = 0, or a carry out of the top.  It is computed, never
 assumed.  W is the digit count plus 64 guard bits.  The budget stays
 below 2**32, leaving 32 bits of slack, for every n below about 2**32 *
 beta * L; past that a window may certify fewer bits, never a wrong one.
@@ -257,7 +258,7 @@ def extract_bits(plan: SpigotPlan, n: int, count: int) -> DigitWindow:
     if hasattr(os, "fork") and threading.active_count() == 1:
         parts = max(1, min(_usable_cpus(), k_end * len(plan.terms) // _MIN_PART_TERMS))
     acc = _partitioned_sum(plan, n + plan.s_min, width, k_end, parts) & (1 << width) - 1
-    certified, _ = _certified_digits(acc - 1, acc + budget, width, 2, count)
+    certified, _ = _certified_digits(acc - 1, acc + budget - 1, width, 2, count)
     bits = format(acc >> (width - count), f"0{count}b")
     return DigitWindow(bits=bits, certified=max(0, certified))
 

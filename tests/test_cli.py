@@ -153,14 +153,16 @@ def test_formula_caps_exit_64_before_any_work(capsys, monkeypatch, tmp_path):
         path = tmp_path / f"ones{ones}.bbp"
         path.write_text(f"bbp 1\ns 1\nb 2\nl {ones}\npre 1/1\nA{' 1' * ones}\n", encoding="utf-8")
         files[ones] = ("--formula", str(path))
-    last_pos = cli.MAX_HEAD_TERMS // 24 - 1
-    last_bits = cli.MAX_EVAL_TERMS // 24 - 1
+    # the 24-term file's last position and precision within the caps:
+    # formula._truncation gives 1 500 001 levels at 1 500 020 bits and
+    # 15 001 at 15 013, 24 terms each; one bit more takes a level more
+    last_pos, last_bits = 1_500_020, 15_013
     for argv, message in (
         (["digits", "--pos", "1000", *files[4000]], "4000 nonzero coefficients"),
         (["eval", "--bits", "64", *files[4000]], "4000 nonzero coefficients"),
-        (["digits", "--pos", "29000000", *files[24]], "--pos 29000000 takes 696000024 terms"),
-        (["digits", "--pos", str(last_pos + 1), *files[24]], "terms with this formula"),
-        (["eval", "--bits", str(last_bits + 1), *files[24]], "terms with this formula"),
+        (["digits", "--pos", "29000000", *files[24]], "--pos 29000000 takes 695999448 terms"),
+        (["digits", "--pos", str(last_pos + 1), *files[24]], "--pos 1500021 takes 36000048 terms"),
+        (["eval", "--bits", str(last_bits + 1), *files[24]], "--bits 15014 takes 360048 terms"),
     ):
         code, err = run_usage_error(capsys, *argv)
         assert code == 64
@@ -194,8 +196,14 @@ def test_eval_term_cap_weights_the_degree(capsys, monkeypatch, tmp_path):
     deep.write_text(GOLDEN_TEXT.replace("\ns 1\n", "\ns 128\n"), encoding="utf-8")
     code, err = run_usage_error(capsys, "eval", "--bits", "300000", "--formula", str(deep))
     assert code == 64
-    assert "--bits 300000 takes 46083072 terms with this formula (each counted once per degree)" in err
+    assert "--bits 300000 takes 45708288 terms with this formula (each counted once per degree)" in err
+    # formula._truncation gives it 117 levels at --bits 3 876 and 118 a
+    # bit later, of 24 terms counted 128 times each
+    code, err = run_usage_error(capsys, "eval", "--bits", "3877", "--formula", str(deep))
+    assert code == 64
+    assert "--bits 3877 takes 362496 terms" in err
     assert calls == []
+    assert run(capsys, "eval", "--bits", "3876", "--formula", str(deep))[0] == 0
     # degree 1 at the cap: golden, log2 and family files
     within = [["--preset", "golden"], ["--preset", "log2"]]
     for t in (2, -3, 9):
@@ -204,7 +212,29 @@ def test_eval_term_cap_weights_the_degree(capsys, monkeypatch, tmp_path):
         within.append(["--formula", str(path)])
     for flags in within:
         assert run(capsys, "eval", "--bits", str(cli.MAX_BITS), *flags)[0] == 0, flags
-    assert calls == [cli.MAX_BITS] * len(within)
+    assert calls == [3876] + [cli.MAX_BITS] * len(within)
+
+
+@pytest.mark.parametrize("bits", [64, 1000, 20_000])
+def test_term_cap_counts_the_terms_eval_sums(capsys, monkeypatch, tmp_path, bits):
+    # the eval cap's count is eval_P's levels times the nonzero
+    # coefficients times the degree: one tail rule, formula._truncation,
+    # for the engine and its cap alike.  A cap of 0 refuses every formula
+    # and reports the count
+    texts = {"golden": GOLDEN_TEXT, "log2": LOG2_TEXT, "golden3": GOLDEN_TEXT.replace("\ns 1\n", "\ns 3\n")}
+    texts["base3"] = f"bbp 1\ns 1\nb 3\nl 24\npre 1/1\nA{' 1' * 24}\n"
+    for t in (2, -3, 9):
+        texts[f"t{t}"] = emit_formula(family_coeffs(t).formula)
+    monkeypatch.setattr(cli, "MAX_EVAL_TERMS", 0)
+    for name, text in texts.items():
+        path = tmp_path / f"{name}.bbp"
+        path.write_text(text, encoding="utf-8")
+        code, err = run_usage_error(capsys, "eval", "--bits", str(bits), "--formula", str(path))
+        assert code == 64
+        f = formula.parse_formula(text)
+        nonzero = sum(1 for a in f.coeffs if a)
+        terms = formula.eval_P(f, bits).terms_used * nonzero * f.degree
+        assert f"--bits {bits} takes {terms} terms" in err, name
 
 
 def test_eval_term_cap_counts_the_prefactor_bits(capsys, monkeypatch, tmp_path):
@@ -225,26 +255,28 @@ def test_eval_term_cap_counts_the_prefactor_bits(capsys, monkeypatch, tmp_path):
         path.write_text(f"bbp 1\ns 1\nb 2\nl 128\npre {pre}\nA{' 1' * 128}\n", encoding="utf-8")
         return str(path)
 
-    # 64 + 2747 bits make 2 812 levels of 128 terms, within 360 024; one
-    # bit more is not, and a large q adds no bits
+    # at --bits 64, p = 2**2758 makes formula._truncation's 2 812 levels
+    # of 128 terms, within 360 024; one bit more of p makes 2 813, and a
+    # large q adds no levels
     for name, pre, message in (
-        ("e4299", f"{10**4299}/1", "--bits 64 takes 1836160 terms"),
-        ("p2748", f"{2**2748}/1", "--bits 64 takes 360064 terms"),
+        ("e4299", f"{10**4299}/1", "--bits 64 takes 1834624 terms"),
+        ("p2759", f"{2**2759}/1", "--bits 64 takes 360064 terms"),
     ):
         code, err = run_usage_error(capsys, "eval", "--bits", "64", "--formula", ones(name, pre))
         assert code == 64
         assert message in err
     assert calls == []
-    for name, pre in (("p2747", f"{2**2747}/1"), ("q3000", f"1/{2**3000}")):
+    for name, pre in (("p2758", f"{2**2758}/1"), ("q3000", f"1/{2**3000}")):
         assert run(capsys, "eval", "--bits", "64", "--formula", ones(name, pre))[0] == 0, name
     assert len(calls) == 2
 
 
 def test_digits_head_cap_counts_the_prefactor_bits(capsys, monkeypatch, tmp_path):
-    # the spigot's k_end grows with the same bits as eval's K: the base-2
-    # file of 128 ones with prefactor 10**4299 has 14 280 of them, so at
-    # --pos 266 969 its 281 250 levels of 128 terms are within 36 000 024
-    # and one position more is not; a large q adds no bits
+    # the spigot's k_end grows with p as eval's K does: the base-2 file of
+    # 128 ones with prefactor 10**4299 has formula._truncation's 281 250
+    # levels of 128 terms, within 36 000 024, at --pos 266 986 and one
+    # more a position later; with prefactor 1/2**3000 it has them up to
+    # --pos 281 267, as a large q adds no levels
     calls = []
 
     def extract(plan, n, count):
@@ -259,13 +291,14 @@ def test_digits_head_cap_counts_the_prefactor_bits(capsys, monkeypatch, tmp_path
         return str(path)
 
     big_p, big_q = ones("e4299", f"{10**4299}/1"), ones("q3000", f"1/{2**3000}")
-    code, err = run_usage_error(capsys, "digits", "--formula", big_p, "--pos", "266970")
-    assert code == 64
-    assert "--pos 266970 takes 36000128 terms" in err
+    for path, pos in ((big_p, 266_987), (big_q, 281_268)):
+        code, err = run_usage_error(capsys, "digits", "--formula", path, "--pos", str(pos))
+        assert code == 64
+        assert f"--pos {pos} takes 36000128 terms" in err
     assert calls == []
-    for path, pos in ((big_p, 266_969), (big_q, 281_249)):
+    for path, pos in ((big_p, 266_986), (big_q, 281_267)):
         assert run(capsys, "digits", "--formula", path, "--pos", str(pos))[0] == 0, path
-    assert calls == [266_969, 281_249]
+    assert calls == [266_986, 281_267]
 
 
 def test_digits_caps_the_nonzero_coefficients_times_the_degree(capsys, monkeypatch, tmp_path):
@@ -290,16 +323,15 @@ def test_digits_caps_the_nonzero_coefficients_times_the_degree(capsys, monkeypat
         f" per degree (degree 6); at most {cli.MAX_NONZERO} are allowed\n"
     ) in err
     assert calls == []
-    # golden's prefactor and coefficients add 19 span bits, which carry
-    # positions 20m+1..20m+19 into the next level: the last level's first
-    # position is the last one within the cap
-    last_pos = (cli.MAX_HEAD_TERMS // (24 * 5) - 1) * 20
+    # formula._truncation gives 300 000 levels of 24 terms of degree 5 up
+    # to --pos 6 000 093, and one more a position later
+    last_pos = 6_000_093
     for pos in (0, last_pos):
         assert run(capsys, "digits", "--formula", str(paths[5]), "--pos", str(pos))[0] == 0
     assert calls == [(5, 0), (5, last_pos)]
     code, err = run_usage_error(capsys, "digits", "--formula", str(paths[5]), "--pos", str(last_pos + 1))
     assert code == 64
-    assert "terms with this formula (each counted once per degree)" in err
+    assert "--pos 6000094 takes 36000120 terms with this formula (each counted once per degree)" in err
     assert len(calls) == 2
 
 
@@ -577,11 +609,13 @@ def test_eval_stdout_at_the_cap_matches_its_pinned_digest(capsys):
 
 
 def test_eval_bits_below_64_is_usage_error(capsys):
-    # eval_P rejects the width; main maps its ValidationError to 64
-    code, out, err = run(capsys, "eval", "--preset", "log2", "--bits", "63")
-    assert code == 64
-    assert out == ""
-    assert err == "bbplog: error: frac_bits: must be >= 64\n"
+    # eval_P rejects the width; main maps its ValidationError to 64.  The
+    # term cap takes a span below zero as zero, so it reaches eval_P too
+    for bits in ("63", "0", "-1"):
+        code, out, err = run(capsys, "eval", "--preset", "log2", "--bits", bits)
+        assert code == 64
+        assert out == ""
+        assert err == "bbplog: error: frac_bits: must be >= 64\n"
 
 
 def test_eval_log2_preset(capsys):

@@ -21,6 +21,9 @@ ROWS = [
     if line and not line.startswith("#")
 ]
 needs_sed = pytest.mark.skipif(shutil.which("sed") is None, reason="needs sed")
+# a kill takes seconds; a mutant that makes its test file hang (a
+# _truncation mutant ran test_formula.py past 900 s) fails its row here
+KILL_TIMEOUT_S = 120
 
 
 def _apply(edit: str, pattern: str, module: Path) -> None:
@@ -52,17 +55,22 @@ def test_mutant_row_applies_once(row, tmp_path):
 @pytest.mark.parametrize("row", range(len(ROWS)))
 def test_mutant_row_is_killed(row, tmp_path):
     # the row's test file, run on the mutated copy alone, must report
-    # failed tests: pytest exit status 1, not a pass and not an error
+    # failed tests: pytest exit status 1, not a pass, an error or a hang.
+    # It stops at the first failure (-x)
     module, edit, pattern, test_file = ROWS[row]
     copy = tmp_path / "src"
     shutil.copytree(ROOT / "src", copy, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
     _apply(edit, pattern, copy / "bbplog" / module)
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test_file],
-        cwd=ROOT,
-        env=dict(os.environ, PYTHONPATH=str(copy)),
-        stdin=subprocess.DEVNULL,
-        capture_output=True,
-        text=True,
-    )
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", test_file],
+            cwd=ROOT,
+            env=dict(os.environ, PYTHONPATH=str(copy)),
+            stdin=subprocess.DEVNULL,
+            capture_output=True,
+            text=True,
+            timeout=KILL_TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"{test_file} ran past {KILL_TIMEOUT_S} s on the mutant")
     assert proc.returncode == 1, proc.stdout[-2000:] + proc.stderr[-2000:]

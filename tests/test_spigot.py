@@ -277,7 +277,7 @@ def test_head_sum_brackets_the_exact_head(monkeypatch):
 
 def test_certificate_interval_holds_the_true_floor(monkeypatch):
     # random base-2**beta formulas at positions 0 .. 39 (no fork): the floor
-    # of the exact W-bit fraction lies in [acc - 1, acc + budget] mod 2**W,
+    # of the exact W-bit fraction lies in [acc - 1, acc + budget - 1] mod 2**W,
     # the interval the certificate claims, read where it is certified.  The
     # exact-sum tests compare certified bits only, which a level missing
     # from the sum seldom reaches.
@@ -286,8 +286,8 @@ def test_certificate_interval_holds_the_true_floor(monkeypatch):
     real = spigot_mod._certified_digits
 
     def certified_digits(lo, hi, width, r, count):
-        # the spigot passes its interval's ends, acc - 1 and acc + budget
-        claims.append((lo + 1, width, hi - lo - 1))
+        # the spigot passes its interval's ends, acc - 1 and acc + budget - 1
+        claims.append((lo + 1, width, hi - lo))
         return real(lo, hi, width, r, count)
 
     monkeypatch.setattr(spigot_mod, "_certified_digits", certified_digits)
@@ -316,7 +316,7 @@ def test_certificate_interval_holds_the_true_floor(monkeypatch):
             [(acc, width, budget)] = claims
             for x in (partial - tail, partial + tail):
                 floor = (x.numerator << (n + width)) // x.denominator
-                if (floor - acc + 1) % (1 << width) > budget + 1:
+                if (floor - acc + 1) % (1 << width) > budget:
                     violations.append((beta, f.coeffs, prefactor, n, count))
     assert violations == []
 
@@ -328,10 +328,10 @@ def test_budget_covers_blocks_that_each_lose_almost_an_ulp(formula, monkeypatch)
     # alike, and levels past k_end that add 2**-20 ulp, well inside the
     # one ulp the Bound paragraph allows them.  The floors sum to
     # acc = top - blocks, so the true W-bit floor is top = (P + 1) << 64:
-    # acc + blocks, one past a budget two ulps short, whose certificate
-    # would print P's last bit.  The certificate's interval is the Bound
-    # paragraph's (acc - 1, acc + budget], one ulp per summed block and one
-    # for the levels past k_end
+    # acc + budget - 1, the top end of the Bound paragraph's integer
+    # interval [acc - 1, acc + budget - 1], budget being one ulp per summed
+    # block and one for the levels past k_end.  A top end one ulp lower
+    # would certify P's last bit
     plan = build_plan(formula)
     n, count, P = 1000, 8, 0b10110100
     width = count + 64
@@ -355,7 +355,7 @@ def test_budget_covers_blocks_that_each_lose_almost_an_ulp(formula, monkeypatch)
             yield num, den
 
     def certified_digits(lo, hi, width, r, count):
-        claims.append((lo + 1, hi - lo - 1))
+        claims.append((lo + 1, hi - lo))
         return real(lo, hi, width, r, count)
 
     monkeypatch.setattr(spigot_mod, "_usable_cpus", lambda: 1)
@@ -366,7 +366,7 @@ def test_budget_covers_blocks_that_each_lose_almost_an_ulp(formula, monkeypatch)
     floor = exact.numerator * 2**width // exact.denominator
     assert floor == top
     assert budget == summed + 1
-    assert acc - 1 <= floor <= acc + budget
+    assert floor == acc + budget - 1
     assert window.certified == count - 1
     assert window.bits[: window.certified] == format(floor >> 64, f"0{count}b")[: window.certified]
 
@@ -579,8 +579,8 @@ def test_children_leave_the_parents_stdout_buffer_alone():
 def _certified_prefix(acc, width, count, budget):
     """``certified`` as ``extract_bits`` computes it: the rule of
     ``numerics._certified_digits`` at r = 2 over the ends acc - 1 and
-    acc + budget of the true accumulator's interval, at least 0."""
-    return max(0, spigot_mod._certified_digits(acc - 1, acc + budget, width, 2, count)[0])
+    acc + budget - 1 of the true accumulator's floor, at least 0."""
+    return max(0, spigot_mod._certified_digits(acc - 1, acc + budget - 1, width, 2, count)[0])
 
 
 def test_certified_prefix_checks_borrow_and_carry():
@@ -601,10 +601,10 @@ def test_certified_prefix_checks_borrow_and_carry():
 def _certified_prefix_by_loop(acc, width, count, budget):
     """The prefix rule bit by bit: the longest c <= count whose low
     width - c bits neither borrow (are zero) nor carry (overflow by the
-    budget)."""
+    budget less one)."""
     for c in range(count, 0, -1):
         low = acc & ((1 << (width - c)) - 1)
-        if low >= 1 and low + budget < 1 << (width - c):
+        if low >= 1 and low + budget - 1 < 1 << (width - c):
             return c
     return 0
 
@@ -616,23 +616,24 @@ def test_certified_prefix_equals_the_bit_by_bit_rule():
         edges = range(count + 1) if count <= 64 else {0, 1, 2, 63, 64, 65, count - 1, count}
         for c in edges:
             step = 1 << (width - c)
-            for budget in (0, 1, 2, 5, step - 1, 1 << (width - count)):
+            # the top end acc + budget - 1 lies `reach` above acc
+            for reach in (0, 1, 2, 5, step - 1, 1 << (width - count)):
                 # acc at the borrow edge (low width - c bits 0 or 1) and at
-                # the carry edge (within the budget of the next multiple)
+                # the carry edge (within reach of the next multiple)
                 for base in (0, step, rng.randrange(1 << width) // step * step, (1 << width) - step):
-                    for d in (0, 1, 2, step - budget - 1, step - budget, step - 1):
+                    for d in (0, 1, 2, step - reach - 1, step - reach, step - 1):
                         if 0 <= d < step:
-                            cases.append((base + d, width, count, budget))
+                            cases.append((base + d, width, count, reach + 1))
         for _ in range(200):
-            budget = rng.choice((0, 1, rng.randrange(1 << 12), rng.randrange(1 << width)))
-            cases.append((rng.randrange(1 << width), width, count, budget))
+            reach = rng.choice((0, 1, rng.randrange(1 << 12), rng.randrange(1 << width)))
+            cases.append((rng.randrange(1 << width), width, count, reach + 1))
     for case in cases:
         assert _certified_prefix(*case) == _certified_prefix_by_loop(*case), case
 
 
 def test_certified_prefix_equals_a_brute_force_at_small_widths():
-    # every (acc, budget, count) at width <= 7, budget up to 2**width + 1:
-    # a prefix is certified when every floor in [acc - 1, acc + budget] is
+    # every (acc, budget, count) at width <= 7, budget 1 to 2**width + 2:
+    # a prefix is certified when every floor in [acc - 1, acc + budget - 1] is
     # a width-bit fraction and all of them agree on it, checked floor by
     # floor on their binary strings
     mismatches = []
@@ -641,8 +642,8 @@ def test_certified_prefix_equals_a_brute_force_at_small_widths():
             first = format(acc - 1, f"0{width}b")
             # the common prefix of the floors so far; acc - 1 = -1 has none
             agreed = width if acc else 0
-            for budget in range(2 + (1 << width)):
-                top = acc + budget
+            for budget in range(1, 3 + (1 << width)):
+                top = acc + budget - 1
                 if top >= 1 << width:
                     agreed = 0
                 else:
