@@ -171,6 +171,34 @@ def test_cli_import_leaves_dataclasses_out():
     assert proc.stdout == "False\n"
 
 
+@pytest.mark.parametrize(
+    "module, loaded",
+    [
+        ("bbplog", set()),
+        ("bbplog.numerics", {"numerics", "_record", "errors"}),
+        (
+            "bbplog.cli",
+            {"cli", "errors", "family", "formula", "numerics", "presets", "_record", "spigot", "verify"},
+        ),
+    ],
+    ids=["bbplog", "bbplog.numerics", "bbplog.cli"],
+)
+def test_import_loads_only_the_modules_it_uses(module, loaded):
+    # the package re-exports nothing, so a module loads what it imports
+    # and no more; cli still loads every module eagerly
+    src = os.path.dirname(os.path.dirname(bbplog.__file__))
+    code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.startswith('bbplog.')))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{sorted('bbplog.' + m for m in loaded)}\n"
+
+
 def test_fixedreal_repr_lists_its_fields_past_the_float_range():
     # a value of 2**1936 has no float; the repr is the mantissa's
     assert repr(FixedReal(1 << 2000, 64, 1)) == f"FixedReal(mantissa={1 << 2000}, frac_bits=64, err_ulp=1)"
