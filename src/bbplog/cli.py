@@ -30,10 +30,13 @@ prints --radix 16 as groups of four bits, so there --count must be a
 multiple of 4 and --pos counts four bits per hex digit.  The library sees
 a value only once the formula is loaded, so with a bad formula file as
 well the file's error (65, or 2 if unsupported) is the one reported.
-The formula caps are checked once the formula is loaded, and for digits
-once its plan is built, before any extraction or evaluation; a formula
-of degree above MAX_DEGREE skips them, so eval and digits both report
-it as unsupported (2) at any flag value.
+The nonzero caps are checked here once the formula is loaded, and for
+digits once its plan is built.  The term caps go to the engines as
+max_terms, and eval_P and extract_bits check them on the level count
+they sum, before any block; their ValidationError exits 64.  A formula
+of degree above MAX_DEGREE skips eval's nonzero cap, and both engines
+refuse it before they count, so eval and digits both report it as
+unsupported (2) at any flag value.
 
 verify prints each REPORT line as soon as its check finishes: first every
 theorem check, then the corollary, then every decomposition check.  The
@@ -66,11 +69,11 @@ Cost caps, each checked before any work starts (2 vCPU Xeon, Python
   coefficients, and at most golden's term count at the caps above, each
   term counted once per degree s (up to MAX_DEGREE, above which eval
   and digits refuse the formula before any work):
-  K * nonzero * s <= MAX_HEAD_TERMS = 36 000 024 head terms for digits
-  and <= MAX_EVAL_TERMS = 360 024 terms for eval, with K the levels of
-  formula._truncation (below) at the bit position or at --bits.  Golden
-  counts 36 000 000 head terms at the --pos cap and 360 024 terms at the
-  --bits cap.  The time per term grows with the nonzero
+  K * nonzero * s <= MAX_HEAD_TERMS = 36 005 016 head terms for digits
+  and <= MAX_EVAL_TERMS = 360 024 terms for eval, with K the levels the
+  engine sums (below).  Golden counts 36 004 992 head terms at the --pos
+  and --count caps and 360 024 terms at the --bits cap.  The time per
+  term grows with the nonzero
   count: at the head-term cap, base-2 files of N ones took 41 s
   (N = 24, position 1.5*10**6), 56 s (N = 64), 88 s (N = 128) and 116 s
   (N = 256) for 64 bits on one CPU, against 51 s for golden at the
@@ -87,7 +90,8 @@ Cost caps, each checked before any work starts (2 vCPU Xeon, Python
   1.8-2.0 s for golden at --bits 300 000 (eval_P alone, best of 2, one
   session).
 - digits with any formula: at most MAX_NONZERO = 128 nonzero
-  coefficients times the degree, checked after the caps above.  A
+  coefficients times the degree, which covers the plain nonzero cap
+  above (s >= 1), checked before the spigot checks its head-term cap.  A
   block's modulus holds nonzero * s factors per level, so a level costs
   about what a degree-1 level of nonzero * s coefficients costs, which
   MAX_NONZERO bounds.  Without this cap, copies of golden of degree s at
@@ -97,19 +101,16 @@ Cost caps, each checked before any work starts (2 vCPU Xeon, Python
   --pos (extract_bits alone on both CPUs, one run each, two for the
   ones).  With the cap, the copies of degree 2 and 5 take 1.1 and 1.7
   times golden's time at the caps.
-- eval, digits and their term caps take their level count from the one
-  tail rule, formula._truncation: eval and its cap at --bits bits, the
-  digits cap at the bit position, and the spigot at the window's end,
-  position + count + 64 bits, so a window sums up to
-  ceil((count + 64) / beta) levels more than its cap counts.  The count grows with
+- Each term cap counts the levels its engine sums, from the one tail
+  rule, formula._truncation: eval_P's at --bits bits, and the spigot's at
+  the window's end, position + count + 64 bits.  The count grows with
   log_b max|p * a_j| for the prefactor p/q, so a large p buys levels as
-  a large coefficient does.  For golden, the cap and eval_P both count
-  15 001 levels at --bits 300 000; at --pos 3*10**7 the cap counts
-  1 500 000 and the spigot sums 1 500 007 for 64 bits.  The base-2 file
-  of 128 ones with prefactor 10**4299 took 7.9 s at --bits 64 (eval_P
-  alone, one run) before the caps counted p; eval of it exits 64 at
-  once, and digits from --pos 266 987 on.  Neither cap weighs the cost
-  of a term's size.
+  a large coefficient does.  For golden, eval_P sums 15 001 levels at
+  --bits 300 000, and the spigot 1 500 208 at the --pos and --count caps.
+  The base-2 file of 128 ones with prefactor 10**4299 took 7.9 s at
+  --bits 64 (eval_P alone, one run) before the caps counted p; eval of
+  it exits 64 at once, and digits of 32 bits from --pos 266 930 on.
+  Neither cap weighs the cost of a term's size.
 - A --t range is lazy and has no cap: verify runs one check per t in
   turn, printing as it goes, for as long as the range asks.
 """
@@ -124,7 +125,7 @@ from itertools import chain
 
 from .errors import DomainError, ParseError, UnsupportedFormulaError, ValidationError
 from .family import family_coeffs, golden_formula
-from .formula import MAX_DEGREE, BbpFormula, _truncation, emit_formula, eval_P, parse_formula
+from .formula import MAX_DEGREE, BbpFormula, emit_formula, eval_P, parse_formula
 from .presets import PRESETS, load_preset
 from .spigot import build_plan, extract_bits
 from .verify import verify_corollary, verify_decomposition, verify_theorem
@@ -140,14 +141,14 @@ EX_DATA = 65
 # cost caps, from the times in the module docstring: --bits for eval and
 # verify, the width and bit position of a digits window, and for a
 # formula its nonzero coefficients and the terms eval sums or the digits
-# head reduces, at golden's values at the --bits and --pos caps (golden:
-# 24 nonzero coefficients, base 2**20)
+# head reduces, at golden's values at --bits and at the window's end at
+# the --pos and --count caps (golden: 24 nonzero coefficients, base 2**20)
 MAX_BITS = 300_000
 MAX_WINDOW_BITS = 4096
 MAX_POS_BITS = 30_000_000
 MAX_NONZERO = 128
 MAX_EVAL_TERMS = (MAX_BITS // 20 + 1) * 24
-MAX_HEAD_TERMS = (MAX_POS_BITS // 20 + 1) * 24
+MAX_HEAD_TERMS = ((MAX_POS_BITS + MAX_WINDOW_BITS + 64) // 20 + 1) * 24
 
 
 class _Parser(argparse.ArgumentParser):
@@ -234,27 +235,6 @@ class _DataError(Exception):
     pass
 
 
-def _check_terms(parser: _Parser, f: BbpFormula, span_bits: int, cap: int, what: str) -> None:
-    """The formula caps: its nonzero coefficients, and the terms that its
-    levels over ``span_bits`` bits make for ``what``, a flag and its
-    value, each weighted by the degree.  A formula of degree above
-    MAX_DEGREE passes unweighed, so that the library's refusal (exit 2)
-    comes before any cap, for eval as for digits.
-
-    The levels are ``formula._truncation``'s at ``span_bits``, the count
-    that eval_P sums at those bits; a digits window's head, base 2**beta,
-    sums up to ceil((count + 64) / beta) more.  A span below zero passes as
-    zero, so that the library's own ValidationError reports it."""
-    if f.degree > MAX_DEGREE:
-        return
-    nonzero = sum(1 for a in f.coeffs if a)
-    if nonzero > MAX_NONZERO:
-        parser.error(f"the formula has {nonzero} nonzero coefficients; at most {MAX_NONZERO} are allowed")
-    terms = _truncation(f, max(span_bits, 0)) * nonzero * f.degree
-    if terms > cap:
-        parser.error(f"{what} takes {terms} terms with this formula (each counted once per degree); at most {cap} are allowed")
-
-
 def _parse_t_list(text: str) -> list[range]:
     """Parse '2', '1..3' or '1,2,-2' into lazy ranges, checking every token."""
     ranges: list[range] = []
@@ -278,10 +258,9 @@ def _cmd_digits(args: argparse.Namespace, parser: _Parser) -> int:
     if unit * args.pos > MAX_POS_BITS:
         parser.error(f"--pos must be at most {MAX_POS_BITS // unit} for --radix {args.radix}")
     plan = build_plan(_load_formula(args))
-    _check_terms(parser, plan.formula, unit * args.pos, MAX_HEAD_TERMS, f"--pos {args.pos}")
     if (factors := len(plan.nonzero) * plan.formula.degree) > MAX_NONZERO:  # per level
         parser.error(f"the formula has {factors} nonzero coefficients counted once per degree (degree {plan.formula.degree}); at most {MAX_NONZERO} are allowed")
-    window = extract_bits(plan, unit * args.pos, args.count)
+    window = extract_bits(plan, unit * args.pos, args.count, max_terms=MAX_HEAD_TERMS)
     digits = window.bits
     if unit == 4:
         digits = format(int(digits, 2), f"0{args.count // 4}x")
@@ -348,8 +327,10 @@ def _cmd_eval(args: argparse.Namespace, parser: _Parser) -> int:
     if args.digits is not None and args.digits < 1:
         parser.error("--digits must be positive")
     f = _load_formula(args)
-    _check_terms(parser, f, args.bits, MAX_EVAL_TERMS, f"--bits {args.bits}")
-    result = eval_P(f, args.bits)
+    # above MAX_DEGREE, eval_P's refusal (exit 2) comes first
+    if f.degree <= MAX_DEGREE and (nonzero := sum(1 for a in f.coeffs if a)) > MAX_NONZERO:
+        parser.error(f"the formula has {nonzero} nonzero coefficients; at most {MAX_NONZERO} are allowed")
+    result = eval_P(f, args.bits, max_terms=MAX_EVAL_TERMS)
     value = result.value
     print(
         f"value={value.decimal(args.digits)}"

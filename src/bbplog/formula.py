@@ -284,8 +284,17 @@ def _truncation(f: BbpFormula, bits: int) -> int:
     return K
 
 
-def eval_P(f: BbpFormula, frac_bits: int) -> EvalResult:
-    """Evaluate prefactor * P(s, b, l, A) to frac_bits; the bound is in the module doc."""
+def _check_terms(f: BbpFormula, K: int, max_terms: int | None, what: str) -> None:
+    """Refuse the sum of K levels, ``what`` the request that asks for it,
+    when its terms, each counted once per degree, exceed ``max_terms``;
+    None allows any count.  Both engines call this before any block."""
+    if max_terms is not None and (terms := K * sum(1 for a in f.coeffs if a) * f.degree) > max_terms:
+        raise ValidationError(f"{what} takes {terms} terms with this formula (each counted once per degree); at most {max_terms} are allowed")
+
+
+def eval_P(f: BbpFormula, frac_bits: int, max_terms: int | None = None) -> EvalResult:
+    """Evaluate prefactor * P(s, b, l, A) to frac_bits; the bound is in the
+    module doc.  ``max_terms`` caps the terms it sums (``_check_terms``)."""
     if frac_bits < 64:
         raise ValidationError("frac_bits: must be >= 64")
     if f.degree > MAX_DEGREE:
@@ -293,6 +302,7 @@ def eval_P(f: BbpFormula, frac_bits: int) -> EvalResult:
             f"degree {f.degree} not supported; eval needs degree <= {MAX_DEGREE}"
         )
     K = _truncation(f, frac_bits)
+    _check_terms(f, K, max_terms, f"frac_bits {frac_bits}")
     W0 = frac_bits + (2 * K).bit_length() + 2  # F + G
     b = f.base
     c = b.bit_length() - 1

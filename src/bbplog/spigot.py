@@ -64,7 +64,7 @@ import threading
 
 from ._record import Record
 from .errors import UnsupportedFormulaError, ValidationError
-from .formula import _FOLD_TERMS, MAX_DEGREE, BbpFormula, _block_fractions, _floor_at, _truncation
+from .formula import _FOLD_TERMS, MAX_DEGREE, BbpFormula, _block_fractions, _check_terms, _floor_at, _truncation
 from .numerics import _certified_digits
 
 __all__ = ["SpigotPlan", "DigitWindow", "build_plan", "extract_bits"]
@@ -239,17 +239,19 @@ def _reap(pid: int, r: int) -> int | None:
     return int(out, 16)
 
 
-def extract_bits(plan: SpigotPlan, n: int, count: int) -> DigitWindow:
+def extract_bits(plan: SpigotPlan, n: int, count: int, max_terms: int | None = None) -> DigitWindow:
     """Binary digits of the constant at positions n+1 .. n+count, with
     ``certified`` as in the module docstring's Bound paragraph.  Neither
-    n nor count has a cap here: the time grows with both (``bbplog.cli``
-    gives timings)."""
+    n nor count has a cap of its own here, and the time grows with both
+    (``bbplog.cli`` gives timings); ``max_terms`` caps the head terms
+    summed (``formula._check_terms``)."""
     if count < 1:
         raise ValidationError("count: must be at least 1 bit")
     if n < 0:
         raise ValidationError("position: must be nonnegative")
     width = count + 64
     k_end = _truncation(plan.formula, width + n)
+    _check_terms(plan.formula, k_end, max_terms, f"position {n} with count {count}")
     # one ulp per block, the last one cut at k_end, and one for the discarded levels
     budget = -(-k_end // plan.levels) + 1
 

@@ -26,11 +26,17 @@ none).  A row's sample is flagged when a loop's time in a probe next to
 it reads outside ``PHASE_BAND`` of the run's median for that loop, and
 each row records the median ratio of the probes around it.  The probe
 only flags; it never rescales a row.
+
+The file names the code it timed by ``commit``, ``dirty`` (uncommitted
+changes to tracked files) and ``src_sha256``, a SHA-256 of every file
+under ``src/`` (bytecode and build metadata aside), so a file written
+before its commit still names its tree.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -188,7 +194,15 @@ def _commit() -> dict:
         return out.stdout.strip() if out.returncode == 0 else None
 
     status = git("status", "--porcelain", "--untracked-files=no")
-    return {"commit": git("rev-parse", "HEAD"), "dirty": None if status is None else bool(status)}
+    # the code timed, even before it is committed: every file under src/
+    # but bytecode and build metadata, path and bytes, in sorted order
+    digest = hashlib.sha256()
+    for path in sorted(SRC.rglob("*")):
+        rel = path.relative_to(SRC)
+        if path.is_file() and not any(part == "__pycache__" or part.endswith(".egg-info") for part in rel.parts):
+            data = path.read_bytes()
+            digest.update(b"%s\0%d\0%s" % (rel.as_posix().encode(), len(data), data))
+    return {"commit": git("rev-parse", "HEAD"), "dirty": None if status is None else bool(status), "src_sha256": digest.hexdigest()}
 
 
 def run(quick: bool) -> dict:

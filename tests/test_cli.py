@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
 import re
 import subprocess
@@ -12,13 +13,14 @@ import pytest
 
 import bbplog.cli as cli
 import bbplog.formula as formula
+import bbplog.spigot as spigot
 from bbplog.cli import main
 from bbplog.errors import DomainError
 from bbplog.family import family_coeffs, golden_constant
 from bbplog.formula import emit_formula
 from bbplog.presets import GOLDEN_TEXT, LOG2_TEXT
 from bbplog.spigot import DigitWindow
-from bbplog.verify import verify_theorem
+from bbplog.verify import GUARD_BITS, verify_theorem
 
 from _oracles import fixedreal_bits
 
@@ -34,6 +36,35 @@ def run_usage_error(capsys, *argv: str) -> tuple[int, str]:
         main(list(argv))
     captured = capsys.readouterr()
     return exc.value.code, captured.err
+
+
+def forbid_sums(monkeypatch):
+    """Make both engines' inner sums raise: a request that the caps refuse
+    must exit before its engine sums any block."""
+
+    def refuse(*args):
+        raise AssertionError("a refused request summed a block")
+
+    monkeypatch.setattr(spigot, "_partitioned_sum", refuse)
+    monkeypatch.setattr(formula, "_block_fractions", refuse)
+
+
+def stub_sums(monkeypatch) -> list[int]:
+    """Stub both engines' inner sums so that they sum nothing, and return
+    the list of the level counts they are asked for, one per engine call."""
+    levels = []
+
+    def head(plan, e0, width, k_end, parts):
+        levels.append(k_end)
+        return 0
+
+    def groups(base, degree, length, terms, g, k0, k1):
+        levels.append(k1)
+        return itertools.repeat((0, 1))
+
+    monkeypatch.setattr(spigot, "_partitioned_sum", head)
+    monkeypatch.setattr(formula, "_block_fractions", groups)
+    return levels
 
 
 # -- digits -------------------------------------------------------------------
@@ -79,7 +110,7 @@ def test_digits_prints_no_uncertified_digit_of_zero(capsys, tmp_path, radix, uni
 def test_digits_stops_at_the_certified_prefix(capsys, monkeypatch):
     # 40 of 64 bits certified: 40 bits, or 10 hex digits, then ~
     bits = format(0x0123456789ABCDEF, "064b")
-    monkeypatch.setattr(cli, "extract_bits", lambda plan, n, count: DigitWindow(bits, 40))
+    monkeypatch.setattr(cli, "extract_bits", lambda plan, n, count, max_terms: DigitWindow(bits, 40))
     code, out, _ = run(capsys, "digits", "--count", "64")
     assert code == 0
     assert out == f"pos=0 radix=2 digits={bits[:40]}~ certified=40\n"
@@ -113,63 +144,78 @@ def test_digits_hex_count_must_be_multiple_of_4(capsys):
 
 @pytest.mark.parametrize("radix, unit", [("2", 1), ("16", 4)])
 def test_digits_caps_exit_64_before_any_extraction(capsys, monkeypatch, radix, unit):
-    windows = []
-
-    def record(plan, n, count):
-        windows.append((n, count))
-        return DigitWindow(bits="0" * count, certified=count)
-
-    monkeypatch.setattr(cli, "extract_bits", record)
+    # golden and log2 are within the head-term cap at the --pos and --count
+    # caps: MAX_HEAD_TERMS is golden's count at the window's end there
+    levels = stub_sums(monkeypatch)
     top = str(cli.MAX_POS_BITS // unit)
-    code, out, _ = run(capsys, "digits", "--pos", top, "--count", str(cli.MAX_WINDOW_BITS), "--radix", radix)
-    assert code == 0
-    assert out.startswith(f"pos={top} radix={radix} digits=")
-    assert windows == [(cli.MAX_POS_BITS // unit * unit, cli.MAX_WINDOW_BITS)]
+    for preset in ("golden", "log2"):
+        code, out, _ = run(capsys, "digits", "--preset", preset, "--pos", top, "--count", str(cli.MAX_WINDOW_BITS), "--radix", radix)
+        assert code == 0
+        assert out.startswith(f"pos={top} radix={radix} digits=")
+    assert levels == [1_500_208, 30_004_137]
+    forbid_sums(monkeypatch)
     for flag, value in (("--pos", cli.MAX_POS_BITS // unit + 1), ("--count", cli.MAX_WINDOW_BITS + 4)):
         code, err = run_usage_error(capsys, "digits", flag, str(value), "--radix", radix)
         assert code == 64
         assert f"{flag} must be at most" in err
-    assert len(windows) == 1
+
+
+def test_each_request_counts_its_levels_once(capsys, monkeypatch):
+    # the tail rule runs once per engine call, at the span that engine
+    # sums to, and each cap is checked on that count, not on one of its own
+    spans = []
+    truncation = formula._truncation
+
+    def counted(f, bits):
+        spans.append(bits)
+        return truncation(f, bits)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").partition(".")[0] == "bbplog" and getattr(module, "_truncation", None) is truncation:
+            monkeypatch.setattr(module, "_truncation", counted)
+    work = 256 + GUARD_BITS  # verify's default --bits
+    for argv, expected in (
+        (["eval", "--bits", "1000"], [1000]),
+        (["digits", "--pos", "1000"], [1000 + 32 + 64]),
+        (["digits", "--pos", "250", "--radix", "16"], [1000 + 32 + 64]),
+        (["verify", "--theorem", "--t", "1,2"], [work, work]),
+        (["verify", "--corollary"], [work, 32 + 64]),
+    ):
+        spans.clear()
+        assert run(capsys, *argv)[0] == 0, argv
+        assert spans == expected, argv
 
 
 def test_formula_caps_exit_64_before_any_work(capsys, monkeypatch, tmp_path):
     # base-2 files of ones: without the caps, 4000 of them take 26 s at
     # --pos 1000, and 24 near the --pos cap make twenty times golden's
     # head terms there
-    calls = []
-
-    def extract(plan, n, count):
-        calls.append(n)
-        return DigitWindow(bits="0" * count, certified=count)
-
-    def evaluate(f, bits):
-        calls.append(bits)
-        return formula.eval_P(f, 64)
-
-    monkeypatch.setattr(cli, "extract_bits", extract)
-    monkeypatch.setattr(cli, "eval_P", evaluate)
     files = {}
     for ones in (4000, 24):
         path = tmp_path / f"ones{ones}.bbp"
         path.write_text(f"bbp 1\ns 1\nb 2\nl {ones}\npre 1/1\nA{' 1' * ones}\n", encoding="utf-8")
         files[ones] = ("--formula", str(path))
-    # the 24-term file's last position and precision within the caps:
-    # formula._truncation gives 1 500 001 levels at 1 500 020 bits and
-    # 15 001 at 15 013, 24 terms each; one bit more takes a level more
-    last_pos, last_bits = 1_500_020, 15_013
-    for argv, message in (
-        (["digits", "--pos", "1000", *files[4000]], "4000 nonzero coefficients"),
-        (["eval", "--bits", "64", *files[4000]], "4000 nonzero coefficients"),
-        (["digits", "--pos", "29000000", *files[24]], "--pos 29000000 takes 695999448 terms"),
-        (["digits", "--pos", str(last_pos + 1), *files[24]], "--pos 1500021 takes 36000048 terms"),
-        (["eval", "--bits", str(last_bits + 1), *files[24]], "--bits 15014 takes 360048 terms"),
-    ):
+    forbid_sums(monkeypatch)
+    for argv in (["digits", "--pos", "1000", *files[4000]], ["eval", "--bits", "64", *files[4000]]):
         code, err = run_usage_error(capsys, *argv)
         assert code == 64
+        assert "4000 nonzero coefficients" in err
+    # the 24-term file's last position and precision within the caps:
+    # formula._truncation gives 1 500 209 levels at the window's end,
+    # 1 500 132 + 32 + 64 bits, and 15 001 at 15 013 bits, 24 terms each;
+    # one bit more takes a level more
+    last_pos, last_bits = 1_500_132, 15_013
+    for argv, message in (
+        (["digits", "--pos", "29000000", *files[24]], "position 29000000 with count 32 takes 696001752 terms"),
+        (["digits", "--pos", str(last_pos + 1), *files[24]], "position 1500133 with count 32 takes 36005040 terms"),
+        (["eval", "--bits", str(last_bits + 1), *files[24]], "frac_bits 15014 takes 360048 terms"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (64, "")
         assert message in err
-    assert calls == []
     # log2 at the --pos cap, golden and log2 at the --bits cap, and the
     # 24-term file at its last position and precision are within the caps
+    levels = stub_sums(monkeypatch)
     within = (
         ["digits", "--pos", str(cli.MAX_POS_BITS), "--preset", "log2"],
         ["digits", "--pos", str(last_pos), *files[24]],
@@ -179,30 +225,24 @@ def test_formula_caps_exit_64_before_any_work(capsys, monkeypatch, tmp_path):
     )
     for argv in within:
         assert run(capsys, *argv)[0] == 0, argv
-    assert calls == [int(argv[2]) for argv in within]
+    assert levels == [30_000_073, 1_500_209, 15_001, 299_983, 15_001]
 
 
 def test_eval_term_cap_weights_the_degree(capsys, monkeypatch, tmp_path):
     # a term's cost grows with the degree: a degree-128 copy of golden took
     # 6.4 s at --bits 20 000 (golden: 17 ms) before the cap counted it
-    calls = []
-
-    def evaluate(f, bits):
-        calls.append(bits)
-        return formula.eval_P(f, 64)
-
-    monkeypatch.setattr(cli, "eval_P", evaluate)
+    forbid_sums(monkeypatch)
     deep = tmp_path / "golden128.bbp"
     deep.write_text(GOLDEN_TEXT.replace("\ns 1\n", "\ns 128\n"), encoding="utf-8")
-    code, err = run_usage_error(capsys, "eval", "--bits", "300000", "--formula", str(deep))
-    assert code == 64
-    assert "--bits 300000 takes 45708288 terms with this formula (each counted once per degree)" in err
+    code, out, err = run(capsys, "eval", "--bits", "300000", "--formula", str(deep))
+    assert (code, out) == (64, "")
+    assert "frac_bits 300000 takes 45708288 terms with this formula (each counted once per degree)" in err
     # formula._truncation gives it 117 levels at --bits 3 876 and 118 a
     # bit later, of 24 terms counted 128 times each
-    code, err = run_usage_error(capsys, "eval", "--bits", "3877", "--formula", str(deep))
-    assert code == 64
-    assert "--bits 3877 takes 362496 terms" in err
-    assert calls == []
+    code, out, err = run(capsys, "eval", "--bits", "3877", "--formula", str(deep))
+    assert (code, out) == (64, "")
+    assert "frac_bits 3877 takes 362496 terms" in err
+    levels = stub_sums(monkeypatch)
     assert run(capsys, "eval", "--bits", "3876", "--formula", str(deep))[0] == 0
     # degree 1 at the cap: golden, log2 and family files
     within = [["--preset", "golden"], ["--preset", "log2"]]
@@ -212,44 +252,36 @@ def test_eval_term_cap_weights_the_degree(capsys, monkeypatch, tmp_path):
         within.append(["--formula", str(path)])
     for flags in within:
         assert run(capsys, "eval", "--bits", str(cli.MAX_BITS), *flags)[0] == 0, flags
-    assert calls == [3876] + [cli.MAX_BITS] * len(within)
+    assert levels[0] == 117 and len(levels) == 1 + len(within)
 
 
 @pytest.mark.parametrize("bits", [64, 1000, 20_000])
 def test_term_cap_counts_the_terms_eval_sums(capsys, monkeypatch, tmp_path, bits):
     # the eval cap's count is eval_P's levels times the nonzero
-    # coefficients times the degree: one tail rule, formula._truncation,
-    # for the engine and its cap alike.  A cap of 0 refuses every formula
-    # and reports the count
+    # coefficients times the degree: eval_P checks it on the count it
+    # sums.  A cap of 0 refuses every formula and reports the count
     texts = {"golden": GOLDEN_TEXT, "log2": LOG2_TEXT, "golden3": GOLDEN_TEXT.replace("\ns 1\n", "\ns 3\n")}
     texts["base3"] = f"bbp 1\ns 1\nb 3\nl 24\npre 1/1\nA{' 1' * 24}\n"
     for t in (2, -3, 9):
         texts[f"t{t}"] = emit_formula(family_coeffs(t).formula)
+    expected = {}
+    for name, text in texts.items():
+        f = formula.parse_formula(text)
+        expected[name] = formula.eval_P(f, bits).terms_used * sum(1 for a in f.coeffs if a) * f.degree
     monkeypatch.setattr(cli, "MAX_EVAL_TERMS", 0)
+    forbid_sums(monkeypatch)
     for name, text in texts.items():
         path = tmp_path / f"{name}.bbp"
         path.write_text(text, encoding="utf-8")
-        code, err = run_usage_error(capsys, "eval", "--bits", str(bits), "--formula", str(path))
-        assert code == 64
-        f = formula.parse_formula(text)
-        nonzero = sum(1 for a in f.coeffs if a)
-        terms = formula.eval_P(f, bits).terms_used * nonzero * f.degree
-        assert f"--bits {bits} takes {terms} terms" in err, name
+        code, out, err = run(capsys, "eval", "--bits", str(bits), "--formula", str(path))
+        assert (code, out) == (64, "")
+        assert f"frac_bits {bits} takes {expected[name]} terms" in err, name
 
 
 def test_eval_term_cap_counts_the_prefactor_bits(capsys, monkeypatch, tmp_path):
     # eval's K grows with the bits of max(|p|, q) * max|a_j| over q for the
     # prefactor p/q: the base-2 file of 128 ones with prefactor 10**4299
     # ran 7.9 s in eval_P at --bits 64 before the cap counted them
-    calls = []
-    log2 = formula.eval_P(formula.parse_formula(LOG2_TEXT), 64)
-
-    def evaluate(f, bits):
-        calls.append(f.prefactor)
-        return log2
-
-    monkeypatch.setattr(cli, "eval_P", evaluate)
-
     def ones(name, pre):
         path = tmp_path / f"{name}.bbp"
         path.write_text(f"bbp 1\ns 1\nb 2\nl 128\npre {pre}\nA{' 1' * 128}\n", encoding="utf-8")
@@ -258,81 +290,70 @@ def test_eval_term_cap_counts_the_prefactor_bits(capsys, monkeypatch, tmp_path):
     # at --bits 64, p = 2**2758 makes formula._truncation's 2 812 levels
     # of 128 terms, within 360 024; one bit more of p makes 2 813, and a
     # large q adds no levels
+    forbid_sums(monkeypatch)
     for name, pre, message in (
-        ("e4299", f"{10**4299}/1", "--bits 64 takes 1834624 terms"),
-        ("p2759", f"{2**2759}/1", "--bits 64 takes 360064 terms"),
+        ("e4299", f"{10**4299}/1", "frac_bits 64 takes 1834624 terms"),
+        ("p2759", f"{2**2759}/1", "frac_bits 64 takes 360064 terms"),
     ):
-        code, err = run_usage_error(capsys, "eval", "--bits", "64", "--formula", ones(name, pre))
-        assert code == 64
+        code, out, err = run(capsys, "eval", "--bits", "64", "--formula", ones(name, pre))
+        assert (code, out) == (64, "")
         assert message in err
-    assert calls == []
+    levels = stub_sums(monkeypatch)
     for name, pre in (("p2758", f"{2**2758}/1"), ("q3000", f"1/{2**3000}")):
         assert run(capsys, "eval", "--bits", "64", "--formula", ones(name, pre))[0] == 0, name
-    assert len(calls) == 2
+    assert levels == [2812, 60]
 
 
 def test_digits_head_cap_counts_the_prefactor_bits(capsys, monkeypatch, tmp_path):
     # the spigot's k_end grows with p as eval's K does: the base-2 file of
-    # 128 ones with prefactor 10**4299 has formula._truncation's 281 250
-    # levels of 128 terms, within 36 000 024, at --pos 266 986 and one
-    # more a position later; with prefactor 1/2**3000 it has them up to
-    # --pos 281 267, as a large q adds no levels
-    calls = []
-
-    def extract(plan, n, count):
-        calls.append(n)
-        return DigitWindow(bits="0" * count, certified=count)
-
-    monkeypatch.setattr(cli, "extract_bits", extract)
-
+    # 128 ones with prefactor 10**4299 has formula._truncation's 281 289
+    # levels of 128 terms, within 36 005 016, at the end of a 32-bit
+    # window at --pos 266 929, and one more a position later; with
+    # prefactor 1/2**3000 it has them up to --pos 281 210, as a large q
+    # adds no levels
     def ones(name, pre):
         path = tmp_path / f"{name}.bbp"
         path.write_text(f"bbp 1\ns 1\nb 2\nl 128\npre {pre}\nA{' 1' * 128}\n", encoding="utf-8")
         return str(path)
 
     big_p, big_q = ones("e4299", f"{10**4299}/1"), ones("q3000", f"1/{2**3000}")
-    for path, pos in ((big_p, 266_987), (big_q, 281_268)):
-        code, err = run_usage_error(capsys, "digits", "--formula", path, "--pos", str(pos))
-        assert code == 64
-        assert f"--pos {pos} takes 36000128 terms" in err
-    assert calls == []
-    for path, pos in ((big_p, 266_986), (big_q, 281_267)):
+    forbid_sums(monkeypatch)
+    for path, pos in ((big_p, 266_930), (big_q, 281_211)):
+        code, out, err = run(capsys, "digits", "--formula", path, "--pos", str(pos))
+        assert (code, out) == (64, "")
+        assert f"position {pos} with count 32 takes 36005120 terms" in err
+    levels = stub_sums(monkeypatch)
+    for path, pos in ((big_p, 266_929), (big_q, 281_210)):
         assert run(capsys, "digits", "--formula", path, "--pos", str(pos))[0] == 0, path
-    assert calls == [266_986, 281_267]
+    assert levels == [281_289, 281_289]
 
 
 def test_digits_caps_the_nonzero_coefficients_times_the_degree(capsys, monkeypatch, tmp_path):
     # a block's modulus holds nonzero * s factors per level: a copy of
     # golden of degree 5 (120 factors) is within the caps, one of degree 6
     # (144) exits 64 before any extraction
-    calls = []
-
-    def extract(plan, n, count):
-        calls.append((plan.formula.degree, n))
-        return DigitWindow(bits="0" * count, certified=count)
-
-    monkeypatch.setattr(cli, "extract_bits", extract)
     paths = {}
     for degree in (5, 6):
         paths[degree] = tmp_path / f"golden{degree}.bbp"
         paths[degree].write_text(GOLDEN_TEXT.replace("\ns 1\n", f"\ns {degree}\n"), encoding="utf-8")
+    forbid_sums(monkeypatch)
     code, err = run_usage_error(capsys, "digits", "--formula", str(paths[6]))
     assert code == 64
     assert (
         "bbplog digits: error: the formula has 144 nonzero coefficients counted once"
         f" per degree (degree 6); at most {cli.MAX_NONZERO} are allowed\n"
     ) in err
-    assert calls == []
-    # formula._truncation gives 300 000 levels of 24 terms of degree 5 up
-    # to --pos 6 000 093, and one more a position later
-    last_pos = 6_000_093
+    # formula._truncation gives 300 041 levels of 24 terms of degree 5 at
+    # the end of a 32-bit window at --pos 6 000 817, and one more a
+    # position later
+    last_pos = 6_000_817
+    code, out, err = run(capsys, "digits", "--formula", str(paths[5]), "--pos", str(last_pos + 1))
+    assert (code, out) == (64, "")
+    assert "position 6000818 with count 32 takes 36005040 terms with this formula (each counted once per degree)" in err
+    levels = stub_sums(monkeypatch)
     for pos in (0, last_pos):
         assert run(capsys, "digits", "--formula", str(paths[5]), "--pos", str(pos))[0] == 0
-    assert calls == [(5, 0), (5, last_pos)]
-    code, err = run_usage_error(capsys, "digits", "--formula", str(paths[5]), "--pos", str(last_pos + 1))
-    assert code == 64
-    assert "--pos 6000094 takes 36000120 terms with this formula (each counted once per degree)" in err
-    assert len(calls) == 2
+    assert levels[1] == 300_041 and len(levels) == 2
 
 
 def test_digits_degree_above_max_exits_2_as_eval_does(capsys, tmp_path):
@@ -609,8 +630,8 @@ def test_eval_stdout_at_the_cap_matches_its_pinned_digest(capsys):
 
 
 def test_eval_bits_below_64_is_usage_error(capsys):
-    # eval_P rejects the width; main maps its ValidationError to 64.  The
-    # term cap takes a span below zero as zero, so it reaches eval_P too
+    # eval_P rejects the width before it counts the levels for its term
+    # cap; main maps its ValidationError to 64
     for bits in ("63", "0", "-1"):
         code, out, err = run(capsys, "eval", "--preset", "log2", "--bits", bits)
         assert code == 64
