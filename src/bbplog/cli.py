@@ -42,77 +42,35 @@ verify prints each REPORT line as soon as its check finishes: first every
 theorem check, then the corollary, then every decomposition check.  The
 --t list is checked for syntax before any check runs, but t = 0 is
 rejected only when its check is reached, so verify exits 2 after the
-lines of the checks before it.
+lines of the checks before it.  A --t range is lazy and has no cap:
+verify runs one check per t, for as long as the range asks.  The exact
+decomposition check costs the same at any --bits.
 
-Cost caps, each checked before any work starts (2 vCPU Xeon, Python
-3.11.7, one run each unless noted):
+Cost caps, each checked before any work starts.  The BENCH rows named
+are rows of tests/bench_layers.py, sized from these constants:
 
-- eval and verify: --bits at most MAX_BITS = 300 000.  At the cap eval
-  takes 2.9 s for golden and 2.3 s for log2 end to end, the full decimal
-  print 0.17 s of it (best of 3), and one verify check 5.5 s
-  (corollary) or 4.3-5.8 s (theorem, t = -50 and 1) by its ms= field;
-  the time grows about quadratically in --bits.  The exact decomposition
-  check costs the same at any width: 5-8 us for t = -50 and 1 at the cap
-  (median of 41, three runs), 7-9 ms for a 4000-digit t.
-- digits: --count at most MAX_WINDOW_BITS = 4096 bits.  Golden at bit
-  position 2*10**5 on one CPU (best of 5) took 163, 151, 141, 209 and
-  399 ms for 64, 256, 1024, 4096 and 16 384 bits: up to the cap a window
-  costs at most about a third more than 64 bits, above it the time grows
-  about linearly in the count.
-- digits: --pos at most MAX_POS_BITS = 3*10**7 bits, so 7.5*10**6 hex
-  digits with --radix 16.  Golden is the slowest of the presets and the
-  family files per position (at 10**6 on one CPU: golden 0.84 s, log2
-  0.75 s, t = 2 0.33 s, best of 3).  At the cap it took 49 s for 64 bits
-  and 65 s for 4096 on one CPU, and 28 s for 4096 on both; the time
-  grows a little faster than the position.
-- digits and eval with any formula: at most MAX_NONZERO = 128 nonzero
-  coefficients, and at most golden's term count at the caps above, each
-  term counted once per degree s (up to MAX_DEGREE, above which eval
-  and digits refuse the formula before any work):
-  K * nonzero * s <= MAX_HEAD_TERMS = 36 005 016 head terms for digits
-  and <= MAX_EVAL_TERMS = 360 024 terms for eval, with K the levels the
-  engine sums (below).  Golden counts 36 004 992 head terms at the --pos
-  and --count caps and 360 024 terms at the --bits cap.  The time per
-  term grows with the nonzero
-  count: at the head-term cap, base-2 files of N ones took 41 s
-  (N = 24, position 1.5*10**6), 56 s (N = 64), 88 s (N = 128) and 116 s
-  (N = 256) for 64 bits on one CPU, against 51 s for golden at the
-  --pos cap in the same session (extract_bits alone, one run each).  At
-  the eval term cap those files took 0.16-0.28 s for N = 24..256, 0.98 s
-  for N = 1024 and 2.6 s for N = 4000, against 2.5 s for golden and
-  2.1 s for log2 at --bits 300 000 (eval_P alone, one run each).  The
-  time per term grows with the degree too: a copy of golden of degree
-  128 took 6.4 s at --bits 20 000 (golden: 17 ms); the cap allows it
-  at most 3 876 bits.  At their last --bits within the cap, copies of
-  golden, log2 and the t = 2 and 9 files with s = 2, 3, 8, 32 and 128
-  took 0.14-1.5 s, the slowest t = 2 at s = 3 and t = 9 at s = 8, and
-  files of 24 ones in bases 3, 6 and 243 took 0.24-0.86 s, against
-  1.8-2.0 s for golden at --bits 300 000 (eval_P alone, best of 2, one
-  session).
-- digits with any formula: at most MAX_NONZERO = 128 nonzero
-  coefficients times the degree, which covers the plain nonzero cap
-  above (s >= 1), checked before the spigot checks its head-term cap.  A
-  block's modulus holds nonzero * s factors per level, so a level costs
-  about what a degree-1 level of nonzero * s coefficients costs, which
-  MAX_NONZERO bounds.  Without this cap, copies of golden of degree s at
-  the largest --pos the term cap admits took 31 s (s = 1, the --pos
-  cap), 34 s (2), 52 s (5), 68 s (8), 103 s (16), 149 s (32) and 127 s
-  (128), against 40-46 s for the base-2 file of 128 ones at its largest
-  --pos (extract_bits alone on both CPUs, one run each, two for the
-  ones).  With the cap, the copies of degree 2 and 5 take 1.1 and 1.7
-  times golden's time at the caps.
-- Each term cap counts the levels its engine sums, from the one tail
-  rule, formula._truncation: eval_P's at --bits bits, and the spigot's at
-  the window's end, position + count + 64 bits.  The count grows with
-  log_b max|p * a_j| for the prefactor p/q, so a large p buys levels as
-  a large coefficient does.  For golden, eval_P sums 15 001 levels at
-  --bits 300 000, and the spigot 1 500 208 at the --pos and --count caps.
-  The base-2 file of 128 ones with prefactor 10**4299 took 7.9 s at
-  --bits 64 (eval_P alone, one run) before the caps counted p; eval of
-  it exits 64 at once, and digits of 32 bits from --pos 266 930 on.
-  Neither cap weighs the cost of a term's size.
-- A --t range is lazy and has no cap: verify runs one check per t in
-  turn, printing as it goes, for as long as the range asks.
+- eval and verify: --bits at most MAX_BITS = 300 000, as the time grows
+  about quadratically in --bits (BENCH rows `cap eval_P golden`,
+  `cap decimal golden`, `cap verify_theorem` and `cap verify_corollary`).
+- digits: --count at most MAX_WINDOW_BITS = 4096 bits, up to which a
+  window costs little more than one of 64 bits, and --pos at most
+  MAX_POS_BITS = 3*10**7 bits, as the time grows a little faster than
+  the position (BENCH rows `cap extract_bits golden`,
+  `cap extract_bits golden count 64` and `extract_bits golden large`).
+- digits and eval: at most golden's terms at those caps, K * nonzero * s
+  for degree s, MAX_HEAD_TERMS = 36 005 016 and MAX_EVAL_TERMS = 360 024.
+  K is the levels its engine sums by the one tail rule, _truncation:
+  eval_P's at --bits, the spigot's at position + count + 64 bits.  A
+  large prefactor or coefficient adds levels; its size is not weighed.
+  Weighting by s bounds a degree-s term's cost (BENCH rows
+  `shape eval_P golden degree 1` and `shape eval_P golden degree MAX_DEGREE`).
+- eval: at most MAX_NONZERO = 128 nonzero coefficients, as a term costs
+  more the more nonzero terms its level has (BENCH rows
+  `shape eval_P ones MAX_NONZERO` and `shape eval_P ones 8*MAX_NONZERO`).
+- digits: at most MAX_NONZERO nonzero coefficients times the degree, as
+  a block's modulus holds nonzero * s factors per level (BENCH rows
+  `shape extract_bits ones MAX_NONZERO` and
+  `shape extract_bits ones 8*MAX_NONZERO`).
 """
 
 from __future__ import annotations
@@ -138,11 +96,12 @@ EX_DOMAIN = 2
 EX_USAGE = 64
 EX_DATA = 65
 
-# cost caps, from the times in the module docstring: --bits for eval and
-# verify, the width and bit position of a digits window, and for a
-# formula its nonzero coefficients and the terms eval sums or the digits
-# head reduces, at golden's values at --bits and at the window's end at
-# the --pos and --count caps (golden: 24 nonzero coefficients, base 2**20)
+# cost caps, measured by the BENCH rows the module docstring names:
+# --bits for eval and verify, the width and bit position of a digits
+# window, and for a formula its nonzero coefficients and the terms eval
+# sums or the digits head reduces, at golden's values at --bits and at
+# the window's end at the --pos and --count caps (golden: 24 nonzero
+# coefficients, base 2**20)
 MAX_BITS = 300_000
 MAX_WINDOW_BITS = 4096
 MAX_POS_BITS = 30_000_000

@@ -243,8 +243,9 @@ def extract_bits(plan: SpigotPlan, n: int, count: int, max_terms: int | None = N
     """Binary digits of the constant at positions n+1 .. n+count, with
     ``certified`` as in the module docstring's Bound paragraph.  Neither
     n nor count has a cap of its own here, and the time grows with both
-    (``bbplog.cli`` gives timings); ``max_terms`` caps the head terms
-    summed (``formula._check_terms``)."""
+    (BENCH rows `extract_bits golden large` and `cap extract_bits golden`
+    of tests/bench_layers.py); ``max_terms`` caps the head terms summed
+    (``formula._check_terms``)."""
     if count < 1:
         raise ValidationError("count: must be at least 1 bit")
     if n < 0:

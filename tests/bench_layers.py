@@ -13,10 +13,30 @@ Each of ``REPEATS`` repeats runs every row once, in a fixed order, so a
 slow phase of the host spreads over all rows instead of landing on one.
 A row's sample is the time of one call, averaged over as many calls as
 fill about ``SAMPLE_S``; the count is calibrated once, after a warm-up
-call, and recorded as ``calls``.  The import rows start a fresh interpreter
-per sample, with ``PYTHONDONTWRITEBYTECODE=1`` and an empty
-``PYTHONPYCACHEPREFIX``, so that every module it imports is compiled,
-and time the import statement inside it.
+call, and recorded as ``calls``.
+
+The import rows start a fresh ``-S`` interpreter per sample, with
+``PYTHONDONTWRITEBYTECODE=1``, and time the import statement inside it.
+``import bbplog.cli`` and ``import bbplog.numerics`` set an empty
+``PYTHONPYCACHEPREFIX``, so that every module imported is compiled, the
+standard library's included; the rows ``(bbplog compiled)`` import a
+fresh copy of ``src/bbplog`` with no ``__pycache__`` and no
+``PYTHONPYCACHEPREFIX``, so the standard library loads from its bytecode
+cache and only bbplog compiles.
+
+The ``cap`` rows time each cost cap of ``bbplog.cli`` at its value:
+golden's digits window at ``MAX_POS_BITS``, of ``MAX_WINDOW_BITS`` bits
+and of 64, and eval (the sum and its full decimal print) and the
+theorem (t = 1) and corollary checks at ``MAX_BITS``.  The ``shape``
+rows come in pairs that sum equal term counts, counted as the caps count
+them (levels by ``formula._truncation`` times nonzero coefficients times
+degree), at a size where each takes at most about 2 s: the ratio of a
+pair's medians is what a term of the shape beyond a cap costs against
+one the cap admits.  Each pair follows its cap: base-2 files of
+``MAX_NONZERO`` and of 8 * ``MAX_NONZERO`` ones in ``eval_P`` at
+``MAX_EVAL_TERMS`` terms and in ``extract_bits`` at ``MAX_HEAD_TERMS`` /
+64 head terms, and golden and its copy of degree ``MAX_DEGREE`` in
+``eval_P`` at ``MAX_EVAL_TERMS`` / 4.
 
 Before the first row and after every row, the probe times a fixed
 pure-Python loop, a fixed big-int loop, and that big-int loop in two
@@ -36,10 +56,13 @@ before its commit still names its tree.
 from __future__ import annotations
 
 import argparse
+import bisect
+import functools
 import hashlib
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -52,8 +75,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 sys.path.insert(0, str(SRC))
 
+from bbplog.cli import MAX_BITS, MAX_EVAL_TERMS, MAX_HEAD_TERMS, MAX_NONZERO, MAX_POS_BITS, MAX_WINDOW_BITS
 from bbplog.family import family_coeffs, golden_formula
-from bbplog.formula import _truncation, eval_P
+from bbplog.formula import MAX_DEGREE, BbpFormula, _truncation, eval_P
 from bbplog.numerics import FixedReal, fx_log
 from bbplog.presets import load_preset
 from bbplog.spigot import build_plan, extract_bits
@@ -103,22 +127,74 @@ def _rows(quick: bool) -> list[tuple[str, dict, object]]:
         rows.append((f"verify_corollary {tier}", {"bits": b}, _per_call(lambda b=b: verify_corollary(b))))
         rows.append((f"verify_decomposition {tier}", {"t": 7, "bits": b}, _per_call(lambda b=b: verify_decomposition(7, b))))
     for module in ("bbplog.cli", "bbplog.numerics"):
-        rows.append((f"import {module}", {"fresh_interpreter": True}, _import_timer(module)))
+        rows.append((f"import {module}", {"fresh_interpreter": True}, _import_timer(module, stdlib_compiled=True)))
+    for module in ("bbplog.cli", "bbplog.numerics"):
+        rows.append((f"import {module} (bbplog compiled)", {"fresh_interpreter": True, "compiled": "bbplog"}, _import_timer(module, stdlib_compiled=False)))
     for name, f in (("golden", formulas["golden"]), ("t=9", family_coeffs(9).formula)):
         rows.append((f"_truncation {name}", {"bits": span}, _per_call(lambda f=f: _truncation(f, span))))
+    return rows + _cap_rows(quick, formulas)
+
+
+def _cap_rows(quick: bool, formulas: dict[str, BbpFormula]) -> list[tuple[str, dict, object]]:
+    """The ``cap`` and ``shape`` rows (module docstring), at tiny sizes
+    when quick."""
+    pos, count, bits = (4000, 256, 2000) if quick else (MAX_POS_BITS, MAX_WINDOW_BITS, MAX_BITS)
+    plan = build_plan(formulas["golden"])
+    rows = [
+        ("cap extract_bits golden", {"pos": pos, "count": count}, _per_call(lambda: extract_bits(plan, pos, count))),
+        ("cap extract_bits golden count 64", {"pos": pos, "count": 64}, _per_call(lambda: extract_bits(plan, pos, 64))),
+    ]
+    for name, f in formulas.items():
+        rows.append((f"cap eval_P {name}", {"bits": bits}, _per_call(lambda f=f: eval_P(f, bits))))
+        # the value to print is computed once, by the warm-up call
+        value = functools.cache(lambda f=f: eval_P(f, bits).value)
+        rows.append((f"cap decimal {name}", {"bits": bits}, _per_call(lambda value=value: value().decimal())))
+    rows.append(("cap verify_theorem", {"t": 1, "bits": bits}, _per_call(lambda: verify_theorem(1, bits))))
+    rows.append(("cap verify_corollary", {"bits": bits}, _per_call(lambda: verify_corollary(bits))))
+
+    eval_terms, head_terms, degree_terms = (MAX_EVAL_TERMS // 4, MAX_HEAD_TERMS // 128, MAX_EVAL_TERMS // 16) if quick else (MAX_EVAL_TERMS, MAX_HEAD_TERMS // 64, MAX_EVAL_TERMS // 4)
+    for label, nonzero in (("MAX_NONZERO", MAX_NONZERO), ("8*MAX_NONZERO", 8 * MAX_NONZERO)):
+        ones = BbpFormula(1, 2, nonzero, (1,) * nonzero, Fraction(1))
+        b = _bits_within(ones, eval_terms)
+        rows.append((f"shape eval_P ones {label}", {"nonzero": nonzero, "bits": b, "terms": _terms(ones, b)}, _per_call(lambda f=ones, b=b: eval_P(f, b))))
+        # the head terms are counted at the window's end, pos + count + 64
+        n = _bits_within(ones, head_terms) - 128
+        rows.append((f"shape extract_bits ones {label}", {"nonzero": nonzero, "pos": n, "count": 64, "terms": _terms(ones, n + 128)}, _per_call(lambda p=build_plan(ones), n=n: extract_bits(p, n, 64))))
+    golden = formulas["golden"]
+    for label, degree in (("1", 1), ("MAX_DEGREE", MAX_DEGREE)):
+        copy = BbpFormula(degree, golden.base, golden.length, golden.coeffs, golden.prefactor)
+        b = _bits_within(copy, degree_terms)
+        rows.append((f"shape eval_P golden degree {label}", {"degree": degree, "bits": b, "terms": _terms(copy, b)}, _per_call(lambda f=copy, b=b: eval_P(f, b))))
     return rows
 
 
-def _import_timer(module: str):
-    """A row's timer: the mean seconds ``import module`` takes in
-    ``calls`` fresh interpreters that compile every module they import."""
+def _terms(f: BbpFormula, bits: int) -> int:
+    """The terms summed to ``bits`` bits, counted as the caps count them."""
+    return _truncation(f, bits) * sum(1 for a in f.coeffs if a) * f.degree
+
+
+def _bits_within(f: BbpFormula, terms: int) -> int:
+    """The largest bit count whose ``_terms`` are at most ``terms``,
+    searched below ``terms * f.base.bit_length()`` bits."""
+    return bisect.bisect_right(range(terms * f.base.bit_length()), terms, key=lambda b: _terms(f, b)) - 1
+
+
+def _import_timer(module: str, stdlib_compiled: bool):
+    """A row's timer: the mean seconds ``import module`` takes in ``calls``
+    fresh interpreters that compile every bbplog module they import, and
+    every standard-library one too when ``stdlib_compiled``."""
     code = f"import time; t = time.perf_counter(); import {module}; print(time.perf_counter() - t)"
 
     def run(calls: int) -> float:
         total = 0.0
         for _ in range(calls):
-            with tempfile.TemporaryDirectory() as empty:
-                env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": empty}
+            with tempfile.TemporaryDirectory() as tmp:
+                env = {k: v for k, v in os.environ.items() if k != "PYTHONPYCACHEPREFIX"} | {"PYTHONDONTWRITEBYTECODE": "1"}
+                if stdlib_compiled:
+                    env |= {"PYTHONPATH": str(SRC), "PYTHONPYCACHEPREFIX": tmp}
+                else:
+                    shutil.copytree(SRC / "bbplog", Path(tmp) / "bbplog", ignore=shutil.ignore_patterns("__pycache__"))
+                    env["PYTHONPATH"] = tmp
                 out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True, env=env, timeout=60)
             total += float(out.stdout)
         return total / calls
