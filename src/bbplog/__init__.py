@@ -14,7 +14,7 @@ loads only that module and what it imports:
 - ``bbplog.errors``: ``BbpError``, ``DomainError``, ``ParseError``,
   ``PrecisionError``, ``UnsupportedFormulaError``, ``ValidationError``.
 - ``bbplog.numerics``: ``FixedReal``, ``agreement_bits``, ``fx_sqrt``,
-  ``fx_log``, ``fx_atanh``, ``modpow``.
+  ``fx_log``, ``modpow``.
 - ``bbplog.formula``: ``BbpFormula``, ``EvalResult``, ``eval_P``,
   ``parse_formula``, ``emit_formula``.
 - ``bbplog.family``: ``FamilyInstance``, ``family_coeffs``,

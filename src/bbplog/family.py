@@ -17,6 +17,12 @@ period-8 sign times 1 for even j and 1/sqrt(2) for odd j.  So a_j is the
 product of the two signs times t**(39-j) * 2**((40-j)//2), the floor
 being the 1/sqrt(2) of odd j; no trigonometry runs in the coefficient
 path.
+
+Both closed forms are sqrt(5) times the log of an exact number of
+Q(sqrt5): phi = (1 + sqrt(5))/2 for the golden constant, and for the
+family atanh(v) = ln((1 + v)/(1 - v))/2 at v = u*sqrt(5).  So the two
+BBP-free oracles, :func:`lhs_value` and :func:`golden_constant`, take
+one square root and one log each, through one helper.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from fractions import Fraction
 from ._record import Record
 from .errors import DomainError
 from .formula import BbpFormula
-from .numerics import FixedReal, fx_atanh, fx_log, fx_sqrt
+from .numerics import FixedReal, fx_log, fx_sqrt
 
 __all__ = [
     "FamilyInstance",
@@ -108,18 +114,33 @@ def golden_formula() -> BbpFormula:
     )
 
 
+def _sqrt5_log(a: int, b: int, c: int, frac_bits: int) -> FixedReal:
+    """sqrt(5) * ln((a + b*sqrt(5))/c) at frac_bits, for integers a, b, c
+    with (a + b*sqrt(5))/c > 0.
+
+    The one place an oracle takes sqrt(5) and a log.  The number is exact
+    but for sqrt(5)'s ulp times |b| and the floor of ``div_int`` by c;
+    ``fx_log`` carries that error into the log and ``*`` carries sqrt(5)'s
+    into the product, so the bound is theirs.
+    """
+    s5 = fx_sqrt(FixedReal.from_int(5, frac_bits))
+    x = (FixedReal.from_int(a, frac_bits) + s5.mul_int(b)).div_int(c)
+    return s5 * fx_log(x)
+
+
 def lhs_value(inst: FamilyInstance, frac_bits: int) -> FixedReal:
-    """sqrt(5) * atanh(lhs_arg * sqrt(5)) at the requested precision."""
-    work = frac_bits + 32
-    s5 = fx_sqrt(FixedReal.from_int(5, work))
-    arg = s5.mul_fraction(inst.lhs_arg)
-    return (s5 * fx_atanh(arg)).rescale(frac_bits)
+    """sqrt(5) * atanh(lhs_arg * sqrt(5)) at the requested precision.
+
+    For u = N/D, (1 + u*sqrt(5))/(1 - u*sqrt(5)) = (D + N*sqrt(5))**2 /
+    (D**2 - 5N**2), so the left side is half of sqrt(5) times the log of
+    that number of Q(sqrt5).  Its denominator, and so the number, is
+    positive exactly when the instance's domain check, 5N**2 < D**2, holds.
+    """
+    N, D = inst.lhs_arg.numerator, inst.lhs_arg.denominator
+    out = _sqrt5_log(D * D + 5 * N * N, 2 * D * N, D * D - 5 * N * N, frac_bits + 32)
+    return out.div_int(2).rescale(frac_bits)
 
 
 def golden_constant(frac_bits: int) -> FixedReal:
     """sqrt(5)*log(phi) straight from sqrt and log; the BBP-free oracle."""
-    work = frac_bits + 32
-    s5 = fx_sqrt(FixedReal.from_int(5, work))
-    phi = (FixedReal.from_int(1, work) + s5).div_int(2)
-    return (s5 * fx_log(phi)).rescale(frac_bits)
-
+    return _sqrt5_log(1, 1, 2, frac_bits + 32).rescale(frac_bits)

@@ -387,7 +387,7 @@ def parse_formula(text: str) -> BbpFormula:
     coeffs = tuple(
         parse_int(tok, 5, "coefficient") for tok in expect(5, "A").split()
     )
-    label = expect(6, "label") if len(lines) > 6 else ""
+    label = expect(6, "label") if len(lines) > 6 and lines[6].strip() else ""
     for idx in range(7, len(lines)):
         if lines[idx].strip():
             raise ParseError(f"unexpected trailing line {lines[idx]!r}", idx + 1)

@@ -52,7 +52,6 @@ __all__ = [
     "FixedReal",
     "fx_sqrt",
     "fx_log",
-    "fx_atanh",
     "modpow",
     "agreement_bits",
 ]
@@ -494,22 +493,6 @@ def fx_log(x: FixedReal) -> FixedReal:
     z = (y - one) / (y + one)
     out = _atanh_small(z).mul_int(2 << r).rescale(F)
     return FixedReal(out.mantissa, F, out.err_ulp + prop)
-
-
-def fx_atanh(x: FixedReal) -> FixedReal:
-    """Inverse hyperbolic tangent as log((1+|x|)/(1-|x|)) / 2, sign of x.
-
-    One certified division and one certified log; the bound is theirs,
-    halved.  Working on |x| keeps the quotient >= 1, where its leading
-    bits are all significant, and atanh is odd.
-    """
-    F = x.frac_bits
-    if abs(x.mantissa) >= (1 << F):
-        raise DomainError("fx_atanh requires |x| < 1")
-    one = FixedReal.from_int(1, F)
-    ax = abs(x)
-    y = fx_log((one + ax) / (one - ax)).div_int(2)
-    return -y if x.mantissa < 0 else y
 
 
 # -- modular exponentiation ---------------------------------------------

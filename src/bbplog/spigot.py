@@ -194,10 +194,13 @@ def _partitioned_sum(plan: SpigotPlan, e0: int, width: int, k_end: int, parts: i
     children = {}  # range index -> (pid, read end of its pipe)
     try:
         for i, (k0, k1) in enumerate(ranges):
-            r, w = os.pipe()
+            try:
+                r, w = os.pipe()
+            except OSError:  # no descriptor to spare: the range is summed here
+                continue
             try:
                 pid = os.fork()
-            except OSError:  # no process to spare: the range is summed here
+            except OSError:  # no process to spare: likewise
                 os.close(r)
                 os.close(w)
                 continue

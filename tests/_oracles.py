@@ -69,6 +69,31 @@ def golden_decimal(ctx):
     return total, ctx.add(ctx.multiply(power, 2), rounding)
 
 
+def lhs_decimal(t: int, ctx):
+    """(value, error bound) of the family's left side sqrt(5)*atanh(u*sqrt5)
+    as Decimals in ``ctx``, as (sqrt5/2) ln X for X = (D + N sqrt5)**2 /
+    (D**2 - 5N**2), u = N/D = t(1 - t + 2t^2) / (1 - t + 3t^2 - 2t^3 +
+    4t^4) restated here.
+
+    With y = D + |N| sqrt5 every operand is positive: X = y**2/c for
+    N >= 0 and c/y**2 for N < 0, c = D**2 - 5N**2, so nothing cancels.
+    The integers enter exactly and each of the 5 roundings before the ln
+    is off by at most u/2 relative, u = 10**(1 - prec), so X is off by
+    under 4.01u relative and ln X by under 4.03u + |L|u/2, L the computed
+    log.  sqrt5/2 (two roundings) and the last product add under
+    1.13|L|u + 0.57|L|u, so the value is off by under (5 + 3|L|)u, which
+    is returned.
+    """
+    N = t * (1 - t + 2 * t * t)
+    D = 1 - t + 3 * t * t - 2 * t**3 + 4 * t**4
+    root5 = ctx.sqrt(5)
+    y = ctx.add(D, ctx.multiply(abs(N), root5))
+    y2, c = ctx.multiply(y, y), D * D - 5 * N * N
+    log = ctx.ln(ctx.divide(y2, c) if N >= 0 else ctx.divide(c, y2))
+    value = ctx.multiply(ctx.divide(root5, 2), log)
+    return value, ctx.multiply(5 + 3 * abs(log), ctx.scaleb(1, 1 - ctx.prec))
+
+
 def li1_radicands_decimal(t: int, ctx):
     """(radicands, error bound) of R_i = 1 - 2q cos x_i + q^2 as Decimals
     in ``ctx``, for q = sqrt(2)/(2t) and x_i = k*pi/20, k = 1, 7, 9, 17.
@@ -124,24 +149,27 @@ def li1_decomposition_sides(t: int, work: int):
     """Both sides of the alternating four-term log identity at ``work``
     bits, as FixedReals, each side taking its own log.
 
-    Left side: ``fx_atanh`` of a = u(t)*sqrt(5).  Right side: -1/2 sum_i
-    (-1)**i ln R_i, taken as one log of one quotient, sum_i (-1)**i ln R_i
-    = ln(E / C) over E = 4t^4 R_0 R_2 and C = 4t^4 R_1 R_3 (the 4t^4
-    cancels), oriented to be >= 1 (the larger product over the smaller,
-    the sign flipped), as ``fx_atanh`` does.  Each product comes from its
-    pair's sum s and product p of sqrt(2)cos x_i: with A = 2t^2 + 1,
-    2t^2 R_i = A - 2t sqrt(2)cos x_i, so 4t^4 R_i R_j = A^2 - 2tA*s +
-    4t^2*p, with s and p from a certified sqrt(5): a second route to the
-    pair products, not ``bbplog.verify``'s integer form in m = 4t^2 - t +
-    2.  It is the two-log reference for ``verify_decomposition``, and the
-    decimal oracle above checks its right side.
+    Left side: atanh(a) for a = u(t)*sqrt(5), as half the log of the
+    quotient (1 + a)/(1 - a) of two certified numbers, not the exact
+    number of Q(sqrt5) that ``bbplog.family`` forms.  Right side: -1/2
+    sum_i (-1)**i ln R_i, taken as one log of one quotient, sum_i (-1)**i
+    ln R_i = ln(E / C) over E = 4t^4 R_0 R_2 and C = 4t^4 R_1 R_3 (the
+    4t^4 cancels), oriented to be >= 1 (the larger product over the
+    smaller, the sign flipped).  Each product comes from its pair's sum s
+    and product p of sqrt(2)cos x_i: with A = 2t^2 + 1, 2t^2 R_i = A -
+    2t sqrt(2)cos x_i, so 4t^4 R_i R_j = A^2 - 2tA*s + 4t^2*p, with s and
+    p from a certified sqrt(5): a second route to the pair products, not
+    ``bbplog.verify``'s integer form in m = 4t^2 - t + 2.  It is the
+    two-log reference for ``verify_decomposition``, and the decimal
+    oracle above checks its right side.
     """
     from bbplog.family import _lhs_argument
-    from bbplog.numerics import FixedReal, fx_atanh, fx_log, fx_sqrt
+    from bbplog.numerics import FixedReal, fx_log, fx_sqrt
 
     s5 = fx_sqrt(FixedReal.from_int(5, work))
     one = FixedReal.from_int(1, work)
-    lhs = fx_atanh(s5.mul_fraction(_lhs_argument(t)))
+    a = s5.mul_fraction(_lhs_argument(t))
+    lhs = fx_log((one + a) / (one - a)).div_int(2)
     A = 2 * t * t + 1
     # (sum, product) of the pairs: 2cos(pi/5), cos(2pi/5); -2sin(pi/10), -cos(pi/5)
     pairs = (
@@ -251,14 +279,6 @@ def common_digits(a: list[int], b: list[int], r: int, count: int) -> tuple[int, 
     for d in a[1 : c + 1]:
         q = q * r + d
     return c, q
-
-
-def sqrt5_pair_pow(a: int, b: int, n: int) -> tuple[int, int]:
-    """(a + b*sqrt5)**n in Z[sqrt5], returned as a coefficient pair."""
-    ra, rb = 1, 0
-    for _ in range(n):
-        ra, rb = ra * a + 5 * rb * b, ra * b + rb * a
-    return ra, rb
 
 
 def fixedreal_bits(fx, position: int, count: int, margin: int = 8) -> str:

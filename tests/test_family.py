@@ -12,6 +12,7 @@ import bbplog.numerics as numerics_mod
 from bbplog.errors import DomainError
 from bbplog.family import (
     FAMILY_LENGTH,
+    _sqrt5_log,
     family_coeffs,
     golden_constant,
     golden_formula,
@@ -21,7 +22,7 @@ from bbplog.formula import eval_P
 from bbplog.numerics import agreement_bits
 from bbplog.verify import _radicand_products, verify_decomposition
 
-from _oracles import li1_decomposition_decimal, li1_decomposition_sides
+from _oracles import lhs_decimal, li1_decomposition_decimal, li1_decomposition_sides
 
 # the t=1 coefficient vector, all 24 nonzero entries signed powers of two
 T1_COEFFS = (
@@ -131,6 +132,28 @@ def test_corollary_relation_to_theorem():
     assert agreement_bits(lhs, gold3) >= F - 24
 
 
+# a 400-digit t: u(t)*sqrt5 is about 10**-400, and D has 1 600 digits
+BIG_T = int("3" * 400)
+
+
+@pytest.mark.parametrize("bits", [64, 1088, pytest.param(8088, marks=pytest.mark.slow)])
+def test_lhs_value_contains_decimal_reference(bits):
+    # the stdlib decimal value of (sqrt5/2) ln((D + N sqrt5)**2/(D**2 -
+    # 5N**2)) must lie in lhs_value's interval, and in half the helper's
+    # at its 32 guard bits, where the charges its inputs propagate are
+    # a few ulps, not a fraction of one
+    W = bits + 32
+    ctx = decimal.Context(prec=W * 30103 // 100000 + 12)
+    for t in [*range(-50, 0), *range(1, 51), BIG_T]:
+        ref, ref_err = lhs_decimal(t, ctx)
+        assert Fraction(ref_err) < Fraction(1, 1 << W)
+        inst = family_coeffs(t)
+        N, D = inst.lhs_arg.numerator, inst.lhs_arg.denominator
+        raw = _sqrt5_log(D * D + 5 * N * N, 2 * D * N, D * D - 5 * N * N, W).div_int(2)
+        for x in (lhs_value(inst, bits), raw):
+            assert abs(Fraction(ref) - x.value) <= x.err + Fraction(ref_err), (t, x.frac_bits)
+
+
 def test_golden_constant_refines_with_precision():
     a = golden_constant(256)
     b = golden_constant(512).rescale(256)
@@ -174,7 +197,7 @@ def test_li1_decomposition_rhs_contains_decimal_oracle(t, work):
 
 def test_li1_oracle_takes_one_log_per_side(monkeypatch):
     # the oracle's right side takes its four logs as one log of
-    # R_0 R_2 / (R_1 R_3); the left side keeps its own, inside fx_atanh
+    # R_0 R_2 / (R_1 R_3); the left side takes its own
     calls = []
     real_log = numerics_mod.fx_log
 

@@ -394,6 +394,15 @@ def test_emit_parse_round_trip():
     text = emit_formula(LOG2_FORMULA)
     assert parse_formula(text) == LOG2_FORMULA
     assert emit_formula(parse_formula(text)) == text
+    # blank lines after the last line read alike with a label and without
+    # one: a blank line 7 is no label, and any other line 7 must be one
+    bare = text.replace("label 2*log(2)\n", "")
+    assert parse_formula(text + "\n \n") == LOG2_FORMULA
+    assert parse_formula(bare + "\n \n") == parse_formula(bare)
+    assert emit_formula(parse_formula(bare + "\n")) == bare
+    with pytest.raises(ParseError, match="^line 7: expected 'label ...', got 'more'$") as exc:
+        parse_formula(bare + "more\n")
+    assert exc.value.line == 7
 
 
 def test_emit_canonical_shape():

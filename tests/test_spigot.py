@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import math
 import os
@@ -475,7 +476,7 @@ def test_forked_head_equals_serial(golden_plan, monkeypatch):
     _no_child_left()
 
 
-@pytest.mark.parametrize("fault", ["raise", "short", "exit", "fork"])
+@pytest.mark.parametrize("fault", ["raise", "short", "exit", "fork", "pipe"])
 def test_parent_resums_the_range_of_a_failed_child(golden_plan, monkeypatch, fault):
     n = 41_000
     expected, _ = _serial_block_sums(monkeypatch, golden_plan, n)
@@ -499,6 +500,9 @@ def test_parent_resums_the_range_of_a_failed_child(golden_plan, monkeypatch, fau
     def no_fork():
         raise BlockingIOError("no process to spare")
 
+    def no_pipe():
+        raise OSError(errno.EMFILE, "no descriptor to spare")
+
     monkeypatch.setattr(spigot_mod, "_sum_blocks", sum_blocks)
     if fault == "short":
         monkeypatch.setattr(os, "write", write)
@@ -506,6 +510,8 @@ def test_parent_resums_the_range_of_a_failed_child(golden_plan, monkeypatch, fau
         monkeypatch.setattr(os, "_exit", exit_)
     elif fault == "fork":
         monkeypatch.setattr(os, "fork", no_fork)
+    elif fault == "pipe":
+        monkeypatch.setattr(os, "pipe", no_pipe)
     monkeypatch.setattr(spigot_mod, "_usable_cpus", lambda: 3)
     assert extract_bits(golden_plan, n, 64) == expected
     assert len(parent_ranges) == 3  # its own range, then both children's

@@ -182,10 +182,9 @@ def test_decomposition_check_takes_no_log(monkeypatch):
         return wrapper
 
     # verify builds the check; a log it imported by name would bypass numerics
-    for name in ("fx_log", "fx_atanh"):
-        wrapped = counting(getattr(numerics_mod, name))
-        for mod in (numerics_mod, family_mod, verify_mod):
-            monkeypatch.setattr(mod, name, wrapped, raising=False)
+    wrapped = counting(numerics_mod.fx_log)
+    for mod in (numerics_mod, family_mod, verify_mod):
+        monkeypatch.setattr(mod, "fx_log", wrapped, raising=False)
     monkeypatch.setattr(FixedReal, "__init__", counting(FixedReal.__init__))
     for t in (1, -1, 7):
         assert verify_decomposition(t, 1000).passed
